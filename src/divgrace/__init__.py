@@ -17,8 +17,7 @@ from .constructions import (F1, F2, F4, FAMILIES, ConstructionError, Family,
 from .decomp import (BaseBlock, Decomposition, DecompositionTarget,
                      MultipartiteSpec, base_blocks, check_difference_classes,
                      develop, proposition_table, verify_decomposition)
-from .grids import (GridGraph, PrismView, SimpleGraph, as_simple, bipartition,
-                    build_grid, two_coloring)
+from .grids import GridGraph, SimpleGraph, build_grid, two_coloring
 from .oracle import (SearchConfig, SearchResult, cross_validate,
                      engine_accepts, search)
 
@@ -29,9 +28,9 @@ __all__ = [
     "Decomposition", "DecompositionTarget", "DifferenceProfile", "F1", "F2",
     "F4", "FAMILIES", "Family", "GridGraph", "InvalidParametersError",
     "Labeling", "LayerPattern", "MultipartiteSpec", "NotBipartiteError",
-    "PrismView", "SearchConfig", "SearchResult", "SeedMismatchError",
-    "SimpleGraph", "as_simple", "base_blocks", "bipartition", "build_grid",
-    "check_alpha", "check_d_graceful", "check_difference_classes", "construct",
+    "SearchConfig", "SearchResult", "SeedMismatchError", "SimpleGraph",
+    "base_blocks", "build_grid", "check_alpha", "check_d_graceful",
+    "check_difference_classes", "construct",
     "cross_validate", "d_params", "develop", "difference_profile",
     "edge_differences", "engine_accepts", "extend", "layer_pattern",
     "prism_labeling", "proposition_table", "search", "seed_matches",

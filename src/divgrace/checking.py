@@ -139,37 +139,63 @@ def edge_differences(g: Graph, f: Labeling) -> tuple[int, ...]:
     return tuple(abs(vals[int(u)] - vals[int(w)]) for u, w in g.edge_indices())
 
 
+def _label_array(f: Labeling) -> np.ndarray:
+    """The labels as int64, or as Python ints when one does not fit in int64."""
+    try:
+        return np.array(f.values, dtype=np.int64)
+    except OverflowError:
+        return np.array(f.values, dtype=object)
+
+
+def _first_repeat(values: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one; len(values) if none."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if repeats.size else len(values)
+
+
 def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
     """Check the d-divisible graceful condition, reporting the first violation.
 
-    Clause order: injectivity, label range, then the difference multiset.
-    Witnesses carry canonical vertex indices and the offending values.
+    Clause order: label range and injectivity by vertex index, then the
+    difference multiset by canonical edge order.  Witnesses carry
+    canonical vertex indices and the offending values.
     """
     params = d_params(g.num_edges, d)
-    if len(f.values) != g.num_vertices:
-        return CheckReport(False, "wrong-vertex-count", (len(f.values), g.num_vertices))
-    seen: dict[int, int] = {}
-    for idx, lab in enumerate(f.values):
-        if lab > params.max_label:
-            return CheckReport(False, "label-out-of-range", (idx, lab, params.max_label))
-        if lab in seen:
-            return CheckReport(False, "duplicate-label", (seen[lab], idx, lab))
-        seen[lab] = idx
-    allowed = params.allowed
-    used: set[int] = set()
     vals = f.values
-    for u, w in g.edge_indices():
-        u = int(u)
-        w = int(w)
-        delta = abs(vals[u] - vals[w])
-        if delta not in allowed:
-            return CheckReport(False, "forbidden-difference", ((u, w), delta))
-        if delta in used:
-            return CheckReport(False, "duplicate-difference", ((u, w), delta))
-        used.add(delta)
-    if used != allowed:
-        missing = min(allowed - used)
-        return CheckReport(False, "missing-difference", (missing,))
+    n = len(vals)
+    if n != g.num_vertices:
+        return CheckReport(False, "wrong-vertex-count", (n, g.num_vertices))
+    labels = _label_array(f)
+    over = np.flatnonzero(labels > params.max_label)
+    first_over = int(over[0]) if over.size else n
+    first_dup = _first_repeat(labels)
+    if first_over < first_dup:
+        return CheckReport(False, "label-out-of-range",
+                           (first_over, vals[first_over], params.max_label))
+    if first_dup < n:
+        lab = vals[first_dup]
+        return CheckReport(False, "duplicate-label", (vals.index(lab), first_dup, lab))
+    edges = g.edge_indices()
+    deltas = np.abs(labels[edges[:, 0]] - labels[edges[:, 1]])
+    width = params.q + 1
+    top = params.d * width
+    # A repeated forbidden difference is forbidden first, at its earlier edge.
+    bad = np.flatnonzero((deltas < 1) | (deltas > top) | (deltas % width == 0))
+    first_bad = int(bad[0]) if bad.size else len(deltas)
+    first_rep = _first_repeat(deltas)
+    if first_bad < first_rep:
+        u, w = (int(x) for x in edges[first_bad])
+        return CheckReport(False, "forbidden-difference", ((u, w), int(deltas[first_bad])))
+    if first_rep < len(deltas):
+        u, w = (int(x) for x in edges[first_rep])
+        return CheckReport(False, "duplicate-difference", ((u, w), int(deltas[first_rep])))
+    hit = np.zeros(top + 1, dtype=bool)
+    hit[deltas] = True
+    missing = np.flatnonzero(~hit & (np.arange(top + 1) % width != 0))
+    if missing.size:
+        return CheckReport(False, "missing-difference", (int(missing[0]),))
     return CheckReport(True)
 
 
@@ -182,14 +208,13 @@ def check_alpha(g: Graph, f: Labeling) -> AlphaCert | None:
     color = two_coloring(g)
     if color is None:
         raise NotBipartiteError("graph is not bipartite")
-    class0 = frozenset(int(i) for i in np.flatnonzero(color == 0))
-    class1 = frozenset(int(i) for i in np.flatnonzero(color == 1))
-    vals = f.values
-    for low, high in ((class0, class1), (class1, class0)):
-        max_low = max((vals[v] for v in low), default=-1)
-        min_high = min((vals[v] for v in high), default=max_low + 1)
-        if max_low < min_high:
-            return AlphaCert(low=low, high=high, boundary=max_low)
+    labels = _label_array(f)
+    classes = (np.flatnonzero(color == 0), np.flatnonzero(color == 1))
+    for low, high in (classes, classes[::-1]):
+        max_low = int(labels[low].max()) if low.size else -1
+        if high.size == 0 or max_low < labels[high].min():
+            return AlphaCert(low=frozenset(low.tolist()), high=frozenset(high.tolist()),
+                             boundary=max_low)
     return None
 
 

@@ -24,6 +24,12 @@ from .oracle import SearchConfig, search
 
 FULL_CHECK_MAX_V = 600
 
+# Largest v that `decompose --full-check` accepts.  verify_decomposition
+# holds dense v x v arrays and peaks at about 36 bytes per v^2 (345 MiB
+# measured at v = 3150), so 3800 keeps one check under about 500 MiB.
+# Above it the difference-class check, O(n*e), is the certificate to use.
+DECOMPOSE_FULL_CHECK_MAX_V = 3800
+
 
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
@@ -50,12 +56,18 @@ def cmd_construct(args) -> int:
     alpha = check_alpha(labeling.graph, labeling)
     if not report or alpha is None:
         return _fail(1, f"refusing to write unverified labeling: {report.describe()}")
-    write_labeling(args.out, labeling, d, alpha)
+    try:
+        write_labeling(args.out, labeling, d, alpha)
+    except OSError as exc:
+        return _fail(2, f"cannot write certificate: {exc}")
     print(f"wrote {args.out}: C_{{{4 * args.k}}}xP_{args.m}, d={d}, "
           f"labels in [0,{d * (labeling.graph.num_edges // d + 1) - 1}]")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_export(labeling))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot_export(labeling))
+        except OSError as exc:
+            return _fail(2, f"cannot write DOT file: {exc}")
         print(f"wrote {args.dot}")
     return 0
 
@@ -116,6 +128,10 @@ def cmd_decompose(args) -> int:
         return _fail(1, "alpha condition fails, cannot decompose with n > 1")
     dec = base_blocks(g, labeling, cert, d, args.n)
     if args.full_check:
+        if dec.spec.v > DECOMPOSE_FULL_CHECK_MAX_V:
+            return _fail(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
+                            f" (here v = {dec.spec.v}); drop --full-check to verify by"
+                            " difference classes")
         dec = develop(dec)
         result = verify_decomposition(dec)
     else:
@@ -127,12 +143,17 @@ def cmd_decompose(args) -> int:
         print(f"{dec.spec.describe()}: {edges}/{edges} edges covered exactly once")
     else:
         print(f"{dec.spec.describe()}: {dec.n * g.num_edges} difference classes verified")
-    write_json(args.out, decomposition_to_obj(dec))
+    try:
+        write_json(args.out, decomposition_to_obj(dec))
+    except OSError as exc:
+        return _fail(2, f"cannot write decomposition: {exc}")
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_search(args) -> int:
+    if args.limit < 0:
+        return _fail(2, f"--limit must be >= 0, got {args.limit}")
     if args.grid is not None:
         try:
             g = _parse_grid_arg(args.grid)

@@ -1,21 +1,26 @@
-"""Closed-form prism labelings and their layer-by-layer extension.
+"""Closed-form prism labelings and their extension to deeper grids.
 
 prism_labeling produces 3-, 6- and 12-divisible graceful alpha-labelings
-of the prism C_{4k} x P_2 from piecewise assignments.  Deeper grids are
-labeled inductively: extend shifts an existing labeling up by a constant
-and writes a fresh interleaved low/high pattern onto the new top layer,
+of the prism C_{4k} x P_2 from piecewise assignments.  extend is the
+inductive step: it shifts an existing labeling up by a constant and
+writes a fresh interleaved low/high pattern onto the new top layer,
 anchored at the position where the shifted maximum sits.  Each family
-fixes the shift (4k + 1, 4k + 2, 4k + 4), the divisor multiplier
+fixes the shift s (4k + 1, 4k + 2, 4k + 4), the divisor multiplier
 (1, 2, 4) and the pattern's skip rules; the 12-divisible rules split on
 the parity of k.
 
-Every constructed labeling is re-verified before it is returned, so a
+construct unrolls the induction into one pass: layer L >= 3 is the
+pattern with ceiling (2L - 1) s, anchored under the previous layer's
+t = 1 high and shifted by (m - L) s, and the prism rows are shifted by
+(m - 2) s.  The result is verified once before it is returned, so a
 formula or bookkeeping error fails fast instead of propagating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .checking import Labeling, check_alpha, check_d_graceful
 from .grids import GridGraph, build_grid
@@ -251,14 +256,30 @@ def extend(f: Labeling, family: Family) -> Labeling:
 
 
 def construct(k: int, m: int, family: Family) -> Labeling:
-    """A d-divisible graceful alpha-labeling of C_{4k} x P_m, d = multiplier*(2m-1)."""
+    """A d-divisible graceful alpha-labeling of C_{4k} x P_m, d = multiplier*(2m-1).
+
+    Equal to m - 2 extend steps from the prism, built in one pass.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    lab = prism_labeling(k, family.prism_divisor)
-    for _ in range(m - 2):
-        lab = extend(lab, family)
+    s = family.shift(k)
+    rows = [np.array(r, dtype=np.int64) for r in _prism_rows(k, family.prism_divisor)]
+    top = 3 * s - 1  # the prism's largest label, on ring 2
+    for layer in range(3, m + 1):
+        anchor = np.flatnonzero(rows[-1] == top)
+        if anchor.size != 1:
+            raise ConstructionError(
+                f"k={k} layer {layer} family={family.name}: no unique anchor {top}")
+        pattern = layer_pattern(family, k, (2 * layer - 1) * s)
+        rows.append(np.roll(pattern.values, anchor[0]))
+        top = pattern.ceiling - 1
+    shifts = (m - np.maximum(np.arange(1, m + 1), 2)) * s
+    labels = np.stack(rows) + shifts[:, None]
+    lab = Labeling(build_grid(k, m), tuple(labels.ravel().tolist()))
+    _verify(lab, family.divisor(m), family=family,
+            where=f"construct k={k} m={m} family={family.name}")
     return lab
 
 

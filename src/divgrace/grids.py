@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -71,18 +70,17 @@ class GridGraph:
                 yield (i, j), (i + 1, j)
 
     def edge_indices(self) -> np.ndarray:
-        return _grid_edge_array(self.k, self.m)
-
-
-@lru_cache(maxsize=None)
-def _grid_edge_array(k: int, m: int) -> np.ndarray:
-    g = GridGraph(k, m)
-    arr = np.array(
-        [[g.vertex_index(u), g.vertex_index(w)] for u, w in g.edges()],
-        dtype=np.int64,
-    )
-    arr.setflags(write=False)
-    return arr
+        """Canonical edge order as a read-only (e, 2) array of vertex indices."""
+        w = self.ring_len
+        j = np.arange(w, dtype=np.int64)
+        base = np.arange(self.m, dtype=np.int64)[:, None] * w
+        ring_u = (base + j).ravel()
+        ring_w = (base + (j + 1) % w).ravel()
+        rung_u = np.arange((self.m - 1) * w, dtype=np.int64)
+        arr = np.stack([np.concatenate([ring_u, rung_u]),
+                        np.concatenate([ring_w, rung_u + w])], axis=1)
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True)
@@ -129,61 +127,6 @@ def build_grid(k: int, m: int) -> GridGraph:
     return GridGraph(k, m)
 
 
-def as_simple(g: GridGraph) -> SimpleGraph:
-    """Flatten a grid to canonical indices, preserving the canonical edge order."""
-    idx = g.edge_indices()
-    return SimpleGraph(g.num_vertices, tuple((int(u), int(w)) for u, w in idx))
-
-
-def bipartition(g: GridGraph) -> tuple[frozenset[Coord], frozenset[Coord]]:
-    """The two color classes of the grid: (i + j) even versus odd."""
-    a = frozenset(c for c in g.vertices() if (c[0] + c[1]) % 2 == 0)
-    b = frozenset(c for c in g.vertices() if (c[0] + c[1]) % 2 == 1)
-    return a, b
-
-
-@dataclass(frozen=True)
-class PrismView:
-    """Prism (m = 2) coordinates: ring 1 and ring 2 joined position by position."""
-
-    grid: GridGraph
-
-    def __post_init__(self) -> None:
-        if self.grid.m != 2:
-            raise ValueError("prism view requires m = 2")
-
-    @property
-    def size(self) -> int:
-        return self.grid.num_edges
-
-    def vertex(self, layer: int, pos: int) -> Coord:
-        if layer not in (1, 2):
-            raise ValueError("layer must be 1 or 2")
-        return (layer, pos)
-
-    def ring(self, layer: int) -> tuple[Coord, ...]:
-        return tuple((layer, j) for j in range(1, self.grid.ring_len + 1))
-
-    def _half(self, layer: int, parity: int) -> frozenset[Coord]:
-        return frozenset((layer, j) for j in range(1, self.grid.ring_len + 1) if j % 2 == parity)
-
-    @property
-    def odd_ring1(self) -> frozenset[Coord]:
-        return self._half(1, 1)
-
-    @property
-    def even_ring1(self) -> frozenset[Coord]:
-        return self._half(1, 0)
-
-    @property
-    def odd_ring2(self) -> frozenset[Coord]:
-        return self._half(2, 1)
-
-    @property
-    def even_ring2(self) -> frozenset[Coord]:
-        return self._half(2, 0)
-
-
 def adjacency_lists(g: Graph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
     for u, w in g.edge_indices():
@@ -193,7 +136,13 @@ def adjacency_lists(g: Graph) -> list[list[int]]:
 
 
 def two_coloring(g: Graph) -> np.ndarray | None:
-    """BFS 2-coloring with lowest-index roots in class 0; None if not bipartite."""
+    """2-coloring with lowest-index roots in class 0; None if not bipartite.
+
+    A grid is connected and bipartite with (1, 1) in class 0, so its
+    coloring is the parity of i + j.  Simple graphs are colored by BFS.
+    """
+    if isinstance(g, GridGraph):
+        return (np.arange(g.m)[:, None] + np.arange(g.ring_len)).ravel() % 2
     n = g.num_vertices
     color = np.full(n, -1, dtype=np.int64)
     adj = adjacency_lists(g)
@@ -211,11 +160,3 @@ def two_coloring(g: Graph) -> np.ndarray | None:
                 elif color[u] == color[v]:
                     return None
     return color
-
-
-def vertex_name(g: Graph, index: int) -> str:
-    """Stable human-readable vertex name used in reports and DOT output."""
-    if isinstance(g, GridGraph):
-        i, j = g.vertex_at(index)
-        return f"({i},{j})"
-    return str(index)

@@ -1,10 +1,14 @@
 """The d-divisible graceful checker, alpha checker and difference profiles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divgrace import (InvalidParametersError, Labeling, NotBipartiteError,
-                      SimpleGraph, build_grid, check_alpha, check_d_graceful,
-                      d_params, difference_profile, edge_differences)
+import reference_checking as ref
+from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
+                      NotBipartiteError, SimpleGraph, build_grid, check_alpha,
+                      check_d_graceful, construct, d_params, difference_profile,
+                      edge_differences)
 
 
 def test_d_params_12_3():
@@ -158,3 +162,90 @@ def test_differences_fill_each_block_exactly(t8, t8_labeling):
     diffs = edge_differences(t8, t8_labeling)
     for block in params.blocks:
         assert sum(1 for delta in diffs if delta in block) == params.q
+
+
+GRID_CASES = [(k, m, family) for k in (1, 2) for m in (2, 3) for family in (F1, F2, F4)]
+
+
+@st.composite
+def grid_labelings(draw):
+    """A constructed labeling, then a few permutations, swaps, bumps and copies."""
+    k, m, family = draw(st.sampled_from(GRID_CASES))
+    d = family.divisor(m)
+    values = list(construct(k, m, family).values)
+    top = max(values)
+    n = len(values)
+    kinds = st.sampled_from(["permute", "swap", "bump", "copy"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        if kind == "permute":
+            values = list(draw(st.permutations(values)))
+            continue
+        if kind == "bump":
+            values[draw(st.integers(0, n - 1))] = draw(st.integers(top + 1, 2 ** 40))
+            continue
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if kind == "swap":
+            values[i], values[j] = values[j], values[i]
+        else:
+            values[j] = values[i]
+    return build_grid(k, m), Labeling(build_grid(k, m), tuple(values)), d
+
+
+@st.composite
+def simple_labelings(draw):
+    """A small simple graph, a divisor of its edge count and arbitrary labels."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    g = SimpleGraph(n, edges)
+    e = len(edges)
+    d = draw(st.sampled_from([x for x in range(1, e + 1) if e % x == 0]))
+    span = d * (e // d + 1)
+    distinct = span + 2 >= n and draw(st.booleans())
+    values = draw(st.lists(st.integers(0, span + 1), min_size=n, max_size=n,
+                           unique=distinct))
+    return g, Labeling(g, tuple(values)), d
+
+
+def _same_report(g, lab, d):
+    fast = check_d_graceful(g, lab, d)
+    slow = ref.check_d_graceful(g, lab, d)
+    assert fast == slow
+    assert fast.describe() == slow.describe()
+
+
+def _same_alpha(g, lab):
+    try:
+        slow = ref.check_alpha(g, lab)
+    except NotBipartiteError:
+        with pytest.raises(NotBipartiteError):
+            check_alpha(g, lab)
+        return
+    assert check_alpha(g, lab) == slow
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_labelings())
+def test_checkers_match_reference_on_grids(case):
+    g, lab, d = case
+    _same_report(g, lab, d)
+    _same_alpha(g, lab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_labelings())
+def test_checkers_match_reference_on_simple_graphs(case):
+    g, lab, d = case
+    _same_report(g, lab, d)
+    _same_alpha(g, lab)
+
+
+@pytest.mark.parametrize("index", [4, 5])
+def test_labels_beyond_int64(t8, t8_labeling, index):
+    values = list(t8_labeling.values)
+    values[index] = 2 ** 70
+    lab = Labeling(t8, tuple(values))
+    report = check_d_graceful(t8, lab, 3)
+    assert report == ref.check_d_graceful(t8, lab, 3)
+    assert report.witness == (index, 2 ** 70, 14)
+    assert check_alpha(t8, lab) == ref.check_alpha(t8, lab)

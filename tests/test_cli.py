@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from divgrace import cli
 from divgrace.cli import main
 
 
@@ -40,6 +41,22 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys):
                            "--family", "f1", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "invalid parameters" in stderr
+
+
+def test_construct_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.json"
+    code, _, stderr = _run(capsys, "construct", "--k", "1", "--m", "2",
+                           "--family", "f1", "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("cannot write certificate:")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+    code, _, stderr = _run(capsys, "construct", "--k", "1", "--m", "2",
+                           "--family", "f1", "--out", str(tmp_path / "c.json"),
+                           "--dot", str(tmp_path / "missing" / "c.dot"))
+    assert code == 2
+    assert stderr.startswith("cannot write DOT file:")
+    assert stderr.count("\n") == 1
 
 
 def test_verify_valid_certificate(tmp_path, capsys):
@@ -112,6 +129,38 @@ def test_decompose_full_check(tmp_path, capsys):
     assert len(obj["base_blocks"]) == 2
 
 
+def test_decompose_into_missing_directory(tmp_path, capsys):
+    cert = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    code, _, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", "1",
+                           "--out", str(tmp_path / "missing" / "d.json"))
+    assert code == 2
+    assert stderr.startswith("cannot write decomposition:")
+    assert stderr.count("\n") == 1
+
+
+def test_decompose_full_check_rejects_large_v(tmp_path, capsys, monkeypatch):
+    # k=40, m=10, F1, n=3 gives v = 18354: dense v x v arrays of about 2.7 GB
+    def refuse(*args):
+        raise AssertionError("the full check must not start above the limit")
+
+    monkeypatch.setattr(cli, "develop", refuse)
+    monkeypatch.setattr(cli, "verify_decomposition", refuse)
+    cert = tmp_path / "big.json"
+    _run(capsys, "construct", "--k", "40", "--m", "10", "--family", "f1",
+         "--out", str(cert))
+    code, _, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", "3",
+                           "--full-check", "--out", str(tmp_path / "d.json"))
+    assert code == 2
+    assert f"v <= {cli.DECOMPOSE_FULL_CHECK_MAX_V}" in stderr
+    assert "v = 18354" in stderr
+    assert "difference classes" in stderr
+    assert not (tmp_path / "d.json").exists()
+    # the benchmark's full checks reach v = 3220 and must stay under the limit
+    assert cli.DECOMPOSE_FULL_CHECK_MAX_V >= 3300
+
+
 def test_decompose_rejects_bad_n(tmp_path, capsys):
     cert = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
@@ -153,6 +202,14 @@ def test_search_limit_prints_certificates(capsys):
         obj = json.loads(line)
         assert obj["d"] == 3
         assert len(obj["labels"]) == 8
+
+
+def test_search_rejects_negative_limit(capsys):
+    code, stdout, stderr = _run(capsys, "search", "--grid", "1,2", "--d", "3",
+                                "--alpha", "--limit", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert "--limit must be >= 0" in stderr
 
 
 def test_search_graph_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Prism labelings, layer patterns and the inductive extension."""
 
+import hashlib
+
 import pytest
 
 from divgrace import (F1, F2, F4, ConstructionError, Labeling, SeedMismatchError,
@@ -164,6 +166,26 @@ def test_construct_verifies_everywhere(family, k, m):
     assert 0 in lab.values
     assert d * (q + 1) - 1 in lab.values
     assert seed_matches(lab, family) is not None
+
+
+def test_construct_labels_frozen_digest():
+    # sha256 of the label tuples for every family at k <= 8, m <= 12, as
+    # written by the layer-by-layer build before construct became one pass
+    h = hashlib.sha256()
+    for family in (F1, F2, F4):
+        for k in range(1, 9):
+            for m in range(2, 13):
+                h.update(repr(construct(k, m, family).values).encode())
+    assert h.hexdigest() == "1a724f6f2a7744b158b033209450aed45b1611db2afd19abbcc07a949f80cec3"
+
+
+@pytest.mark.parametrize("family", [F1, F2, F4])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_construct_equals_extend_chain(family, k):
+    lab = prism_labeling(k, family.prism_divisor)
+    for m in range(2, 8):
+        assert construct(k, m, family) == lab
+        lab = extend(lab, family)
 
 
 def test_construct_m2_is_the_prism():

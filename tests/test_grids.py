@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from divgrace import PrismView, SimpleGraph, as_simple, bipartition, build_grid
-from divgrace.grids import adjacency_lists, two_coloring, vertex_name
+from divgrace import SimpleGraph, build_grid
+from divgrace.grids import adjacency_lists, two_coloring
+
+
+def _color_classes(g):
+    color = two_coloring(g)
+    return ({g.vertex_at(idx) for idx in np.flatnonzero(color == 0)},
+            {g.vertex_at(idx) for idx in np.flatnonzero(color == 1)})
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -45,8 +51,8 @@ def test_vertex_index_round_trip():
 
 def test_ring_wraparound_edge():
     # ring edge {(1,4),(1,1)} flattens to {3, 0}
-    simple = as_simple(build_grid(1, 2))
-    assert (0, 3) in simple.edges
+    edges = {tuple(sorted(e)) for e in build_grid(1, 2).edge_indices().tolist()}
+    assert (0, 3) in edges
 
 
 def test_canonical_orders_are_deterministic():
@@ -54,44 +60,66 @@ def test_canonical_orders_are_deterministic():
     b = build_grid(2, 3)
     assert list(a.edges()) == list(b.edges())
     assert np.array_equal(a.edge_indices(), b.edge_indices())
-    assert as_simple(a) == as_simple(b)
 
 
-def test_as_simple_counts():
-    simple = as_simple(build_grid(1, 3))
-    assert simple.num_vertices == 12
-    assert simple.num_edges == 20
-    seen = {e for e in simple.edges}
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("m", range(2, 6))
+def test_edge_array_matches_coordinates(k, m):
+    g = build_grid(k, m)
+    idx = g.edge_indices()
+    expect = [[g.vertex_index(u), g.vertex_index(w)] for u, w in g.edges()]
+    assert idx.tolist() == expect
+    assert idx.dtype == np.int64
+    assert not idx.flags.writeable
+
+
+def test_edge_array_counts():
+    idx = build_grid(1, 3).edge_indices()
+    assert idx.shape == (20, 2)
+    assert idx.min() == 0 and idx.max() == 11
+    seen = {tuple(sorted(e)) for e in idx.tolist()}
     assert len(seen) == 20
 
 
 def test_bipartition_is_proper_and_balanced():
     for k, m in [(1, 2), (2, 3), (1, 4)]:
         g = build_grid(k, m)
-        a, b = bipartition(g)
+        a, b = _color_classes(g)
         assert len(a) == len(b) == 2 * k * m
         for u, w in g.edges():
             assert (u in a) != (w in a)
 
 
 def test_bipartition_frozen_example():
-    a, b = bipartition(build_grid(1, 2))
+    # class 0 is the odd positions of ring 1 with the even ones of ring 2
+    a, b = _color_classes(build_grid(1, 2))
     assert a == {(1, 1), (1, 3), (2, 2), (2, 4)}
+    assert b == {(1, 2), (1, 4), (2, 1), (2, 3)}
 
 
 def test_prism_view_classes():
+    # the prism (m = 2): two 4-rings joined position by position
     g = build_grid(1, 2)
-    view = PrismView(g)
-    assert view.size == 12
-    assert view.ring(1) == ((1, 1), (1, 2), (1, 3), (1, 4))
-    assert view.odd_ring1 == {(1, 1), (1, 3)}
-    assert view.even_ring2 == {(2, 2), (2, 4)}
+    assert g.num_edges == 12
+    ring1 = tuple(v for v in g.vertices() if v[0] == 1)
+    assert ring1 == ((1, 1), (1, 2), (1, 3), (1, 4))
+    odd_ring1 = {(1, j) for j in (1, 3)}
+    even_ring1 = {(1, j) for j in (2, 4)}
+    odd_ring2 = {(2, j) for j in (1, 3)}
+    even_ring2 = {(2, j) for j in (2, 4)}
     # the parity bipartition splits as odd ring 1 with even ring 2
-    a, b = bipartition(g)
-    assert a == view.odd_ring1 | view.even_ring2
-    assert b == view.odd_ring2 | view.even_ring1
-    with pytest.raises(ValueError):
-        PrismView(build_grid(1, 3))
+    a, b = _color_classes(g)
+    assert a == odd_ring1 | even_ring2
+    assert b == odd_ring2 | even_ring1
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("m", range(2, 6))
+def test_grid_coloring_matches_bfs(k, m):
+    # the parity coloring equals the BFS coloring of the same edge set
+    g = build_grid(k, m)
+    flat = SimpleGraph(g.num_vertices, tuple(map(tuple, g.edge_indices().tolist())))
+    assert np.array_equal(two_coloring(g), two_coloring(flat))
 
 
 def test_grid_parameter_validation():
@@ -117,9 +145,3 @@ def test_two_coloring():
         assert color[u] != color[w]
     triangle = SimpleGraph(3, ((0, 1), (1, 2), (0, 2)))
     assert two_coloring(triangle) is None
-
-
-def test_vertex_names():
-    g = build_grid(1, 2)
-    assert vertex_name(g, 0) == "(1,1)"
-    assert vertex_name(SimpleGraph(2, ((0, 1),)), 1) == "1"
