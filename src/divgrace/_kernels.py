@@ -1,41 +1,31 @@
 """Hot inner loops: exhaustive labeling search and pair-coverage counting.
 
-Two kernels dominate the package's runtime: the depth-first labeling
-search behind the oracle and the edge-pair accumulation behind
-decomposition verification.  Both compile with numba's @njit when it is
-importable; setting DIVGRACE_NO_NUMBA to anything but "0" selects the
-fallback path instead: the same Python source for the search (a DFS does
-not vectorize) and a vectorized numpy implementation for the pair counts.
-benchmarks/bench_kernels.py times the paths against each other.
+Two kernels dominate the package's runtime: the labeling search behind
+the oracle and the edge-pair accumulation behind decomposition
+verification.  Both are numpy over plain int64/bool arrays.
 
-Kernel inputs are plain int64/bool numpy arrays so the same source runs
-identically on either path.
+The search walks a frontier of partial labelings depth first.  At
+position p it takes a slice of partial labelings, rows in lexicographic
+order, and builds one rows x candidates mask of the labels that may
+come next.  np.nonzero reads that mask in row-major order, which is the
+order a depth-first search discovers the children in, so descending
+into slices of the survivors one after another yields the labelings in
+lexicographic order of positions.  Slices are cut to CELL_BUDGET mask
+cells, which bounds memory and lets max_results stop the walk early.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("DIVGRACE_NO_NUMBA", "0").strip() in ("", "0")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
+# Mask cells (rows x candidate labels) built at once.  The walk holds at
+# most one slice per position, so this also bounds its working set.
+CELL_BUDGET = 1 << 13
 
 
-def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
-                  first_label_limit, prefix, max_results, out_buf):
-    """Depth-first search over injective labelings with incremental pruning.
+def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
+               first_label_limit, prefix, max_results, out_buf):
+    """Enumerate injective labelings in depth-first order with masked pruning.
 
     Parameters
     ----------
@@ -49,15 +39,16 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
     allowed : bool array of length n_labels + 1
         allowed[delta] says the edge difference delta may appear (once).
     use_alpha, side : bool, int64 array
-        When use_alpha, prune branches where neither orientation of the
-        2-coloring in side can still satisfy the boundary condition.
+        When use_alpha, prune partial labelings where neither orientation
+        of the 2-coloring in side can still satisfy the boundary condition.
     first_label_limit : int
-        Candidate cap for position 0 only; n_labels means no cap.  Used by
-        the symmetry-breaking option and by the branch fan-out driver.
+        Candidate cap for position 0 when no prefix forces it; n_labels
+        means no cap.  The symmetry-breaking option sets it.
     prefix : int64 array
         Forced labels for the leading positions; an inconsistent prefix
-        yields (0, 0).  A full-length prefix turns the search into a
-        constraint replay that accepts or rejects one labeling.
+        or one with a label outside [0, n_labels) yields no labeling.  A
+        full-length prefix replays one labeling through the masks and
+        accepts or rejects it.
     max_results : int
         Stop after this many labelings; 0 means exhaust the space.
     out_buf : int64 array, shape (cap, n)
@@ -65,161 +56,104 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
 
     Returns
     -------
-    (total, stored) : found labelings overall, rows written to out_buf.
+    (total, stored, level_sizes) : found labelings overall, rows written
+    to out_buf, and for each position p the number of partial labelings
+    of positions 0..p that passed its masks.  The walk stops taking
+    complete labelings at max_results, so the last entry is total.
     """
     n = order.shape[0]
     L = n_labels
-    assign = np.full(n, -1, dtype=np.int64)
-    used_label = np.zeros(L, dtype=np.bool_)
-    used_diff = np.zeros(L + 1, dtype=np.bool_)
-    cur = np.zeros(n, dtype=np.int64)
-    mx = np.full(2, -1, dtype=np.int64)
-    mn = np.full(2, L, dtype=np.int64)
-    save_mx = np.zeros(n, dtype=np.int64)
-    save_mn = np.zeros(n, dtype=np.int64)
-    store_cap = out_buf.shape[0]
+    level_sizes = np.zeros(n, dtype=np.int64)
+    if np.any((prefix < 0) | (prefix >= L)):
+        return 0, 0, level_sizes
+    # Candidate labels of each position, as a range [lo, hi).
+    ranges = [(0, L)] * n
+    ranges[0] = (0, first_label_limit)
+    for p, lab in enumerate(prefix):
+        ranges[p] = (int(lab), int(lab) + 1)
 
-    def _ok(p, lab):
-        if used_label[lab]:
-            return False
-        a0 = nbr_off[p]
-        a1 = nbr_off[p + 1]
-        for t in range(a0, a1):
-            delta = assign[nbr_flat[t]] - lab
-            if delta < 0:
-                delta = -delta
-            if not allowed[delta] or used_diff[delta]:
-                return False
-            for t2 in range(a0, t):
-                d2 = assign[nbr_flat[t2]] - lab
-                if d2 < 0:
-                    d2 = -d2
-                if d2 == delta:
-                    return False
+    def survivors(p, state):
+        """Rows, labels and new differences of the candidates at p that pass."""
+        assign, used_label, blocked_diff, top, bottom = state
+        lo, hi = ranges[p]
+        cand = np.arange(lo, hi)
+        ok = ~used_label[:, lo:hi]
+        row_base = np.arange(0, blocked_diff.size, L + 1)[:, None]
+        deltas = []
+        for t in nbr_flat[nbr_off[p]:nbr_off[p + 1]]:
+            delta = np.abs(assign[:, t, None] - cand)
+            ok &= ~blocked_diff.ravel()[row_base + delta]
+            for earlier in deltas:
+                ok &= delta != earlier
+            deltas.append(delta)
         if use_alpha:
             s = side[p]
-            m0 = mx[0]
-            m1 = mx[1]
-            n0 = mn[0]
-            n1 = mn[1]
-            if s == 0:
-                if lab > m0:
-                    m0 = lab
-                if lab < n0:
-                    n0 = lab
-            else:
-                if lab > m1:
-                    m1 = lab
-                if lab < n1:
-                    n1 = lab
-            if not (m0 < n1 or m1 < n0):
-                return False
-        return True
+            own_top = np.maximum(top[:, s, None], cand)
+            own_bottom = np.minimum(bottom[:, s, None], cand)
+            ok &= (own_top < bottom[:, 1 - s, None]) | (top[:, 1 - s, None] < own_bottom)
+        rows, cols = np.nonzero(ok)
+        return rows, cand[cols], [delta[rows, cols] for delta in deltas]
 
-    def _place(p, lab):
-        assign[p] = lab
-        used_label[lab] = True
-        a0 = nbr_off[p]
-        a1 = nbr_off[p + 1]
-        for t in range(a0, a1):
-            delta = assign[nbr_flat[t]] - lab
-            if delta < 0:
-                delta = -delta
-            used_diff[delta] = True
+    def children(p, state):
+        """Yield the survivors at p as states, one slice of the budget at a time."""
+        rows, labs, deltas = survivors(p, state)
+        level_sizes[p] += rows.shape[0]
+        lo, hi = ranges[p + 1]
+        step = max(1, CELL_BUDGET // (hi - lo))
         s = side[p]
-        save_mx[p] = mx[s]
-        save_mn[p] = mn[s]
-        if lab > mx[s]:
-            mx[s] = lab
-        if lab < mn[s]:
-            mn[s] = lab
+        for start in range(0, rows.shape[0], step):
+            part = slice(start, start + step)
+            lab = labs[part]
+            assign, used_label, blocked_diff, top, bottom = (a[rows[part]] for a in state)
+            k = np.arange(lab.shape[0])
+            assign[:, p] = lab
+            used_label[k, lab] = True
+            for delta in deltas:
+                blocked_diff[k, delta[part]] = True
+            top[:, s] = np.maximum(top[:, s], lab)
+            bottom[:, s] = np.minimum(bottom[:, s], lab)
+            yield assign, used_label, blocked_diff, top, bottom
 
-    def _unplace(p):
-        lab = assign[p]
-        a0 = nbr_off[p]
-        a1 = nbr_off[p + 1]
-        for t in range(a0, a1):
-            delta = assign[nbr_flat[t]] - lab
-            if delta < 0:
-                delta = -delta
-            used_diff[delta] = False
-        s = side[p]
-        mx[s] = save_mx[p]
-        mn[s] = save_mn[p]
-        used_label[lab] = False
-        assign[p] = -1
-
-    total = 0
-    stored = 0
-    p0 = prefix.shape[0]
-    for p in range(p0):
-        lab = prefix[p]
-        if lab < 0 or lab >= L or not _ok(p, lab):
-            return 0, 0
-        _place(p, lab)
-    if p0 == n:
-        if store_cap > 0:
-            for v in range(n):
-                out_buf[0, order[v]] = assign[v]
-            stored = 1
-        return 1, stored
-
-    p = p0
-    cur[p] = 0
+    # A state holds, per row: the labels so far, the labels used, the
+    # differences forbidden or used, and each side's largest and smallest
+    # label.  stack[p] yields the states whose positions 0..p are set.
+    state = (np.zeros((1, n), dtype=np.int64), np.zeros((1, L), dtype=np.bool_),
+             ~allowed[None, :], np.full((1, 2), -1, dtype=np.int64),
+             np.full((1, 2), L, dtype=np.int64))
+    store_cap = out_buf.shape[0]
+    total = stored = 0
+    stack = []
     while True:
-        lab = cur[p]
-        hi = L
-        if p == 0:
-            hi = first_label_limit
-        placed = False
-        while lab < hi:
-            if _ok(p, lab):
-                placed = True
-                break
-            lab += 1
-        if placed:
-            cur[p] = lab + 1
-            _place(p, lab)
-            if p == n - 1:
-                total += 1
-                if stored < store_cap:
-                    for v in range(n):
-                        out_buf[stored, order[v]] = assign[v]
-                    stored += 1
-                _unplace(p)
-                if max_results > 0 and total >= max_results:
-                    return total, stored
-            else:
-                p += 1
-                cur[p] = 0
+        p = len(stack)
+        if p < n - 1:
+            stack.append(children(p, state))
         else:
-            p -= 1
-            if p < p0:
+            rows, labs, _ = survivors(p, state)
+            take = rows.shape[0]
+            if max_results > 0:
+                take = min(take, max_results - total)
+            level_sizes[p] += take
+            keep = min(take, store_cap - stored)
+            if keep > 0:
+                full = state[0][rows[:keep]]
+                full[:, p] = labs[:keep]
+                out_buf[stored:stored + keep, order] = full
+                stored += keep
+            total += take
+            if max_results > 0 and total >= max_results:
                 break
-            _unplace(p)
-    return total, stored
+        state = None
+        while stack and state is None:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+        if state is None:
+            break
+    return total, stored, level_sizes
 
 
-def count_pairs_py(lo_ends, hi_ends, counts):
+def count_pairs(lo_ends, hi_ends, counts):
     """Accumulate unordered endpoint pairs into the upper triangle of counts."""
-    for i in range(lo_ends.shape[0]):
-        a = lo_ends[i]
-        b = hi_ends[i]
-        if a < b:
-            counts[a, b] += 1
-        else:
-            counts[b, a] += 1
-
-
-def count_pairs_numpy(lo_ends, hi_ends, counts):
     lo = np.minimum(lo_ends, hi_ends)
     hi = np.maximum(lo_ends, hi_ends)
     np.add.at(counts, (lo, hi), 1)
-
-
-if NUMBA_ENABLED:
-    dfs_search = njit(cache=True, nogil=True)(dfs_search_py)
-    count_pairs = njit(cache=True, nogil=True)(count_pairs_py)
-else:
-    dfs_search = dfs_search_py
-    count_pairs = count_pairs_numpy

@@ -8,17 +8,13 @@ independent route to the same answers as the closed-form constructions:
 cross_validate insists the incremental constraint engine and the offline
 checker agree labeling by labeling.
 
-Results are deterministic for a given configuration.  With several
-workers the top-level label choices fan out to a thread pool and the
-per-branch results are merged back in branch order, so the output is
-identical to a serial run; the compiled search kernel releases the GIL,
-which is what makes the threads worthwhile.
+Results are deterministic for a given configuration: labelings come out
+in lexicographic order of their labels along the search order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +43,21 @@ class SearchConfig:
     order: str = "bfs"
     symmetry_break: bool = False
     store_limit: int = 10000
-    workers: int = 1
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Labelings found, in search order, and how many there were.
+
+    level_sizes[p] is the number of partial labelings of the first p + 1
+    vertices in search order that survived pruning (a search stopped by
+    max_results counts only the part it walked); the last entry is count.
+    """
+
     labelings: tuple[Labeling, ...]
     count: int
     exhaustive: bool
+    level_sizes: tuple[int, ...]
 
 
 def _bfs_order(adj: list[list[int]]) -> list[int]:
@@ -123,14 +126,15 @@ def _prepare(g: Graph, cfg: SearchConfig) -> _Arrays:
 
 
 def _run_kernel(arrays: _Arrays, cfg: SearchConfig, prefix: np.ndarray,
-                store_cap: int, first_limit: int) -> tuple[int, np.ndarray]:
+                store_cap: int, first_limit: int
+                ) -> tuple[int, np.ndarray, tuple[int, ...]]:
     n = arrays.order.shape[0]
     out = np.zeros((store_cap, n), dtype=np.int64)
-    total, stored = _kernels.dfs_search(
+    total, stored, level_sizes = _kernels.dfs_search(
         arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.n_labels,
         arrays.allowed, cfg.alpha_only, arrays.side, first_limit, prefix,
         cfg.max_results, out)
-    return int(total), out[: int(stored)]
+    return int(total), out[: int(stored)], tuple(int(x) for x in level_sizes)
 
 
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -144,39 +148,26 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     if cfg.symmetry_break:
         first_limit = (n_labels - 1) // 2 + 1
     store_cap = cfg.max_results if cfg.max_results > 0 else cfg.store_limit
-    if cfg.workers <= 1:
-        total, rows = _run_kernel(
-            arrays, cfg, np.empty(0, dtype=np.int64), store_cap, first_limit)
-        parts = [(total, rows)]
-    else:
-        branches = [np.array([b], dtype=np.int64) for b in range(first_limit)]
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_run_kernel, arrays, cfg, br, store_cap, first_limit)
-                for br in branches
-            ]
-            parts = [fut.result() for fut in futures]
-    total = 0
-    rows: list[np.ndarray] = []
-    kept = 0
-    for branch_total, branch_rows in parts:
-        total += branch_total
-        for row in branch_rows:
-            if kept < store_cap and (cfg.max_results == 0 or kept < cfg.max_results):
-                rows.append(row)
-                kept += 1
-    if cfg.max_results > 0:
-        total = min(total, cfg.max_results)
+    total, rows, level_sizes = _run_kernel(
+        arrays, cfg, np.empty(0, dtype=np.int64), store_cap, first_limit)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(int(x) for x in row)) for row in rows)
-    return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive)
+    return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
+                        level_sizes=level_sizes)
 
 
 def engine_accepts(g: Graph, f: Labeling, cfg: SearchConfig) -> bool:
-    """Replay a complete labeling through the search's constraint engine."""
+    """Replay a complete labeling through the search's constraint engine.
+
+    The labeling is a one-row frontier whose every position is forced;
+    it passes when it survives the masks at every position.
+    """
     arrays = _prepare(g, cfg)
-    prefix = np.array([f.values[v] for v in arrays.order], dtype=np.int64)
-    total, _ = _run_kernel(arrays, cfg, prefix, 0, arrays.n_labels)
+    values = [f.values[v] for v in arrays.order]
+    if max(values) >= arrays.n_labels:  # may not even fit an int64
+        return False
+    total, _, _ = _run_kernel(arrays, cfg, np.array(values, dtype=np.int64),
+                              0, arrays.n_labels)
     return total == 1
 
 

@@ -1,0 +1,179 @@
+"""Plain-Python depth-first labeling search, kept as the reference.
+
+This is the search the package ran before its kernel became a numpy
+frontier search.  Tests run both on the same inputs and require the same
+total and the same rows in the same order, so "the paths agree" compares
+two different implementations.  It takes the kernel's arguments and
+returns (total, stored).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
+                  first_label_limit, prefix, max_results, out_buf):
+    """Depth-first search over injective labelings with incremental pruning.
+
+    Parameters
+    ----------
+    nbr_flat, nbr_off : int64 arrays
+        For assignment position p, nbr_flat[nbr_off[p]:nbr_off[p+1]] lists
+        the earlier positions adjacent to p's vertex.
+    order : int64 array
+        Position -> canonical vertex index; results are stored by vertex.
+    n_labels : int
+        Labels run over [0, n_labels - 1].
+    allowed : bool array of length n_labels + 1
+        allowed[delta] says the edge difference delta may appear (once).
+    use_alpha, side : bool, int64 array
+        When use_alpha, prune branches where neither orientation of the
+        2-coloring in side can still satisfy the boundary condition.
+    first_label_limit : int
+        Candidate cap for position 0 only; n_labels means no cap.  Used by
+        the symmetry-breaking option and by the branch fan-out driver.
+    prefix : int64 array
+        Forced labels for the leading positions; an inconsistent prefix
+        yields (0, 0).  A full-length prefix turns the search into a
+        constraint replay that accepts or rejects one labeling.
+    max_results : int
+        Stop after this many labelings; 0 means exhaust the space.
+    out_buf : int64 array, shape (cap, n)
+        Found labelings land here in discovery order, up to cap rows.
+
+    Returns
+    -------
+    (total, stored) : found labelings overall, rows written to out_buf.
+    """
+    n = order.shape[0]
+    L = n_labels
+    assign = np.full(n, -1, dtype=np.int64)
+    used_label = np.zeros(L, dtype=np.bool_)
+    used_diff = np.zeros(L + 1, dtype=np.bool_)
+    cur = np.zeros(n, dtype=np.int64)
+    mx = np.full(2, -1, dtype=np.int64)
+    mn = np.full(2, L, dtype=np.int64)
+    save_mx = np.zeros(n, dtype=np.int64)
+    save_mn = np.zeros(n, dtype=np.int64)
+    store_cap = out_buf.shape[0]
+
+    def _ok(p, lab):
+        if used_label[lab]:
+            return False
+        a0 = nbr_off[p]
+        a1 = nbr_off[p + 1]
+        for t in range(a0, a1):
+            delta = assign[nbr_flat[t]] - lab
+            if delta < 0:
+                delta = -delta
+            if not allowed[delta] or used_diff[delta]:
+                return False
+            for t2 in range(a0, t):
+                d2 = assign[nbr_flat[t2]] - lab
+                if d2 < 0:
+                    d2 = -d2
+                if d2 == delta:
+                    return False
+        if use_alpha:
+            s = side[p]
+            m0 = mx[0]
+            m1 = mx[1]
+            n0 = mn[0]
+            n1 = mn[1]
+            if s == 0:
+                if lab > m0:
+                    m0 = lab
+                if lab < n0:
+                    n0 = lab
+            else:
+                if lab > m1:
+                    m1 = lab
+                if lab < n1:
+                    n1 = lab
+            if not (m0 < n1 or m1 < n0):
+                return False
+        return True
+
+    def _place(p, lab):
+        assign[p] = lab
+        used_label[lab] = True
+        a0 = nbr_off[p]
+        a1 = nbr_off[p + 1]
+        for t in range(a0, a1):
+            delta = assign[nbr_flat[t]] - lab
+            if delta < 0:
+                delta = -delta
+            used_diff[delta] = True
+        s = side[p]
+        save_mx[p] = mx[s]
+        save_mn[p] = mn[s]
+        if lab > mx[s]:
+            mx[s] = lab
+        if lab < mn[s]:
+            mn[s] = lab
+
+    def _unplace(p):
+        lab = assign[p]
+        a0 = nbr_off[p]
+        a1 = nbr_off[p + 1]
+        for t in range(a0, a1):
+            delta = assign[nbr_flat[t]] - lab
+            if delta < 0:
+                delta = -delta
+            used_diff[delta] = False
+        s = side[p]
+        mx[s] = save_mx[p]
+        mn[s] = save_mn[p]
+        used_label[lab] = False
+        assign[p] = -1
+
+    total = 0
+    stored = 0
+    p0 = prefix.shape[0]
+    for p in range(p0):
+        lab = prefix[p]
+        if lab < 0 or lab >= L or not _ok(p, lab):
+            return 0, 0
+        _place(p, lab)
+    if p0 == n:
+        if store_cap > 0:
+            for v in range(n):
+                out_buf[0, order[v]] = assign[v]
+            stored = 1
+        return 1, stored
+
+    p = p0
+    cur[p] = 0
+    while True:
+        lab = cur[p]
+        hi = L
+        if p == 0:
+            hi = first_label_limit
+        placed = False
+        while lab < hi:
+            if _ok(p, lab):
+                placed = True
+                break
+            lab += 1
+        if placed:
+            cur[p] = lab + 1
+            _place(p, lab)
+            if p == n - 1:
+                total += 1
+                if stored < store_cap:
+                    for v in range(n):
+                        out_buf[stored, order[v]] = assign[v]
+                    stored += 1
+                _unplace(p)
+                if max_results > 0 and total >= max_results:
+                    return total, stored
+            else:
+                p += 1
+                cur[p] = 0
+        else:
+            p -= 1
+            if p < p0:
+                break
+            _unplace(p)
+    return total, stored

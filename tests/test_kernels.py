@@ -1,55 +1,133 @@
-"""Compiled and fallback kernel paths must agree exactly."""
-
-import os
-import subprocess
-import sys
+"""The numpy frontier search must match the plain-Python reference DFS."""
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divgrace import SearchConfig, _kernels
+from divgrace import SearchConfig, SimpleGraph, _kernels, build_grid, two_coloring
 from divgrace.oracle import _prepare, _run_kernel
+from reference_dfs import dfs_search_py
+
+STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
+
+# The first 20 labelings of C_4 x P_3 at d = 5 that the reference DFS
+# finds, in its order.  The reference takes over a minute to reach them,
+# so they were computed once and frozen here.
+C4P3_D5_FIRST_20 = [
+    (0, 1, 7, 23, 24, 3, 14, 5, 2, 15, 11, 19),
+    (0, 1, 7, 23, 24, 13, 21, 2, 6, 10, 12, 19),
+    (0, 1, 9, 23, 24, 8, 21, 2, 22, 4, 10, 19),
+    (0, 1, 9, 23, 24, 12, 15, 2, 20, 3, 22, 4),
+    (0, 1, 9, 23, 24, 17, 21, 2, 22, 4, 10, 19),
+    (0, 1, 9, 23, 24, 22, 16, 12, 2, 19, 3, 21),
+    (0, 1, 10, 23, 24, 7, 21, 2, 8, 11, 13, 20),
+    (0, 1, 10, 23, 24, 7, 21, 2, 8, 15, 3, 6),
+    (0, 1, 10, 23, 24, 7, 21, 2, 8, 15, 17, 20),
+    (0, 1, 10, 23, 24, 7, 21, 2, 22, 15, 3, 6),
+    (0, 1, 10, 23, 24, 17, 14, 2, 7, 9, 3, 21),
+    (0, 1, 14, 23, 24, 13, 20, 2, 5, 21, 17, 19),
+    (0, 1, 15, 23, 24, 3, 22, 11, 2, 19, 16, 20),
+    (0, 1, 15, 23, 24, 12, 9, 2, 20, 3, 22, 4),
+    (0, 1, 15, 23, 24, 12, 8, 2, 22, 3, 21, 5),
+    (0, 1, 17, 23, 24, 5, 19, 2, 6, 18, 10, 13),
+    (0, 1, 19, 23, 24, 8, 21, 2, 10, 16, 4, 13),
+    (0, 1, 19, 23, 24, 15, 13, 2, 5, 22, 10, 18),
+    (0, 1, 19, 23, 24, 17, 11, 2, 7, 20, 9, 21),
+    (0, 1, 20, 23, 24, 18, 9, 2, 8, 4, 22, 10),
+]
 
 
-def _dfs_both(g, cfg):
+def _run(kernel, arrays, cfg, first_limit, prefix, cap=2000):
+    out = np.zeros((cap, arrays.order.shape[0]), dtype=np.int64)
+    total, stored = kernel(
+        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.n_labels,
+        arrays.allowed, cfg.alpha_only, arrays.side, first_limit,
+        np.array(prefix, dtype=np.int64), cfg.max_results, out)[:2]
+    return int(total), out[: int(stored)]
+
+
+def _agree(g, cfg, first_limit=None, prefix=()):
+    """Run the kernel and the reference on the same input; both must match."""
     arrays = _prepare(g, cfg)
-    results = []
-    for kernel in (_kernels.dfs_search, _kernels.dfs_search_py):
-        out = np.zeros((2000, arrays.order.shape[0]), dtype=np.int64)
-        total, stored = kernel(
-            arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.n_labels,
-            arrays.allowed, cfg.alpha_only, arrays.side, arrays.n_labels,
-            np.empty(0, dtype=np.int64), cfg.max_results, out)
-        results.append((int(total), out[: int(stored)].copy()))
-    return results
+    limit = arrays.n_labels if first_limit is None else first_limit
+    total, rows = _run(_kernels.dfs_search, arrays, cfg, limit, prefix)
+    ref_total, ref_rows = _run(dfs_search_py, arrays, cfg, limit, prefix)
+    assert total == ref_total
+    assert np.array_equal(rows, ref_rows)
+    return total
 
 
 def test_dfs_paths_agree_plain(t8):
-    (total_a, rows_a), (total_b, rows_b) = _dfs_both(t8, SearchConfig(d=3))
-    assert total_a == total_b == 1440
-    assert np.array_equal(rows_a, rows_b)
+    assert _agree(t8, SearchConfig(d=3)) == 1440
 
 
 def test_dfs_paths_agree_alpha(t8):
-    cfg = SearchConfig(d=3, alpha_only=True)
-    (total_a, rows_a), (total_b, rows_b) = _dfs_both(t8, cfg)
-    assert total_a == total_b == 576
-    assert np.array_equal(rows_a, rows_b)
+    assert _agree(t8, SearchConfig(d=3, alpha_only=True)) == 576
 
 
 def test_dfs_paths_agree_truncated(t8):
-    cfg = SearchConfig(d=3, max_results=7)
-    (total_a, rows_a), (total_b, rows_b) = _dfs_both(t8, cfg)
-    assert total_a == total_b == 7
-    assert np.array_equal(rows_a, rows_b)
+    assert _agree(t8, SearchConfig(d=3, max_results=7)) == 7
+
+
+def test_dfs_paths_agree_beyond_64_labels():
+    # 80 labels: a label or difference set no longer fits one int64
+    for alpha in (False, True):
+        cfg = SearchConfig(d=40, alpha_only=alpha, max_results=3)
+        assert _prepare(STAR_40, cfg).n_labels == 80
+        assert _agree(STAR_40, cfg) == 3
+
+
+def test_frontier_matches_frozen_reference_c4p3():
+    g = build_grid(1, 3)
+    for limit in (1, 20):
+        cfg = SearchConfig(d=5, max_results=limit)
+        arrays = _prepare(g, cfg)
+        total, rows = _run(_kernels.dfs_search, arrays, cfg, arrays.n_labels, ())
+        assert total == limit
+        assert [tuple(int(x) for x in row) for row in rows] == C4P3_D5_FIRST_20[:limit]
+
+
+@st.composite
+def search_cases(draw):
+    """A small simple graph, a divisor, search options and a forced prefix."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    # at most 10 edges: the reference takes about a second to exhaust K_6
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True))
+                  if pairs else ())
+    g = SimpleGraph(n, edges)
+    e = len(edges)
+    d = draw(st.sampled_from([x for x in range(1, e + 1) if e % x == 0] or [1, 2]))
+    alpha = draw(st.booleans())
+    assume(not alpha or two_coloring(g) is not None)
+    cfg = SearchConfig(d=d, alpha_only=alpha,
+                       max_results=draw(st.sampled_from([0, 1, 2, 5, 17])),
+                       order=draw(st.sampled_from(["bfs", "bfs-reversed"])))
+    n_labels = d * (e // d + 1)
+    first_limit = n_labels
+    if draw(st.booleans()):
+        first_limit = (n_labels - 1) // 2 + 1
+    prefix = []
+    if draw(st.booleans()):
+        prefix = draw(st.lists(st.integers(-2, n_labels + 1), max_size=n))
+    return g, cfg, first_limit, prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_dfs_paths_agree_on_random_graphs(case):
+    g, cfg, first_limit, prefix = case
+    _agree(g, cfg, first_limit, prefix)
 
 
 def test_run_kernel_uses_selected_path(t8):
     cfg = SearchConfig(d=3, alpha_only=True)
     arrays = _prepare(t8, cfg)
-    total, rows = _run_kernel(arrays, cfg, np.empty(0, dtype=np.int64),
-                              600, arrays.n_labels)
+    total, rows, level_sizes = _run_kernel(arrays, cfg, np.empty(0, dtype=np.int64),
+                                           600, arrays.n_labels)
     assert total == 576
     assert rows.shape == (576, 8)
+    assert level_sizes[-1] == 576
 
 
 def test_count_pairs_variants_agree():
@@ -57,52 +135,23 @@ def test_count_pairs_variants_agree():
     v = 40
     a = rng.integers(0, v, size=500)
     b = (a + rng.integers(1, v, size=500)) % v
-    variants = [_kernels.count_pairs, _kernels.count_pairs_py,
-                _kernels.count_pairs_numpy]
-    grids = []
-    for fn in variants:
-        counts = np.zeros((v, v), dtype=np.int64)
-        fn(a.astype(np.int64), b.astype(np.int64), counts)
-        grids.append(counts)
-    assert np.array_equal(grids[0], grids[1])
-    assert np.array_equal(grids[0], grids[2])
-    assert grids[0].sum() == 500
-    assert np.array_equal(grids[0], np.triu(grids[0], 1))
+    counts = np.zeros((v, v), dtype=np.int64)
+    _kernels.count_pairs(a.astype(np.int64), b.astype(np.int64), counts)
+    expect = np.zeros((v, v), dtype=np.int64)
+    for x, y in zip(a.tolist(), b.tolist()):
+        expect[min(x, y), max(x, y)] += 1
+    assert np.array_equal(counts, expect)
+    assert counts.sum() == 500
+    assert np.array_equal(counts, np.triu(counts, 1))
 
 
 def test_count_pairs_orders_each_pair():
-    counts = np.zeros((5, 5), dtype=np.int64)
-    _kernels.count_pairs_py(np.array([4, 1], dtype=np.int64),
-                            np.array([2, 3], dtype=np.int64), counts)
-    assert counts[2, 4] == 1
-    assert counts[1, 3] == 1
-    assert counts.sum() == 2
-
-
-def _flag_probe(extra_env):
-    env = dict(os.environ, **extra_env)
-    code = ("import divgrace._kernels as k; "
-            "print(k.NUMBA_ENABLED, k.dfs_search is k.dfs_search_py)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    return out.stdout.split()
-
-
-def test_env_flag_disables_numba():
-    assert _flag_probe({"DIVGRACE_NO_NUMBA": "1"}) == ["False", "True"]
-
-
-def test_env_flag_zero_keeps_numba():
-    flags = _flag_probe({"DIVGRACE_NO_NUMBA": "0"})
-    assert flags == _flag_probe({})
-
-
-def test_fallback_search_end_to_end():
-    env = dict(os.environ, DIVGRACE_NO_NUMBA="1")
-    code = ("from divgrace import SearchConfig, build_grid, search; "
-            "res = search(build_grid(1, 2), "
-            "SearchConfig(d=3, alpha_only=True, store_limit=0)); "
-            "print(res.count)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "576"
+    counts = np.zeros((4, 4), dtype=np.int64)
+    _kernels.count_pairs(np.array([3, 1, 0, 2, 1], dtype=np.int64),
+                         np.array([2, 3, 1, 3, 0], dtype=np.int64), counts)
+    assert counts.tolist() == [
+        [0, 2, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 0, 2],
+        [0, 0, 0, 0],
+    ]

@@ -7,7 +7,9 @@ import pytest
 
 from divgrace import (InvalidParametersError, Labeling, NotBipartiteError,
                       SearchConfig, SimpleGraph, build_grid, check_alpha,
-                      cross_validate, engine_accepts, search)
+                      check_d_graceful, cross_validate, engine_accepts, search,
+                      two_coloring)
+from divgrace.oracle import _prepare
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
@@ -77,18 +79,11 @@ def test_reversed_order_same_space():
             == {lab.values for lab in fwd.labelings})
 
 
-def test_workers_match_serial():
-    serial = search(C4, SearchConfig(d=1))
-    pooled = search(C4, SearchConfig(d=1, workers=3))
-    assert pooled.count == serial.count
-    assert ([lab.values for lab in pooled.labelings]
-            == [lab.values for lab in serial.labelings])
-
-
 def test_max_results_truncates_in_order():
     full = search(C4, SearchConfig(d=1))
     part = search(C4, SearchConfig(d=1, max_results=5))
     assert part.count == 5
+    assert part.level_sizes[-1] == 5
     assert not part.exhaustive
     assert ([lab.values for lab in part.labelings]
             == [lab.values for lab in full.labelings][:5])
@@ -120,11 +115,6 @@ def test_t8_full_count(t8):
     assert alphas == 576
 
 
-def test_t8_alpha_workers(t8):
-    res = search(t8, SearchConfig(d=3, alpha_only=True, store_limit=0, workers=4))
-    assert res.count == 576
-
-
 def test_engine_accepts_valid(t8, t8_labeling):
     assert engine_accepts(t8, t8_labeling, SearchConfig(d=3))
     assert engine_accepts(t8, t8_labeling, SearchConfig(d=3, alpha_only=True))
@@ -136,6 +126,78 @@ def test_engine_rejects_boundary_violation(t8):
     plain = next(lab for lab in res.labelings if check_alpha(t8, lab) is None)
     assert engine_accepts(t8, plain, SearchConfig(d=3))
     assert not engine_accepts(t8, plain, SearchConfig(d=3, alpha_only=True))
+
+
+@pytest.mark.parametrize("index,label", [
+    (2, 15),        # equal to n_labels
+    (4, 2 ** 70),   # beyond int64
+    (1, 7),         # repeats the label at vertex 0
+])
+def test_engine_rejects_bad_labels(t8, t8_labeling, index, label):
+    vals = list(t8_labeling.values)
+    vals[index] = label
+    lab = Labeling(t8, tuple(vals))
+    for alpha in (False, True):
+        cfg = SearchConfig(d=3, alpha_only=alpha)
+        assert engine_accepts(t8, lab, cfg) is False
+        assert cross_validate(t8, lab, 3, cfg).reason == "agree-reject"
+
+
+def test_engine_rejects_repeated_difference(t8):
+    lab = Labeling(t8, (5, 7, 9, 6, 0, 14, 1, 12))
+    assert check_d_graceful(t8, lab, 3).reason == "duplicate-difference"
+    for alpha in (False, True):
+        cfg = SearchConfig(d=3, alpha_only=alpha)
+        assert engine_accepts(t8, lab, cfg) is False
+        assert cross_validate(t8, lab, 3, cfg).reason == "agree-reject"
+
+
+def _prefix_counts(g, cfg):
+    # consistent partial labelings of each length, by raw enumeration
+    order = [int(v) for v in _prepare(g, cfg).order]
+    color = two_coloring(g) if cfg.alpha_only else None
+    e = g.num_edges
+    q = e // cfg.d
+    n_labels = cfg.d * (q + 1)
+    allowed = {x for x in range(1, n_labels + 1) if x % (q + 1) != 0}
+    counts = []
+    for size in range(1, len(order) + 1):
+        placed = order[:size]
+        inner = [(u, w) for u, w in g.edges if u in placed and w in placed]
+        hits = 0
+        for values in itertools.permutations(range(n_labels), size):
+            lab = dict(zip(placed, values))
+            diffs = [abs(lab[u] - lab[w]) for u, w in inner]
+            if len(set(diffs)) != len(diffs) or not set(diffs) <= allowed:
+                continue
+            if color is not None:
+                sides = [[x for v, x in lab.items() if color[v] == s] for s in (0, 1)]
+                if sides[0] and sides[1] and not (max(sides[0]) < min(sides[1])
+                                                  or max(sides[1]) < min(sides[0])):
+                    continue
+            hits += 1
+        counts.append(hits)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("g,cfg", [
+    (C4, SearchConfig(d=1)),
+    (C4, SearchConfig(d=2, alpha_only=True)),
+    (PATH3, SearchConfig(d=2, order="bfs-reversed")),
+])
+def test_level_sizes_count_consistent_prefixes(g, cfg):
+    res = search(g, cfg)
+    assert res.level_sizes == _prefix_counts(g, cfg)
+    assert res.level_sizes[-1] == res.count
+
+
+def test_level_sizes_exhaustive_t8(t8):
+    full = search(t8, SearchConfig(d=3, store_limit=0))
+    assert full.level_sizes[-1] == full.count == 1440
+    alpha = SearchConfig(d=3, alpha_only=True, store_limit=0)
+    first = search(t8, alpha)
+    assert first.level_sizes[-1] == first.count == 576
+    assert search(t8, alpha).level_sizes == first.level_sizes
 
 
 def test_cross_validate_accepts(t8, t8_labeling):
