@@ -8,12 +8,18 @@ shifts the high class up by j * d * (q+1); the n base blocks together
 meet every difference class in [1, dn(q+1)] that is not a multiple of
 q + 1 exactly once, so their v translates partition the edge set.  One
 block (n = 1) needs no class split, so a plain labeling suffices there;
-for n > 1 the shift argument leans on the alpha boundary.
+for n > 1 the shift argument leans on the alpha boundary.  A base block
+is just its vertex labels, all n built in one numpy expression from a
+0/1 mask of the high class; its edges are the labels gathered at the
+graph's edge indices.
 
 verify_decomposition ignores all of that and simply counts every edge of
 every translated block into a bitmap, which is the point: the claim is
 checked against an independent exhaustive accounting, feasible at small
-scale.  check_difference_classes is the O(n*e) shortcut certificate.
+scale.  check_difference_classes is the O(n*e) shortcut certificate,
+one numpy pass over the edges of all blocks: it reports the first zero,
+forbidden or repeated class in block-then-edge order, else the smallest
+class no block meets.
 """
 
 from __future__ import annotations
@@ -54,10 +60,12 @@ class MultipartiteSpec:
 
 @dataclass(frozen=True)
 class BaseBlock:
-    """One base block: vertex labels in canonical order plus its edge list."""
+    """One base block: the labels of the graph's vertices, in canonical order.
+
+    Its edges are labels[graph.edge_indices()]; they are not stored.
+    """
 
     vertex_labels: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -83,28 +91,24 @@ def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -
     if not report:
         raise ValueError(f"labeling rejected: {report.describe()}")
     params = d_params(g.num_edges, d)
+    values = np.asarray(f.values, dtype=np.int64)
+    # 1 on the class that blocks j > 0 shift up, 0 on the low class
+    high = np.ones_like(values)
     if n > 1:
         if cert is None:
             raise ValueError("an alpha certificate is required for n > 1")
-        max_low = max(f.values[x] for x in cert.low)
-        min_high = min(f.values[x] for x in cert.high)
+        low = list(cert.low)
+        max_low = values[low].max()
+        min_high = values[list(cert.high)].min()
         if max_low >= min_high or max_low != cert.boundary:
             raise ValueError("alpha certificate does not match the labeling")
+        high[low] = 0
     span = d * (params.q + 1)
-    v = 2 * n * span
-    low = cert.low if cert is not None else frozenset()
-    edge_idx = g.edge_indices()
-    blocks = []
-    for j in range(n):
-        labels = tuple(
-            f.values[x] if j == 0 or x in low else f.values[x] + j * span
-            for x in range(g.num_vertices)
-        )
-        edges = tuple((labels[int(u)], labels[int(w)]) for u, w in edge_idx)
-        blocks.append(BaseBlock(vertex_labels=labels, edges=edges))
+    labels = values + np.arange(n, dtype=np.int64)[:, None] * span * high
     spec = MultipartiteSpec(parts=params.q + 1, part_size=2 * d * n)
-    assert spec.v == v
-    return Decomposition(spec=spec, graph=g, d=d, n=n, q=params.q, blocks=tuple(blocks))
+    assert spec.v == 2 * n * span
+    blocks = tuple(BaseBlock(vertex_labels=tuple(row)) for row in labels.tolist())
+    return Decomposition(spec=spec, graph=g, d=d, n=n, q=params.q, blocks=blocks)
 
 
 def develop(dec: Decomposition) -> Decomposition:
@@ -165,23 +169,34 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
 
     The target is every class in [1, v/2] with representative not
     divisible by the part count, each exactly once across all blocks.
+    The first violation is reported in block-then-edge order.
     """
     v = dec.spec.v
     parts = dec.spec.parts
-    seen: set[int] = set()
-    for b_idx, block in enumerate(dec.blocks):
-        for a, b in block.edges:
-            cls = min((a - b) % v, (b - a) % v)
-            if cls == 0:
-                return CheckReport(False, "zero-difference", (b_idx, a))
-            if cls % parts == 0:
-                return CheckReport(False, "forbidden-difference-class", (b_idx, cls))
-            if cls in seen:
-                return CheckReport(False, "duplicate-difference-class", (b_idx, cls))
-            seen.add(cls)
-    expected = {c for c in range(1, v // 2 + 1) if c % parts != 0}
-    if seen != expected:
-        return CheckReport(False, "missing-difference-class", (min(expected - seen),))
+    labels = np.array([b.vertex_labels for b in dec.blocks],
+                      dtype=np.int64).reshape(len(dec.blocks), dec.graph.num_vertices)
+    edge_idx = dec.graph.edge_indices()
+    ends_a = labels[:, edge_idx[:, 0]].ravel()
+    ends_b = labels[:, edge_idx[:, 1]].ravel()
+    cls = np.minimum((ends_a - ends_b) % v, (ends_b - ends_a) % v)
+    # every occurrence of a class after its first, found by a stable sort
+    by_class = np.argsort(cls, kind="stable")
+    repeated = np.zeros(cls.shape, dtype=np.bool_)
+    repeated[by_class[1:]] = cls[by_class[1:]] == cls[by_class[:-1]]
+    bad = np.flatnonzero((cls % parts == 0) | repeated)
+    if bad.size:
+        pos = int(bad[0])
+        b_idx = pos // edge_idx.shape[0]
+        c = int(cls[pos])
+        if c == 0:
+            return CheckReport(False, "zero-difference", (b_idx, int(ends_a[pos])))
+        if c % parts == 0:
+            return CheckReport(False, "forbidden-difference-class", (b_idx, c))
+        return CheckReport(False, "duplicate-difference-class", (b_idx, c))
+    missing = np.arange(v // 2 + 1) % parts != 0
+    missing[cls] = False
+    if missing.any():
+        return CheckReport(False, "missing-difference-class", (int(np.argmax(missing)),))
     return CheckReport(True)
 
 

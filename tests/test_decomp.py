@@ -2,10 +2,14 @@
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_decomp as ref
 from divgrace import (F1, F2, F4, BaseBlock, InvalidParametersError, Labeling,
                       MultipartiteSpec, base_blocks, check_alpha,
                       check_difference_classes, construct, develop,
@@ -31,7 +35,8 @@ def test_block_zero_is_the_labeling(t8, t8_labeling):
     assert dec.blocks[0].vertex_labels == t8_labeling.values
     assert dec.q == 4
     assert dec.spec == MultipartiteSpec(parts=5, part_size=6)
-    diffs = {abs(a - b) for a, b in dec.blocks[0].edges}
+    ends = np.array(dec.blocks[0].vertex_labels)[t8.edge_indices()]
+    diffs = set(np.abs(ends[:, 0] - ends[:, 1]).tolist())
     assert diffs == set(range(1, 16)) - {5, 10, 15}
 
 
@@ -80,9 +85,7 @@ def test_verify_needs_development(t8, t8_labeling):
 def _tampered(dec, vertex, new_label):
     labels = list(dec.blocks[0].vertex_labels)
     labels[vertex] = new_label
-    edge_idx = dec.graph.edge_indices()
-    edges = tuple((labels[int(u)], labels[int(w)]) for u, w in edge_idx)
-    block = BaseBlock(vertex_labels=tuple(labels), edges=edges)
+    block = BaseBlock(vertex_labels=tuple(labels))
     return replace(dec, blocks=(block,) + dec.blocks[1:], development=None)
 
 
@@ -120,6 +123,87 @@ def test_difference_classes_catch_tampering(t8, t8_labeling):
     assert report.reason == "duplicate-difference-class"
 
 
+def test_verify_catches_uncovered_edge(t8, t8_labeling):
+    cert = check_alpha(t8, t8_labeling)
+    dec = develop(base_blocks(t8, t8_labeling, cert, 3, 2))
+    report = verify_decomposition(replace(dec, development=dec.development[:-1]))
+    assert report.reason == "uncovered-edge"
+    # the dropped translate's edges are the uncovered ones; the first in
+    # row-major order of the (x, y), x < y, bitmap is the smallest pair
+    dropped = dec.development[-1].tolist()
+    pairs = [tuple(sorted((dropped[u], dropped[w]))) for u, w in t8.edge_indices().tolist()]
+    assert report.witness == (min(pairs),)
+
+
+# (vertex of block 0, new label) -> the reason; None leaves the blocks as
+# they are, "drop" removes the last block.  On t8 at n = 1, v = 30 with 5
+# parts, and vertex 0 (label 7) meets vertex 1 (label 5) on the first edge.
+REASON_CASES = [
+    (None, None),
+    ((0, 5), "zero-difference"),
+    ((0, 35), "zero-difference"),
+    ((0, 10), "forbidden-difference-class"),
+    ("drop", "missing-difference-class"),
+]
+
+
+@pytest.mark.parametrize("tamper,reason", REASON_CASES)
+def test_difference_classes_match_reference(t8, t8_labeling, tamper, reason):
+    dec = base_blocks(t8, t8_labeling, None, 3, 1)
+    if tamper == "drop":
+        dec = replace(dec, blocks=dec.blocks[:-1])
+    elif tamper is not None:
+        dec = _tampered(dec, *tamper)
+    report = check_difference_classes(dec)
+    assert report.reason == reason
+    assert report == ref.check_difference_classes(dec)
+
+
+@lru_cache(maxsize=None)
+def _grid_decomposition(k, m, family, n):
+    lab = construct(k, m, family)
+    return base_blocks(lab.graph, lab, check_alpha(lab.graph, lab), family.divisor(m), n)
+
+
+@st.composite
+def tampered_decompositions(draw):
+    """Base blocks of C_{4k} x P_m with one label set, two swapped, one
+    block shifted by a constant or one block dropped (or none changed)."""
+    n = draw(st.integers(1, 3))
+    dec = _grid_decomposition(draw(st.integers(1, 3)), draw(st.integers(2, 4)),
+                              draw(st.sampled_from([F1, F2, F4])), n)
+    v = dec.spec.v
+    vertices = st.integers(0, dec.graph.num_vertices - 1)
+    blocks = [list(b.vertex_labels) for b in dec.blocks]
+    j = draw(st.integers(0, n - 1))
+    block = blocks[j]
+    kind = draw(st.sampled_from(["set", "swap", "shift", "drop", "none"]))
+    if kind == "set":
+        # an existing label plus a multiple of v makes zero differences likely
+        label = draw(st.one_of(st.integers(-v, 2 * v),
+                               st.builds(lambda x, t: x + t * v,
+                                         st.sampled_from(block), st.integers(-1, 1))))
+        block[draw(vertices)] = label
+    elif kind == "swap":
+        x, y = draw(vertices), draw(vertices)
+        block[x], block[y] = block[y], block[x]
+    elif kind == "shift":
+        c = draw(st.integers(-v, v))
+        blocks[j] = [x + c for x in block]
+    elif kind == "drop":
+        del blocks[j]
+    return replace(dec, blocks=tuple(BaseBlock(vertex_labels=tuple(b)) for b in blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_decompositions())
+def test_difference_classes_agree_with_reference(dec):
+    got = check_difference_classes(dec)
+    want = ref.check_difference_classes(dec)
+    assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+    assert got.describe() == want.describe()
+
+
 def test_certificate_agrees_with_exhaustive_verify(t8, t8_labeling):
     # same verdict on the same evidence, by entirely different accounting
     cert = check_alpha(t8, t8_labeling)
@@ -139,6 +223,23 @@ def test_mismatched_cert_rejected(t8, t8_labeling):
     wrong = replace(cert, boundary=cert.boundary + 1)
     with pytest.raises(ValueError):
         base_blocks(t8, t8_labeling, wrong, 3, 2)
+
+
+@pytest.mark.parametrize("wrong", ["boundary-1", "boundary+1", "classes-swapped",
+                                   "classes-overlap"])
+def test_mismatched_cert_rejected_n3(t8, t8_labeling, wrong):
+    cert = check_alpha(t8, t8_labeling)
+    if wrong == "classes-swapped":
+        cert = replace(cert, low=cert.high, high=cert.low)
+    elif wrong == "classes-overlap":
+        # the boundary still matches the low class, but the high class
+        # now holds the vertex that carries it
+        top = max(cert.low, key=lambda x: t8_labeling.values[x])
+        cert = replace(cert, high=cert.high | {top})
+    else:
+        cert = replace(cert, boundary=cert.boundary + (1 if wrong == "boundary+1" else -1))
+    with pytest.raises(ValueError):
+        base_blocks(t8, t8_labeling, cert, 3, 3)
 
 
 def test_bad_labeling_rejected(t8):
