@@ -1,12 +1,15 @@
 """JSON certificates and DOT export.
 
 Certificates are plain JSON with a fixed key order so that write/read
-round-trips are byte-identical.  A labeling certificate names its graph,
-the divisor d and the labels in canonical vertex order, plus an optional
-alpha block.  A decomposition certificate records q, d, n, v and the
-base blocks as label arrays.  DOT output has one node statement per
-vertex (labeled with the f-value) and one edge statement per edge, both
-in canonical order.
+round-trips are byte-identical: `dumps` produces exactly the bytes of
+`json.dumps(obj, indent=2)` plus a final newline.  A labeling
+certificate names its graph, the divisor d and the labels in canonical
+vertex order, plus an optional alpha block.  A decomposition
+certificate records q, d, n, v and the base blocks as label arrays.
+Every number a reader accepts must be a JSON integer, and every
+sequence a JSON list; anything else raises CertificateError.  DOT
+output has one node statement per vertex (labeled with the f-value)
+and one edge statement per edge, both in canonical order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,28 @@ class CertificateError(ValueError):
     """Raised for structurally malformed certificate data."""
 
 
+def _int(value, name: str) -> int:
+    """value itself if it is a JSON integer (an int, not a bool)."""
+    if type(value) is not int:
+        raise CertificateError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    """value itself if it is a JSON list."""
+    if type(value) is not list:
+        raise CertificateError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _ints(value, name: str) -> list[int]:
+    """value itself if it is a list of JSON integers, checked in one pass."""
+    if not set(map(type, _list(value, name))) <= {int}:
+        bad = next(x for x in value if type(x) is not int)
+        raise CertificateError(f"{name} must hold integers, got {bad!r}")
+    return value
+
+
 def graph_to_obj(g: Graph) -> dict:
     if isinstance(g, GridGraph):
         return {"kind": "grid", "k": g.k, "m": g.m}
@@ -35,10 +60,10 @@ def graph_from_obj(obj) -> Graph:
     kind = obj["kind"]
     try:
         if kind == "grid":
-            return build_grid(int(obj["k"]), int(obj["m"]))
+            return build_grid(_int(obj["k"], "k"), _int(obj["m"], "m"))
         if kind == "simple":
-            edges = tuple((int(u), int(w)) for u, w in obj["edges"])
-            return SimpleGraph(int(obj["n"]), edges)
+            edges = [_ints(e, "edge") for e in _list(obj["edges"], "edges")]
+            return SimpleGraph(_int(obj["n"], "n"), tuple((u, w) for u, w in edges))
     except CertificateError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -54,7 +79,7 @@ def labeling_to_obj(f: Labeling, d: int, alpha: AlphaCert | None = None) -> dict
     }
     if alpha is not None:
         obj["alpha"] = {
-            "low_class": sorted(int(x) for x in alpha.low),
+            "low_class": sorted(map(int, alpha.low)),
             "lambda": int(alpha.boundary),
         }
     return obj
@@ -67,19 +92,19 @@ def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
         if key not in obj:
             raise CertificateError(f"certificate missing {key!r}")
     graph = graph_from_obj(obj["graph"])
+    d = _int(obj["d"], "d")
+    labels = _ints(obj["labels"], "labels")
     try:
-        d = int(obj["d"])
-        labeling = Labeling(graph, tuple(int(x) for x in obj["labels"]))
-    except (TypeError, ValueError) as exc:
+        labeling = Labeling(graph, tuple(labels))
+    except ValueError as exc:
         raise CertificateError(f"bad labeling payload: {exc}") from exc
     alpha = None
     if "alpha" in obj:
         block = obj["alpha"]
-        try:
-            low = frozenset(int(x) for x in block["low_class"])
-            boundary = int(block["lambda"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertificateError(f"bad alpha block: {exc}") from exc
+        if not isinstance(block, dict) or "low_class" not in block or "lambda" not in block:
+            raise CertificateError("bad alpha block: need an object with low_class and lambda")
+        low = frozenset(_ints(block["low_class"], "low_class"))
+        boundary = _int(block["lambda"], "lambda")
         high = frozenset(range(graph.num_vertices)) - low
         alpha = AlphaCert(low=low, high=high, boundary=boundary)
     return labeling, d, alpha
@@ -101,21 +126,42 @@ def decomposition_from_obj(obj) -> dict:
     for key in ("q", "d", "n", "v", "base_blocks"):
         if key not in obj:
             raise CertificateError(f"certificate missing {key!r}")
-    try:
-        record = {
-            "q": int(obj["q"]),
-            "d": int(obj["d"]),
-            "n": int(obj["n"]),
-            "v": int(obj["v"]),
-            "base_blocks": [[int(x) for x in block] for block in obj["base_blocks"]],
-        }
-    except (TypeError, ValueError) as exc:
-        raise CertificateError(f"bad decomposition payload: {exc}") from exc
+    record = {key: _int(obj[key], key) for key in ("q", "d", "n", "v")}
+    record["base_blocks"] = [_ints(block, "base block")
+                             for block in _list(obj["base_blocks"], "base_blocks")]
     return record
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _encode(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it where newline starts its lines.
+
+    A container that holds no container goes to the C encoder in one
+    call, with the line break and indent as its item separator; only
+    the nesting above such leaves is walked in Python.  Dict keys must
+    be strings, as they are in anything read from JSON.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    inner = newline + "  "
+    is_dict = isinstance(obj, dict)
+    items = obj.values() if is_dict else obj
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        flat = json.dumps(obj, separators=("," + inner, ": "))
+        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if is_dict:
+        body = ("," + inner).join(f"{json.dumps(key)}: {_encode(value, inner)}"
+                                  for key, value in obj.items())
+        return "{" + inner + body + newline + "}"
+    body = ("," + inner).join(_encode(value, inner) for value in obj)
+    return "[" + inner + body + newline + "]"
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """Exactly json.dumps(obj, indent=2) + "\n", without the pure-Python encoder."""
+    return _encode(obj, "\n") + "\n"
 
 
 def write_json(path: str | Path, obj: dict) -> None:

@@ -75,13 +75,10 @@ class Labeling:
         n = self.graph.num_vertices
         if len(self.values) != n:
             raise ValueError(f"expected {n} labels, got {len(self.values)}")
-        vals = tuple(int(v) for v in self.values)
-        if any(v < 0 for v in vals):
+        vals = tuple(map(int, self.values))
+        if min(vals, default=0) < 0:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
 
     def value_at(self, vertex) -> int:
         if isinstance(self.graph, GridGraph) and isinstance(vertex, tuple):

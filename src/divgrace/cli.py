@@ -8,6 +8,7 @@ command re-verifies whatever it is about to write.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -211,7 +212,14 @@ def cmd_table(args) -> int:
     return 1 if any_failed else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then reused for the process.
+
+    It holds no command functions: main looks cmd_<command> up by name
+    on every call, so rebinding one after the parser exists still takes
+    effect.
+    """
     parser = argparse.ArgumentParser(
         prog="divgrace",
         description="Divisible graceful labelings of cylinder grids and the "
@@ -224,13 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a labeling certificate")
     p.add_argument("certificate")
     p.add_argument("--alpha", action="store_true",
                    help="also require the alpha boundary condition")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="derive base blocks from a labeling")
     p.add_argument("--in", required=True, dest="infile", metavar="CERT")
@@ -238,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-check", action="store_true",
                    help="verify by full development instead of difference classes")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("search", help="exhaustive labeling search")
     src = p.add_mutually_exclusive_group(required=True)
@@ -249,23 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=0)
     p.add_argument("--count", action="store_true",
                    help="print only the number of labelings")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table", help="verify decomposition targets over a range")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mmax", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divgrace import (F1, Labeling, SimpleGraph, base_blocks, build_grid,
                       check_alpha, construct)
@@ -72,12 +74,26 @@ def test_decomposition_round_trip(t8, t8_labeling):
                       "base_blocks": [list(b.vertex_labels) for b in dec.blocks]}
 
 
+T8 = {"kind": "grid", "k": 1, "m": 2}
+T8_LABELS = [7, 5, 9, 6, 0, 14, 1, 12]
+
+
 @pytest.mark.parametrize("obj", [
     [],
     {"kind": "torus"},
     {"kind": "grid", "k": 0, "m": 2},
     {"kind": "simple", "n": 2, "edges": [[0, 5]]},
     "grid",
+    {"kind": "grid", "k": 1.7, "m": 2},
+    {"kind": "grid", "k": "1", "m": 2},
+    {"kind": "grid", "k": 1, "m": True},
+    {"kind": "simple", "n": 2.0, "edges": [[0, 1]]},
+    {"kind": "simple", "n": 2, "edges": [[0, 1.0]]},
+    {"kind": "simple", "n": 2, "edges": [["0", 1]]},
+    {"kind": "simple", "n": 2, "edges": "01"},
+    {"kind": "simple", "n": 2, "edges": {"0": 1}},
+    {"kind": "simple", "n": 2, "edges": ["01"]},
+    {"kind": "simple", "n": 3, "edges": [[0, 1, 2]]},
 ])
 def test_bad_graph_objects(obj):
     with pytest.raises(CertificateError):
@@ -91,6 +107,21 @@ def test_bad_graph_objects(obj):
     {"graph": {"kind": "grid", "k": 1, "m": 2}, "d": 3,
      "labels": [7, 5, 9, 6, 0, 14, 1, "x"]},
     42,
+    {"graph": T8, "d": 3, "labels": [7.9, 5, 9, 6, 0, 14, 1, 12]},
+    {"graph": T8, "d": 3, "labels": ["7", "5", "9", "6", "0", "14", "1", "12"]},
+    {"graph": T8, "d": 3, "labels": [True, 5, 9, 6, 0, 14, 1, 12]},
+    {"graph": T8, "d": "3", "labels": T8_LABELS},
+    {"graph": T8, "d": 3.0, "labels": T8_LABELS},
+    {"graph": {"kind": "grid", "k": 1.7, "m": 2}, "d": 3, "labels": T8_LABELS},
+    {"graph": T8, "d": 3, "labels": "75960141"},
+    {"graph": T8, "d": 3, "labels": dict.fromkeys("abcdefgh", 1)},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [1, 3, 4, 6.0], "lambda": 6}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": "1346", "lambda": 6}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [1, 3, 4, 6], "lambda": 6.5}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS, "alpha": [[1, 3, 4, 6], 6]},
 ])
 def test_bad_labeling_objects(obj):
     with pytest.raises(CertificateError):
@@ -105,11 +136,23 @@ def test_bad_alpha_block(t8_labeling):
 
 
 def test_bad_decomposition_objects():
-    with pytest.raises(CertificateError):
-        decomposition_from_obj({"q": 4, "d": 3, "n": 1})
-    with pytest.raises(CertificateError):
-        decomposition_from_obj({"q": 4, "d": 3, "n": 1, "v": 30,
-                                "base_blocks": [["x"]]})
+    good = {"q": 4, "d": 3, "n": 1, "v": 30, "base_blocks": [T8_LABELS]}
+    assert decomposition_from_obj(good) == good
+    bad = [
+        {"q": 4, "d": 3, "n": 1},
+        {**good, "base_blocks": [["x"]]},
+        {**good, "q": 4.0},
+        {**good, "d": "3"},
+        {**good, "n": True},
+        {**good, "v": 30.5},
+        {**good, "base_blocks": [[7.9, 5, 9, 6, 0, 14, 1, 12]]},
+        {**good, "base_blocks": ["75960141"]},
+        {**good, "base_blocks": "75960141"},
+        {**good, "base_blocks": {"0": T8_LABELS}},
+    ]
+    for obj in bad:
+        with pytest.raises(CertificateError):
+            decomposition_from_obj(obj)
 
 
 def test_unreadable_file(tmp_path):
@@ -136,3 +179,24 @@ def test_dot_export_matches_canonical_edges():
     edge_lines = [ln for ln in dot.splitlines() if "--" in ln]
     expect = [f"  v{int(u)} -- v{int(w)};" for u, w in lab.graph.edge_indices()]
     assert edge_lines == expect
+
+
+# Everything json.dumps writes: nested lists and dicts (empty ones too),
+# ints beyond int64 either way, bools, None, floats including NaN and
+# infinities, and strings with quotes, escapes and non-ASCII characters.
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.integers(min_value=2 ** 63, max_value=2 ** 80)
+                 | st.integers(min_value=-2 ** 80, max_value=-2 ** 63 - 1)
+                 | st.text()
+                 | st.sampled_from(['"', '\\"q\\"', "\\", "é", "线", "\u2028", "\n"]))
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=6),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees)
+def test_dumps_matches_indent_2(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"

@@ -1,8 +1,15 @@
 """Command line driver: exit codes and the construct/verify/decompose chain."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import divgrace
 
 from divgrace import cli
 from divgrace.cli import main
@@ -92,6 +99,19 @@ def test_verify_rejects_misstated_alpha_block(tmp_path, capsys):
     code, stdout, _ = _run(capsys, "verify", str(out))
     assert code == 1
     assert "alpha-block-mismatch" in stdout
+
+
+def test_verify_rejects_non_integer_label(tmp_path, capsys):
+    out = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(out))
+    text = out.read_text()
+    assert '"labels": [\n    7,\n' in text
+    out.write_text(text.replace('"labels": [\n    7,\n', '"labels": [\n    7.9,\n'))
+    code, stdout, stderr = _run(capsys, "verify", str(out), "--alpha")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("cannot read certificate: labels must hold integers")
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -260,3 +280,98 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_command_exit_code(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+# sha256 of every file construct and decompose --n 1/2/3 write, taken
+# from the writer that called json.dumps(obj, indent=2) directly.
+WRITTEN_SHA256 = {
+    "f1-1-2.json": "f82efceae8ddf7feaea700e384449775387c506df137f0890ea03a364c4807ba",
+    "f1-1-2-n1.json": "4cb01afa8add430a2f835ba692b2a46a3c174f006158f4e1af8fb4e2fd28a555",
+    "f1-1-2-n2.json": "074f0c674361dbfeaa2ece14ae5f1ba04f7f300b2b5c64963ab0f36e56608687",
+    "f1-1-2-n3.json": "419793969b9c46192123e0eead21ddb48baa6914a3d3be77352f9cb827e10631",
+    "f1-3-5.json": "9082257b5d448526d08300240952a154886faa04ff2928bf85adfdd03f5d827a",
+    "f1-3-5-n1.json": "8d79f4cb9623356617810cb9f7646cd5b27050a77d98d32b6e9e8785a2100908",
+    "f1-3-5-n2.json": "33a396be9e4b64f0d27478168bdea44496bb2c2c1b1256a5efaff80c6eb31a76",
+    "f1-3-5-n3.json": "93300daf0bda1303185ee24607650ba45735b9d73cd9d548c8afaf23d7a67b76",
+    "f1-40-40.json": "6706020766d30087606ab82f1e984914d9f81fbed248bec38467b747ec7ac56e",
+    "f1-40-40-n1.json": "f58749309c3ebb0012187c1049c4d705482b64759518598b7d62ba761f89a9c4",
+    "f1-40-40-n2.json": "563ee3f68ed359e991cdcf058423607ae966a91630fbffb09947f4135b0a0bd4",
+    "f1-40-40-n3.json": "3811f6c47fc1c484d99f466a1fefcc7c57ab07d0cdca9c4887877322b4a33bb0",
+    "f2-1-2.json": "3ae826779d5b5d835adf2eccd7af616e9917dc4be4fd54774b469a0b62481607",
+    "f2-1-2-n1.json": "a37db9fc73c3169506c9d527333def1ea3426818f0f61c961c489e75bbec4541",
+    "f2-1-2-n2.json": "c9df934e8e741b75c9f9a236c75c230e2cdb7bbb7c427e396a80d8a300414a72",
+    "f2-1-2-n3.json": "2cddd67606edcd29ba12c9776a0a4b87c691a3e27644ae180bca9a1718614d23",
+    "f2-3-5.json": "f9e44c4659ce9c02ac5d79fce14d02db50034c0b77c5da38b9fcff9e301106e3",
+    "f2-3-5-n1.json": "9ad94edb0af3363441d1d08af213fdf6a27d3cb9be2b3e643e14b26459784276",
+    "f2-3-5-n2.json": "d83c9b4781eab27b44b3eb13da843a3964f4f0cfefa30bfd71e099961e0083d3",
+    "f2-3-5-n3.json": "3fbafb26093505f57f03383196428d8b381278dd866a1dd47d8c3c405d6e2595",
+    "f2-40-40.json": "cc1b65b8ea5dcc9abc3131af2067d962bc13e958a04d2b4f43cecf3582071aae",
+    "f2-40-40-n1.json": "adab723b6c6d3c3a3bbff54e93f50e71e94367966a955f3106963148c8647a20",
+    "f2-40-40-n2.json": "59a30cce7cfbdd78c5f95c352aca54f6e5ba5ef992b45967e5028d339fe2a8df",
+    "f2-40-40-n3.json": "7e8dc7e35576b7f3cbce11c83f32bdc114257a67eb18460c87cc2c6ead3f66ad",
+    "f4-1-2.json": "2faa275ecdec079ea602eb4b1badd39ad9720f508b814591691543a839273334",
+    "f4-1-2-n1.json": "0bc79c40b47bb4565e8ee46f0d5c02f9bf666658d7d7730031ec92bbb1e89d50",
+    "f4-1-2-n2.json": "93a44b47241a545d2142a5a4296024aa6e6f5005b8892ab05ba34202e0bbdf75",
+    "f4-1-2-n3.json": "e6880b34ab0966aa764611ee9cb129f015b794641f01a27abb01c43aed562f6f",
+    "f4-3-5.json": "1f093c17785afc1d63a833f71dab50eb1fb8a177e8e82ce3db2c5c647d9f91e7",
+    "f4-3-5-n1.json": "2b1c16bd4cadd660538432ba0b5dc51189a47c9de77dc18fc3602ccad9c60da3",
+    "f4-3-5-n2.json": "6da8ccea091a6f2dff1a1ead45de71a3d1d0bba8c590cd72fe245b9ba32e7588",
+    "f4-3-5-n3.json": "5adbffd3f43edb7eafa7354c9fd999453b4f63a1787fa5cf33618efccb9f8c82",
+    "f4-40-40.json": "1fec669a304905d5ec635e26c6c145526d77af975efc0b333481620c9f27da9a",
+    "f4-40-40-n1.json": "0b80f21d4be146ffa2dfc462cc09d6f41a0b2845af02d0a7b50e26bcdf907a4e",
+    "f4-40-40-n2.json": "8a68e9ea27a8f66103236cabcf169f663e1f8ae3fb5af1f2a141809928a7f5b5",
+    "f4-40-40-n3.json": "88ff7017a963df413472821e7acad7e71da1626dc851f1ee27a89b2530db0145",
+}
+
+
+def test_written_files_are_pinned(tmp_path, capsys):
+    for family in ("f1", "f2", "f4"):
+        for k, m in ((1, 2), (3, 5), (40, 40)):
+            cert = tmp_path / f"{family}-{k}-{m}.json"
+            assert main(["construct", "--k", str(k), "--m", str(m),
+                         "--family", family, "--out", str(cert)]) == 0
+            for n in (1, 2, 3):
+                dec = tmp_path / f"{family}-{k}-{m}-n{n}.json"
+                assert main(["decompose", "--in", str(cert), "--n", str(n),
+                             "--out", str(dec)]) == 0
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == WRITTEN_SHA256
+
+
+REUSED_PARSER_CALLS = [
+    ["search", "--grid", "1,2", "--d", "x"],
+    ["construct", "--k", "1", "--m", "3", "--family", "f2", "--out", "a.json",
+     "--dot", "a.dot"],
+    ["construct", "--k", "1", "--m", "2", "--family", "f1", "--out", "b.json"],
+    ["search", "--grid", "1,2", "--d", "3", "--count"],
+]
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # One process runs every call in turn on the cached parser; each call
+    # must act as it does in a process of its own.
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    same.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(same)
+    in_process = []
+    for argv in REUSED_PARSER_CALLS:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=str(Path(divgrace.__file__).parents[1]))
+    script = "import sys; from divgrace.cli import main; sys.exit(main(sys.argv[1:]))"
+    separate = []
+    for argv in REUSED_PARSER_CALLS:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, check=False)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+    assert "a.dot" not in in_process[2][1]
+    files = sorted(path.name for path in same.iterdir())
+    assert files == sorted(path.name for path in fresh.iterdir()) == \
+        ["a.dot", "a.json", "b.json"]
+    for name in files:
+        assert (same / name).read_bytes() == (fresh / name).read_bytes()
