@@ -7,10 +7,9 @@ from any verified labeling, and carries an exhaustive search oracle that
 double-checks everything by brute force on small instances.
 """
 
-from .checking import (AlphaCert, CheckReport, DifferenceProfile, DParams,
-                       InvalidParametersError, Labeling, NotBipartiteError,
-                       check_alpha, check_d_graceful, d_params,
-                       difference_profile, edge_differences)
+from .checking import (AlphaCert, CheckReport, DParams, InvalidParametersError,
+                       Labeling, NotBipartiteError, check_alpha,
+                       check_d_graceful, d_params)
 from .constructions import (F1, F2, F4, FAMILIES, ConstructionError, Family,
                             LayerPattern, SeedMismatchError, construct, extend,
                             layer_pattern, prism_labeling, seed_matches)
@@ -25,14 +24,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaCert", "BaseBlock", "CheckReport", "ConstructionError", "DParams",
-    "Decomposition", "DecompositionTarget", "DifferenceProfile", "F1", "F2",
-    "F4", "FAMILIES", "Family", "GridGraph", "InvalidParametersError",
-    "Labeling", "LayerPattern", "MultipartiteSpec", "NotBipartiteError",
-    "SearchConfig", "SearchResult", "SeedMismatchError", "SimpleGraph",
-    "base_blocks", "build_grid", "check_alpha", "check_d_graceful",
-    "check_difference_classes", "construct",
-    "cross_validate", "d_params", "develop", "difference_profile",
-    "edge_differences", "engine_accepts", "extend", "layer_pattern",
-    "prism_labeling", "proposition_table", "search", "seed_matches",
-    "two_coloring", "verify_decomposition", "__version__",
+    "Decomposition", "DecompositionTarget", "F1", "F2", "F4", "FAMILIES",
+    "Family", "GridGraph", "InvalidParametersError", "Labeling",
+    "LayerPattern", "MultipartiteSpec", "NotBipartiteError", "SearchConfig",
+    "SearchResult", "SeedMismatchError", "SimpleGraph", "base_blocks",
+    "build_grid", "check_alpha", "check_d_graceful",
+    "check_difference_classes", "construct", "cross_validate", "d_params",
+    "develop", "engine_accepts", "extend", "layer_pattern", "prism_labeling",
+    "proposition_table", "search", "seed_matches", "two_coloring",
+    "verify_decomposition", "__version__",
 ]

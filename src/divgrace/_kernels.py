@@ -23,8 +23,8 @@ import numpy as np
 CELL_BUDGET = 1 << 13
 
 
-def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
-               first_label_limit, prefix, max_results, out_buf):
+def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
+               max_results, store_cap):
     """Enumerate injective labelings in depth-first order with masked pruning.
 
     Parameters
@@ -33,17 +33,13 @@ def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
         For assignment position p, nbr_flat[nbr_off[p]:nbr_off[p+1]] lists
         the earlier positions adjacent to p's vertex.
     order : int64 array
-        Position -> canonical vertex index; results are stored by vertex.
-    n_labels : int
-        Labels run over [0, n_labels - 1].
+        Position -> canonical vertex index; rows come back by vertex.
     allowed : bool array of length n_labels + 1
-        allowed[delta] says the edge difference delta may appear (once).
+        allowed[delta] says the edge difference delta may appear (once);
+        labels run over [0, n_labels - 1].
     use_alpha, side : bool, int64 array
         When use_alpha, prune partial labelings where neither orientation
         of the 2-coloring in side can still satisfy the boundary condition.
-    first_label_limit : int
-        Candidate cap for position 0 when no prefix forces it; n_labels
-        means no cap.  The symmetry-breaking option sets it.
     prefix : int64 array
         Forced labels for the leading positions; an inconsistent prefix
         or one with a label outside [0, n_labels) yields no labeling.  A
@@ -51,24 +47,24 @@ def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
         accepts or rejects it.
     max_results : int
         Stop after this many labelings; 0 means exhaust the space.
-    out_buf : int64 array, shape (cap, n)
-        Found labelings land here in discovery order, up to cap rows.
+    store_cap : int
+        Keep at most this many labelings, the first ones found.
 
     Returns
     -------
-    (total, stored, level_sizes) : found labelings overall, rows written
-    to out_buf, and for each position p the number of partial labelings
-    of positions 0..p that passed its masks.  The walk stops taking
-    complete labelings at max_results, so the last entry is total.
+    (total, rows, level_sizes) : found labelings overall, the kept ones
+    as an int64 array of shape (kept, n) in vertex order, and for each
+    position p the number of partial labelings of positions 0..p that
+    passed its masks.  The walk stops taking complete labelings at
+    max_results, so the last entry is total.
     """
     n = order.shape[0]
-    L = n_labels
+    L = allowed.shape[0] - 1
     level_sizes = np.zeros(n, dtype=np.int64)
     if np.any((prefix < 0) | (prefix >= L)):
-        return 0, 0, level_sizes
+        return 0, np.empty((0, n), dtype=np.int64), level_sizes
     # Candidate labels of each position, as a range [lo, hi).
     ranges = [(0, L)] * n
-    ranges[0] = (0, first_label_limit)
     for p, lab in enumerate(prefix):
         ranges[p] = (int(lab), int(lab) + 1)
 
@@ -120,8 +116,8 @@ def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
     state = (np.zeros((1, n), dtype=np.int64), np.zeros((1, L), dtype=np.bool_),
              ~allowed[None, :], np.full((1, 2), -1, dtype=np.int64),
              np.full((1, 2), L, dtype=np.int64))
-    store_cap = out_buf.shape[0]
     total = stored = 0
+    found = []  # kept labelings in position order, one array per slice
     stack = []
     while True:
         p = len(stack)
@@ -137,7 +133,7 @@ def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
             if keep > 0:
                 full = state[0][rows[:keep]]
                 full[:, p] = labs[:keep]
-                out_buf[stored:stored + keep, order] = full
+                found.append(full)
                 stored += keep
             total += take
             if max_results > 0 and total >= max_results:
@@ -149,7 +145,10 @@ def dfs_search(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
                 stack.pop()
         if state is None:
             break
-    return total, stored, level_sizes
+    rows = np.empty((stored, n), dtype=np.int64)
+    if found:
+        rows[:, order] = np.concatenate(found)
+    return total, rows, level_sizes
 
 
 def count_pairs(lo_ends, hi_ends, counts):

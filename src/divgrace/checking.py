@@ -14,12 +14,13 @@ largest label on the low class is the boundary of the labeling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grids import Graph, GridGraph, SimpleGraph, two_coloring
+from .grids import Graph, GridGraph, two_coloring
 
 
 class InvalidParametersError(ValueError):
@@ -47,11 +48,6 @@ class DParams:
         return frozenset((self.q + 1) * t for t in range(1, self.d + 1))
 
     @property
-    def blocks(self) -> tuple[range, ...]:
-        w = self.q + 1
-        return tuple(range(w * t + 1, w * t + self.q + 1) for t in range(self.d))
-
-    @property
     def allowed(self) -> frozenset[int]:
         return frozenset(range(1, self.d * (self.q + 1) + 1)) - self.forbidden
 
@@ -75,15 +71,13 @@ class Labeling:
         n = self.graph.num_vertices
         if len(self.values) != n:
             raise ValueError(f"expected {n} labels, got {len(self.values)}")
-        vals = tuple(map(int, self.values))
+        try:
+            vals = tuple(map(operator.index, self.values))
+        except TypeError as exc:
+            raise ValueError(f"labels must be integers: {exc}") from None
         if min(vals, default=0) < 0:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    def value_at(self, vertex) -> int:
-        if isinstance(self.graph, GridGraph) and isinstance(vertex, tuple):
-            return self.values[self.graph.vertex_index(vertex)]
-        return self.values[int(vertex)]
 
     def layer(self, i: int) -> tuple[int, ...]:
         if not isinstance(self.graph, GridGraph):
@@ -98,7 +92,7 @@ class Labeling:
             raise ValueError("rows must be m sequences of length 4k")
         flat: list[int] = []
         for r in rows:
-            flat.extend(int(v) for v in r)
+            flat.extend(r)
         return cls(grid, tuple(flat))
 
 
@@ -128,12 +122,6 @@ class AlphaCert:
     low: frozenset[int]
     high: frozenset[int]
     boundary: int
-
-
-def edge_differences(g: Graph, f: Labeling) -> tuple[int, ...]:
-    """Absolute label differences over the canonical edge order."""
-    vals = f.values
-    return tuple(abs(vals[int(u)] - vals[int(w)]) for u, w in g.edge_indices())
 
 
 def _label_array(f: Labeling) -> np.ndarray:
@@ -213,33 +201,3 @@ def check_alpha(g: Graph, f: Labeling) -> AlphaCert | None:
             return AlphaCert(low=frozenset(low.tolist()), high=frozenset(high.tolist()),
                              boundary=max_low)
     return None
-
-
-@dataclass(frozen=True)
-class DifferenceProfile:
-    """Edge differences of a prism labeling, split by edge role.
-
-    layer1 and layer2 hold the ring differences |f(i, j+1) - f(i, j)| for
-    the two rings, spokes the rung differences |f(1, j) - f(2, j)|, each
-    indexed cyclically by j.  full is the whole multiset in canonical
-    edge order.
-    """
-
-    layer1: tuple[int, ...]
-    layer2: tuple[int, ...]
-    spokes: tuple[int, ...]
-    full: tuple[int, ...]
-
-
-def difference_profile(g: GridGraph, f: Labeling) -> DifferenceProfile:
-    """Split a prism labeling's differences by edge role; rejects m != 2."""
-    if not isinstance(g, GridGraph) or g.m != 2:
-        raise ValueError("difference profiles are defined for prisms (m = 2)")
-    w = g.ring_len
-    r1 = f.layer(1)
-    r2 = f.layer(2)
-    layer1 = tuple(abs(r1[j % w] - r1[j - 1]) for j in range(1, w + 1))
-    layer2 = tuple(abs(r2[j % w] - r2[j - 1]) for j in range(1, w + 1))
-    spokes = tuple(abs(r1[j] - r2[j]) for j in range(w))
-    return DifferenceProfile(layer1=layer1, layer2=layer2, spokes=spokes,
-                             full=edge_differences(g, f))

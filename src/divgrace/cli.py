@@ -207,7 +207,7 @@ def cmd_table(args) -> int:
                     status = f"FAILED ({exc})"
                 if status.startswith("FAILED"):
                     any_failed = True
-                cells.append(f"{target.describe()}: {status}")
+                cells.append(f"{target.spec.describe()}: {status}")
             print(f"k={k} m={m}  " + "  ".join(cells))
     return 1 if any_failed else 0
 

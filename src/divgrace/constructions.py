@@ -78,7 +78,6 @@ class LayerPattern:
 
     ceiling: int
     lows: tuple[int, ...]
-    high_skips: frozenset[int]
     values: tuple[int, ...]
 
 
@@ -110,8 +109,7 @@ def layer_pattern(family: Family, k: int, ceiling: int) -> LayerPattern:
         raise ConstructionError("pattern size bookkeeping broke")
     if min(highs) <= max(lows):
         raise ValueError(f"ceiling {ceiling} too small for k={k}")
-    return LayerPattern(ceiling=ceiling, lows=tuple(lows), high_skips=frozenset(skips),
-                        values=_interleave(lows, highs))
+    return LayerPattern(ceiling=ceiling, lows=tuple(lows), values=_interleave(lows, highs))
 
 
 def _prism_rows(k: int, variant: int) -> tuple[list[int], list[int]]:

@@ -47,9 +47,6 @@ class MultipartiteSpec:
     def v(self) -> int:
         return self.parts * self.part_size
 
-    def part_of(self, x: int) -> int:
-        return x % self.parts
-
     @property
     def edge_count(self) -> int:
         return math.comb(self.v, 2) - self.parts * math.comb(self.part_size, 2)
@@ -207,12 +204,7 @@ class DecompositionTarget:
     family: Family
     d: int
     q: int
-    parts: int
-    part_size: int
-    v: int
-
-    def describe(self) -> str:
-        return f"K_{{{self.parts}x{self.part_size}}}"
+    spec: MultipartiteSpec
 
 
 def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
@@ -229,6 +221,5 @@ def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
         d = family.divisor(m)
         q = 4 * k // family.multiplier
         spec = MultipartiteSpec(parts=q + 1, part_size=2 * d * n)
-        rows.append(DecompositionTarget(family=family, d=d, q=q, parts=spec.parts,
-                                        part_size=spec.part_size, v=spec.v))
+        rows.append(DecompositionTarget(family=family, d=d, q=q, spec=spec))
     return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,26 +48,6 @@ class GridGraph:
         if not (1 <= i <= self.m and 1 <= j <= self.ring_len):
             raise ValueError(f"coordinate {coord} outside layer [1,{self.m}] x ring [1,{self.ring_len}]")
         return (i - 1) * self.ring_len + (j - 1)
-
-    def vertex_at(self, index: int) -> Coord:
-        if not (0 <= index < self.num_vertices):
-            raise ValueError(f"vertex index {index} out of range")
-        return index // self.ring_len + 1, index % self.ring_len + 1
-
-    def vertices(self) -> Iterator[Coord]:
-        for i in range(1, self.m + 1):
-            for j in range(1, self.ring_len + 1):
-                yield (i, j)
-
-    def edges(self) -> Iterator[tuple[Coord, Coord]]:
-        """Canonical edge order: ring edges per layer, then rungs, increasing j."""
-        w = self.ring_len
-        for i in range(1, self.m + 1):
-            for j in range(1, w + 1):
-                yield (i, j), (i, j % w + 1)
-        for i in range(1, self.m):
-            for j in range(1, w + 1):
-                yield (i, j), (i + 1, j)
 
     def edge_indices(self) -> np.ndarray:
         """Canonical edge order as a read-only (e, 2) array of vertex indices."""

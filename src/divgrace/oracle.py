@@ -31,18 +31,19 @@ class SearchConfig:
 
     max_results 0 exhausts the space; the count is then exact and the
     returned labelings are capped at store_limit (store_limit 0 counts
-    without keeping any).  order is "bfs" or "bfs-reversed".  With
-    symmetry_break the first vertex in search order only takes labels
-    from the lower half of the range, which collapses each labeling with
-    its complement and therefore changes raw counts.
+    without keeping any).  Neither may be negative.
     """
 
     d: int
     alpha_only: bool = False
     max_results: int = 0
-    order: str = "bfs"
-    symmetry_break: bool = False
     store_limit: int = 10000
+
+    def __post_init__(self) -> None:
+        if self.max_results < 0:
+            raise ValueError(f"max_results must be >= 0, got {self.max_results}")
+        if self.store_limit < 0:
+            raise ValueError(f"store_limit must be >= 0, got {self.store_limit}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,6 @@ def _prepare(g: Graph, cfg: SearchConfig) -> _Arrays:
     n_labels = params.d * (params.q + 1)
     adj = adjacency_lists(g)
     order = _bfs_order(adj)
-    if cfg.order == "bfs-reversed":
-        order = order[::-1]
-    elif cfg.order != "bfs":
-        raise ValueError(f"unknown order strategy {cfg.order!r}")
     pos_of = {v: p for p, v in enumerate(order)}
     flat: list[int] = []
     off = [0]
@@ -125,35 +122,21 @@ def _prepare(g: Graph, cfg: SearchConfig) -> _Arrays:
     )
 
 
-def _run_kernel(arrays: _Arrays, cfg: SearchConfig, prefix: np.ndarray,
-                store_cap: int, first_limit: int
-                ) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    n = arrays.order.shape[0]
-    out = np.zeros((store_cap, n), dtype=np.int64)
-    total, stored, level_sizes = _kernels.dfs_search(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.n_labels,
-        arrays.allowed, cfg.alpha_only, arrays.side, first_limit, prefix,
-        cfg.max_results, out)
-    return int(total), out[: int(stored)], tuple(int(x) for x in level_sizes)
-
-
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     """Enumerate d-divisible graceful labelings of g under cfg.
 
     Identical configurations produce identical results, including order.
     """
     arrays = _prepare(g, cfg)
-    n_labels = arrays.n_labels
-    first_limit = n_labels
-    if cfg.symmetry_break:
-        first_limit = (n_labels - 1) // 2 + 1
     store_cap = cfg.max_results if cfg.max_results > 0 else cfg.store_limit
-    total, rows, level_sizes = _run_kernel(
-        arrays, cfg, np.empty(0, dtype=np.int64), store_cap, first_limit)
+    total, rows, level_sizes = _kernels.dfs_search(
+        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
+        cfg.alpha_only, arrays.side, np.empty(0, dtype=np.int64),
+        cfg.max_results, store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
-    labelings = tuple(Labeling(g, tuple(int(x) for x in row)) for row in rows)
+    labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
-                        level_sizes=level_sizes)
+                        level_sizes=tuple(level_sizes.tolist()))
 
 
 def engine_accepts(g: Graph, f: Labeling, cfg: SearchConfig) -> bool:
@@ -166,8 +149,10 @@ def engine_accepts(g: Graph, f: Labeling, cfg: SearchConfig) -> bool:
     values = [f.values[v] for v in arrays.order]
     if max(values) >= arrays.n_labels:  # may not even fit an int64
         return False
-    total, _, _ = _run_kernel(arrays, cfg, np.array(values, dtype=np.int64),
-                              0, arrays.n_labels)
+    total, _, _ = _kernels.dfs_search(
+        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
+        cfg.alpha_only, arrays.side, np.array(values, dtype=np.int64),
+        cfg.max_results, 0)
     return total == 1
 
 

@@ -3,8 +3,8 @@
 This is the search the package ran before its kernel became a numpy
 frontier search.  Tests run both on the same inputs and require the same
 total and the same rows in the same order, so "the paths agree" compares
-two different implementations.  It takes the kernel's arguments and
-returns (total, stored).
+two different implementations.  It takes the kernel's arguments, plus
+the label count, and returns (total, rows) without the level sizes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 
 def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
-                  first_label_limit, prefix, max_results, out_buf):
+                  prefix, max_results, store_cap):
     """Depth-first search over injective labelings with incremental pruning.
 
     Parameters
@@ -30,21 +30,19 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
     use_alpha, side : bool, int64 array
         When use_alpha, prune branches where neither orientation of the
         2-coloring in side can still satisfy the boundary condition.
-    first_label_limit : int
-        Candidate cap for position 0 only; n_labels means no cap.  Used by
-        the symmetry-breaking option and by the branch fan-out driver.
     prefix : int64 array
         Forced labels for the leading positions; an inconsistent prefix
-        yields (0, 0).  A full-length prefix turns the search into a
+        yields no labeling.  A full-length prefix turns the search into a
         constraint replay that accepts or rejects one labeling.
     max_results : int
         Stop after this many labelings; 0 means exhaust the space.
-    out_buf : int64 array, shape (cap, n)
-        Found labelings land here in discovery order, up to cap rows.
+    store_cap : int
+        Keep at most this many labelings, the first ones found.
 
     Returns
     -------
-    (total, stored) : found labelings overall, rows written to out_buf.
+    (total, rows) : found labelings overall, and the kept ones as an
+    int64 array of shape (kept, n) in vertex order, in discovery order.
     """
     n = order.shape[0]
     L = n_labels
@@ -56,7 +54,16 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
     mn = np.full(2, L, dtype=np.int64)
     save_mx = np.zeros(n, dtype=np.int64)
     save_mn = np.zeros(n, dtype=np.int64)
-    store_cap = out_buf.shape[0]
+    found = []
+
+    def _keep():
+        if len(found) < store_cap:
+            row = np.empty(n, dtype=np.int64)
+            row[order] = assign
+            found.append(row)
+
+    def _result(total):
+        return total, np.array(found, dtype=np.int64).reshape(len(found), n)
 
     def _ok(p, lab):
         if used_label[lab]:
@@ -129,29 +136,22 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
         assign[p] = -1
 
     total = 0
-    stored = 0
     p0 = prefix.shape[0]
     for p in range(p0):
         lab = prefix[p]
         if lab < 0 or lab >= L or not _ok(p, lab):
-            return 0, 0
+            return _result(0)
         _place(p, lab)
     if p0 == n:
-        if store_cap > 0:
-            for v in range(n):
-                out_buf[0, order[v]] = assign[v]
-            stored = 1
-        return 1, stored
+        _keep()
+        return _result(1)
 
     p = p0
     cur[p] = 0
     while True:
         lab = cur[p]
-        hi = L
-        if p == 0:
-            hi = first_label_limit
         placed = False
-        while lab < hi:
+        while lab < L:
             if _ok(p, lab):
                 placed = True
                 break
@@ -161,13 +161,10 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
             _place(p, lab)
             if p == n - 1:
                 total += 1
-                if stored < store_cap:
-                    for v in range(n):
-                        out_buf[stored, order[v]] = assign[v]
-                    stored += 1
+                _keep()
                 _unplace(p)
                 if max_results > 0 and total >= max_results:
-                    return total, stored
+                    return _result(total)
             else:
                 p += 1
                 cur[p] = 0
@@ -176,4 +173,4 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
             if p < p0:
                 break
             _unplace(p)
-    return total, stored
+    return _result(total)

@@ -14,8 +14,8 @@ from contextlib import contextmanager
 from divgrace import (F1, F2, F4, InvalidParametersError, Labeling, SearchConfig,
                       SimpleGraph, base_blocks, build_grid, check_alpha,
                       check_d_graceful, construct, cross_validate, develop,
-                      difference_profile, edge_differences, prism_labeling,
-                      search, seed_matches, verify_decomposition)
+                      prism_labeling, search, seed_matches, verify_decomposition)
+from reference_checking import difference_profile, edge_differences
 
 
 @contextmanager
@@ -91,7 +91,8 @@ def test_criterion_3_worked_example(capsys):
         assert lab.layer(1) == (12, 10, 14, 11)
         assert lab.layer(2) == (5, 19, 6, 17)
         assert lab.layer(3) == (22, 0, 24, 1)
-        spokes = {abs(lab.value_at((2, j)) - lab.value_at((3, j)))
+        at = lab.graph.vertex_index
+        spokes = {abs(lab.values[at((2, j))] - lab.values[at((3, j))])
                   for j in range(1, 5)}
         assert spokes == {16, 17, 18, 19}
         ring = lab.layer(3)

@@ -1,5 +1,6 @@
 """The d-divisible graceful checker, alpha checker and difference profiles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,15 +8,14 @@ from hypothesis import strategies as st
 import reference_checking as ref
 from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
                       NotBipartiteError, SimpleGraph, build_grid, check_alpha,
-                      check_d_graceful, construct, d_params, difference_profile,
-                      edge_differences)
+                      check_d_graceful, construct, d_params)
 
 
 def test_d_params_12_3():
     p = d_params(12, 3)
     assert (p.q, p.max_label) == (4, 14)
     assert p.forbidden == {5, 10, 15}
-    assert [list(b) for b in p.blocks] == [[1, 2, 3, 4], [6, 7, 8, 9], [11, 12, 13, 14]]
+    assert [list(b) for b in ref.blocks(p)] == [[1, 2, 3, 4], [6, 7, 8, 9], [11, 12, 13, 14]]
 
 
 def test_d_params_odd_graceful_limit():
@@ -37,7 +37,7 @@ def test_d_params_rejects_non_divisor():
 def test_d_params_blocks_partition_the_range(e, d):
     p = d_params(e, d)
     values = set(p.forbidden)
-    for block in p.blocks:
+    for block in ref.blocks(p):
         block = set(block)
         assert len(block) == p.q
         assert not (block & values)
@@ -60,6 +60,19 @@ def test_single_edge_classical_graceful():
 def test_path_graceful():
     g = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
     assert check_d_graceful(g, Labeling(g, (0, 3, 1, 2)), 1).ok
+
+
+@pytest.mark.parametrize("bad", [7.9, 12.5, 7.0, "7", None])
+def test_labeling_rejects_non_integer_labels(t8, bad):
+    with pytest.raises(ValueError, match="integers"):
+        Labeling(t8, (bad, 5, 9, 6, 0, 14, 1, 12))
+
+
+def test_labeling_accepts_numpy_integers(t8, t8_labeling):
+    lab = Labeling(t8, tuple(np.array(t8_labeling.values, dtype=np.int64)))
+    assert lab.values == t8_labeling.values
+    assert all(type(x) is int for x in lab.values)
+    assert check_d_graceful(t8, lab, 3).ok
 
 
 def test_swapped_labels_duplicate_a_difference(t8):
@@ -130,7 +143,7 @@ def test_alpha_rejects_non_bipartite():
 
 
 def test_profile_t8_d3(t8, t8_labeling):
-    prof = difference_profile(t8, t8_labeling)
+    prof = ref.difference_profile(t8, t8_labeling)
     assert set(prof.layer1) == {1, 2, 3, 4}
     assert set(prof.spokes) == {6, 7, 8, 9}
     assert set(prof.layer2) == {11, 12, 13, 14}
@@ -139,28 +152,28 @@ def test_profile_t8_d3(t8, t8_labeling):
 
 def test_profile_t8_d6(t8):
     lab = Labeling(t8, (8, 6, 11, 7, 0, 17, 1, 14))
-    prof = difference_profile(t8, lab)
+    prof = ref.difference_profile(t8, lab)
     assert set(prof.layer1) == {1, 2, 4, 5}
     assert set(prof.spokes) == {7, 8, 10, 11}
     assert set(prof.layer2) == {13, 14, 16, 17}
 
 
 def test_profile_constant_labeling_is_all_zero(t8):
-    prof = difference_profile(t8, Labeling(t8, (0,) * 8))
+    prof = ref.difference_profile(t8, Labeling(t8, (0,) * 8))
     assert set(prof.layer1) == set(prof.layer2) == set(prof.spokes) == {0}
 
 
 def test_profile_rejects_deeper_grids():
     g = build_grid(1, 3)
     with pytest.raises(ValueError):
-        difference_profile(g, Labeling(g, tuple(range(12))))
+        ref.difference_profile(g, Labeling(g, tuple(range(12))))
 
 
 def test_differences_fill_each_block_exactly(t8, t8_labeling):
     # a passing labeling places exactly q differences in every block
     params = d_params(12, 3)
-    diffs = edge_differences(t8, t8_labeling)
-    for block in params.blocks:
+    diffs = ref.edge_differences(t8, t8_labeling)
+    for block in ref.blocks(params):
         assert sum(1 for delta in diffs if delta in block) == params.q
 
 

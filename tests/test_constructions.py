@@ -6,8 +6,9 @@ import pytest
 
 from divgrace import (F1, F2, F4, ConstructionError, Labeling, SeedMismatchError,
                       build_grid, check_alpha, check_d_graceful, construct,
-                      difference_profile, edge_differences, extend,
-                      layer_pattern, prism_labeling, seed_matches)
+                      extend, layer_pattern, prism_labeling, seed_matches)
+from reference_checking import difference_profile, edge_differences
+from reference_grids import edges
 
 
 def _interval(a, b):
@@ -137,7 +138,8 @@ def test_extend_worked_example():
     assert lab.layer(3) == (22, 0, 24, 1)
     assert check_d_graceful(lab.graph, lab, 5).ok
     g = lab.graph
-    spokes = {abs(lab.value_at((2, j)) - lab.value_at((3, j))) for j in range(1, 5)}
+    spokes = {abs(lab.values[g.vertex_index((2, j))] - lab.values[g.vertex_index((3, j))])
+              for j in range(1, 5)}
     assert spokes == {16, 17, 18, 19}
     ring3 = lab.layer(3)
     new_ring = {abs(ring3[j % 4] - ring3[j - 1]) for j in range(1, 5)}
@@ -149,8 +151,9 @@ def test_extend_shifts_old_differences_rigidly():
     out = extend(base, F2)
     # every edge already present keeps its difference under the shift
     old_diffs = edge_differences(base.graph, base)
-    for (u, w), expect in zip(base.graph.edges(), old_diffs):
-        assert abs(out.value_at(u) - out.value_at(w)) == expect
+    at = out.graph.vertex_index
+    for (u, w), expect in zip(edges(base.graph), old_diffs):
+        assert abs(out.values[at(u)] - out.values[at(w)]) == expect
 
 
 @pytest.mark.parametrize("family", [F1, F2, F4])

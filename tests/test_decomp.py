@@ -252,22 +252,23 @@ def test_bad_labeling_rejected(t8):
 
 def test_proposition_table_k1_m2():
     rows = proposition_table(1, 2, 1)
-    got = [(r.family.name, r.d, r.q, r.parts, r.part_size, r.v) for r in rows]
+    got = [(r.family.name, r.d, r.q, r.spec.parts, r.spec.part_size, r.spec.v)
+           for r in rows]
     assert got == [("f1", 3, 4, 5, 6, 30),
                    ("f2", 6, 2, 3, 12, 36),
                    ("f4", 12, 1, 2, 24, 48)]
-    assert [r.describe() for r in rows] == ["K_{5x6}", "K_{3x12}", "K_{2x24}"]
+    assert [r.spec.describe() for r in rows] == ["K_{5x6}", "K_{3x12}", "K_{2x24}"]
 
 
 def test_proposition_table_k1_m3():
     rows = proposition_table(1, 3, 1)
-    got = [(r.d, r.parts, r.part_size) for r in rows]
+    got = [(r.d, r.spec.parts, r.spec.part_size) for r in rows]
     assert got == [(5, 5, 10), (10, 3, 20), (20, 2, 40)]
 
 
 def test_proposition_table_k2_m2_n2():
     rows = proposition_table(2, 2, 2)
-    got = [(r.d, r.parts, r.part_size, r.v) for r in rows]
+    got = [(r.d, r.spec.parts, r.spec.part_size, r.spec.v) for r in rows]
     assert got == [(3, 9, 12, 108), (6, 5, 24, 120), (12, 3, 48, 144)]
 
 
@@ -284,8 +285,7 @@ def test_table_rows_verify_end_to_end(family):
     d = family.divisor(2)
     dec = develop(base_blocks(lab.graph, lab, cert, d, 1))
     row = proposition_table(1, 2, 1)[[F1, F2, F4].index(family)]
-    assert dec.spec.parts == row.parts
-    assert dec.spec.part_size == row.part_size
+    assert dec.spec == row.spec
     assert verify_decomposition(dec).ok
 
 

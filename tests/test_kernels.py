@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divgrace import SearchConfig, SimpleGraph, _kernels, build_grid, two_coloring
-from divgrace.oracle import _prepare, _run_kernel
+from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
+                      check_alpha, check_d_graceful, two_coloring)
+from divgrace.oracle import _prepare
 from reference_dfs import dfs_search_py
 
 STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
@@ -37,22 +38,28 @@ C4P3_D5_FIRST_20 = [
 ]
 
 
-def _run(kernel, arrays, cfg, first_limit, prefix, cap=2000):
-    out = np.zeros((cap, arrays.order.shape[0]), dtype=np.int64)
-    total, stored = kernel(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.n_labels,
-        arrays.allowed, cfg.alpha_only, arrays.side, first_limit,
-        np.array(prefix, dtype=np.int64), cfg.max_results, out)[:2]
-    return int(total), out[: int(stored)]
+def _reference(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
+               max_results, store_cap):
+    """dfs_search_py behind the kernel's signature and return value."""
+    return dfs_search_py(nbr_flat, nbr_off, order, allowed.shape[0] - 1, allowed,
+                         use_alpha, side, prefix, max_results, store_cap) + (None,)
 
 
-def _agree(g, cfg, first_limit=None, prefix=()):
+def _run(kernel, arrays, cfg, prefix, cap=2000):
+    total, rows, _ = kernel(
+        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
+        cfg.alpha_only, arrays.side, np.array(prefix, dtype=np.int64),
+        cfg.max_results, cap)
+    return int(total), rows
+
+
+def _agree(g, cfg, prefix=()):
     """Run the kernel and the reference on the same input; both must match."""
     arrays = _prepare(g, cfg)
-    limit = arrays.n_labels if first_limit is None else first_limit
-    total, rows = _run(_kernels.dfs_search, arrays, cfg, limit, prefix)
-    ref_total, ref_rows = _run(dfs_search_py, arrays, cfg, limit, prefix)
+    total, rows = _run(_kernels.dfs_search, arrays, cfg, prefix)
+    ref_total, ref_rows = _run(_reference, arrays, cfg, prefix)
     assert total == ref_total
+    assert rows.dtype == np.int64
     assert np.array_equal(rows, ref_rows)
     return total
 
@@ -82,7 +89,7 @@ def test_frontier_matches_frozen_reference_c4p3():
     for limit in (1, 20):
         cfg = SearchConfig(d=5, max_results=limit)
         arrays = _prepare(g, cfg)
-        total, rows = _run(_kernels.dfs_search, arrays, cfg, arrays.n_labels, ())
+        total, rows = _run(_kernels.dfs_search, arrays, cfg, ())
         assert total == limit
         assert [tuple(int(x) for x in row) for row in rows] == C4P3_D5_FIRST_20[:limit]
 
@@ -101,33 +108,34 @@ def search_cases(draw):
     alpha = draw(st.booleans())
     assume(not alpha or two_coloring(g) is not None)
     cfg = SearchConfig(d=d, alpha_only=alpha,
-                       max_results=draw(st.sampled_from([0, 1, 2, 5, 17])),
-                       order=draw(st.sampled_from(["bfs", "bfs-reversed"])))
+                       max_results=draw(st.sampled_from([0, 1, 2, 5, 17])))
     n_labels = d * (e // d + 1)
-    first_limit = n_labels
-    if draw(st.booleans()):
-        first_limit = (n_labels - 1) // 2 + 1
     prefix = []
     if draw(st.booleans()):
         prefix = draw(st.lists(st.integers(-2, n_labels + 1), max_size=n))
-    return g, cfg, first_limit, prefix
+    return g, cfg, prefix
 
 
 @settings(max_examples=300, deadline=None)
 @given(search_cases())
 def test_dfs_paths_agree_on_random_graphs(case):
-    g, cfg, first_limit, prefix = case
-    _agree(g, cfg, first_limit, prefix)
+    g, cfg, prefix = case
+    _agree(g, cfg, prefix)
 
 
 def test_run_kernel_uses_selected_path(t8):
     cfg = SearchConfig(d=3, alpha_only=True)
     arrays = _prepare(t8, cfg)
-    total, rows, level_sizes = _run_kernel(arrays, cfg, np.empty(0, dtype=np.int64),
-                                           600, arrays.n_labels)
+    total, rows, level_sizes = _kernels.dfs_search(
+        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
+        cfg.alpha_only, arrays.side, np.empty(0, dtype=np.int64), 0, 600)
     assert total == 576
-    assert rows.shape == (576, 8)
+    assert rows.shape == (576, 8) and rows.dtype == np.int64
     assert level_sizes[-1] == 576
+    # rows are by vertex: each one is a labeling the checkers accept
+    for row in rows[::50]:
+        lab = Labeling(t8, tuple(row))
+        assert check_d_graceful(t8, lab, 3).ok and check_alpha(t8, lab) is not None
 
 
 def test_count_pairs_variants_agree():

@@ -38,12 +38,6 @@ def test_single_edge():
     assert {lab.values for lab in res.labelings} == {(0, 1), (1, 0)}
 
 
-def test_single_edge_symmetry_break():
-    res = search(EDGE, SearchConfig(d=1, symmetry_break=True))
-    assert res.count == 1
-    assert res.labelings[0].values == (0, 1)
-
-
 @pytest.mark.parametrize("g,d", [(PATH3, 1), (PATH3, 2), (C4, 1)])
 def test_matches_brute_force(g, d):
     res = search(g, SearchConfig(d=d))
@@ -56,27 +50,21 @@ def test_c4_count_frozen():
     assert search(C4, SearchConfig(d=1)).count == 16
 
 
-def test_symmetry_break_collapses_complements():
-    full = {lab.values for lab in search(C4, SearchConfig(d=1)).labelings}
-    res = search(C4, SearchConfig(d=1, symmetry_break=True))
-    halved = {lab.values for lab in res.labelings}
-    mirrored = {tuple(4 - x for x in vals) for vals in halved}
-    assert halved | mirrored == full
-    assert all(vals[0] <= 2 for vals in halved)
+@pytest.mark.parametrize("g,d", [(C4, 1), (build_grid(1, 2), 3)], ids=["c4", "prism"])
+@pytest.mark.parametrize("alpha", [False, True], ids=["plain", "alpha"])
+def test_labelings_closed_under_complement(g, d, alpha):
+    # f -> D - f keeps every edge difference and swaps the alpha classes
+    res = search(g, SearchConfig(d=d, alpha_only=alpha))
+    found = {lab.values for lab in res.labelings}
+    assert res.exhaustive and len(found) == res.count > 0
+    top = d * (g.num_edges // d + 1) - 1
+    assert {tuple(top - x for x in vals) for vals in found} == found
 
 
 def test_deterministic_repeat():
     a = search(C4, SearchConfig(d=1))
     b = search(C4, SearchConfig(d=1))
     assert [lab.values for lab in a.labelings] == [lab.values for lab in b.labelings]
-
-
-def test_reversed_order_same_space():
-    fwd = search(C4, SearchConfig(d=1))
-    rev = search(C4, SearchConfig(d=1, order="bfs-reversed"))
-    assert rev.count == fwd.count
-    assert ({lab.values for lab in rev.labelings}
-            == {lab.values for lab in fwd.labelings})
 
 
 def test_max_results_truncates_in_order():
@@ -183,7 +171,7 @@ def _prefix_counts(g, cfg):
 @pytest.mark.parametrize("g,cfg", [
     (C4, SearchConfig(d=1)),
     (C4, SearchConfig(d=2, alpha_only=True)),
-    (PATH3, SearchConfig(d=2, order="bfs-reversed")),
+    (PATH3, SearchConfig(d=2)),
 ])
 def test_level_sizes_count_consistent_prefixes(g, cfg):
     res = search(g, cfg)
@@ -236,9 +224,10 @@ def test_search_rejects_bad_divisor(t8):
         search(t8, SearchConfig(d=5))
 
 
-def test_search_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        search(C4, SearchConfig(d=1, order="dfs"))
+@pytest.mark.parametrize("field", ["max_results", "store_limit"])
+def test_search_config_rejects_negative_counts(field):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(d=1, **{field: -1})
 
 
 def test_alpha_search_needs_bipartite():
