@@ -10,6 +10,16 @@ checker agree labeling by labeling.
 
 Results are deterministic for a given configuration: labelings come out
 in lexicographic order of their labels along the search order.
+
+A search that runs to the end and keeps no labeling is counted another
+way.  The e edge differences of a labeling are exactly the e allowed
+ones, and the largest label D = d(q + 1) - 1 is an allowed difference,
+so exactly one edge carries the labels 0 and D: one arc u -> w has
+f(u) = 0 and f(w) = D.  A graph automorphism maps the labelings of one
+arc onto those of its image, so the count is the sum, over the orbits
+of arcs under a group of automorphisms, of the orbit's size times the
+number of labelings of one arc in it.  Each such number is one walk
+with 0 and D forced on u and w.
 """
 
 from __future__ import annotations
@@ -20,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .checking import (CheckReport, Labeling, NotBipartiteError, check_alpha,
-                       check_d_graceful, d_params)
+from .checking import (CheckReport, InvalidParametersError, Labeling,
+                       NotBipartiteError, check_alpha, check_d_graceful,
+                       d_params)
 from .grids import Graph, GridGraph, adjacency_lists, two_coloring
 
 
@@ -52,7 +63,10 @@ class SearchResult:
 
     level_sizes[p] is the number of partial labelings of the first p + 1
     vertices in search order that survived pruning (a search stopped by
-    max_results counts only the part it walked); the last entry is count.
+    max_results counts only the part it walked).  A count-only search
+    (max_results and store_limit 0) sums, weighted by orbit size, the
+    level sizes of its forced walks, one per orbit of arcs.  Either way
+    the last entry is count.
     """
 
     labelings: tuple[Labeling, ...]
@@ -61,15 +75,22 @@ class SearchResult:
     level_sizes: tuple[int, ...]
 
 
-def _bfs_order(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    seen = [False] * n
+# Largest graph that search accepts.  An exhaustive search is hopeless
+# long before these sizes; the cap turns an absurd input into an error
+# before any per-vertex or per-edge array is built.
+SEARCH_MAX_VERTICES = 1024
+SEARCH_MAX_EDGES = 1024
+
+
+def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
+    """Breadth-first order from the vertices in first, then from each
+    lowest-index vertex not yet reached."""
+    seen = [False] * len(adj)
     order: list[int] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
+    for roots in (first, *((root,) for root in range(len(adj)))):
+        queue = deque(v for v in roots if not seen[v])
+        for v in queue:
+            seen[v] = True
         while queue:
             v = queue.popleft()
             order.append(v)
@@ -78,6 +99,48 @@ def _bfs_order(adj: list[list[int]]) -> list[int]:
                     seen[u] = True
                     queue.append(u)
     return order
+
+
+def _symmetries(g: Graph) -> list[list[int]]:
+    """Generators of a group of automorphisms of g, as vertex permutations.
+
+    A grid gets ring rotation j -> j + 1, ring reflection j -> -j and
+    layer flip i -> m + 1 - i, which generate a group of order 16k; any
+    other graph gets the trivial group.
+    """
+    if not isinstance(g, GridGraph):
+        return []
+    i = np.arange(g.m)[:, None]
+    j = np.arange(g.ring_len)
+    w = g.ring_len
+    return [(i * w + (j + 1) % w).ravel().tolist(),
+            (i * w + -j % w).ravel().tolist(),
+            ((g.m - 1 - i) * w + j).ravel().tolist()]
+
+
+def _arc_orbits(g: Graph) -> list[tuple[tuple[int, int], int]]:
+    """Orbits of the 2e arcs of g under _symmetries(g), as pairs of the
+    first arc in canonical edge order (forward arcs first) and the size."""
+    edges = g.edge_indices().tolist()
+    perms = _symmetries(g)
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for arc in [(u, w) for u, w in edges] + [(w, u) for u, w in edges]:
+        if arc in seen:
+            continue
+        seen.add(arc)
+        stack = [arc]
+        size = 0
+        while stack:
+            u, w = stack.pop()
+            size += 1
+            for p in perms:
+                image = (p[u], p[w])
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+        orbits.append((arc, size))
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -90,11 +153,12 @@ class _Arrays:
     side: np.ndarray
 
 
-def _prepare(g: Graph, cfg: SearchConfig) -> _Arrays:
+def _prepare(g: Graph, cfg: SearchConfig, arc: tuple[int, ...] = ()) -> _Arrays:
+    """Search arrays for g; the vertex order starts with arc's two ends."""
     params = d_params(g.num_edges, cfg.d)
     n_labels = params.d * (params.q + 1)
     adj = adjacency_lists(g)
-    order = _bfs_order(adj)
+    order = _bfs_order(adj, arc)
     pos_of = {v: p for p, v in enumerate(order)}
     flat: list[int] = []
     off = [0]
@@ -126,7 +190,15 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     """Enumerate d-divisible graceful labelings of g under cfg.
 
     Identical configurations produce identical results, including order.
+    A search that exhausts the space and keeps no labeling is counted by
+    arc orbits (see the module docstring) unless g has no edge.
     """
+    if g.num_vertices > SEARCH_MAX_VERTICES or g.num_edges > SEARCH_MAX_EDGES:
+        raise InvalidParametersError(
+            f"search is limited to {SEARCH_MAX_VERTICES} vertices and "
+            f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
+    if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
+        return _count_by_arc(g, cfg)
     arrays = _prepare(g, cfg)
     store_cap = cfg.max_results if cfg.max_results > 0 else cfg.store_limit
     total, rows, level_sizes = _kernels.dfs_search(
@@ -136,6 +208,22 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
+                        level_sizes=tuple(level_sizes.tolist()))
+
+
+def _count_by_arc(g: Graph, cfg: SearchConfig) -> SearchResult:
+    """Count g's labelings as the orbit-weighted sum of forced walks."""
+    total = 0
+    level_sizes = 0
+    for arc, size in _arc_orbits(g):
+        arrays = _prepare(g, cfg, arc)
+        count, _, levels = _kernels.dfs_search(
+            arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
+            cfg.alpha_only, arrays.side,
+            np.array([0, arrays.n_labels - 1], dtype=np.int64), 0, 0)
+        total += size * count
+        level_sizes = level_sizes + size * levels
+    return SearchResult(labelings=(), count=total, exhaustive=True,
                         level_sizes=tuple(level_sizes.tolist()))
 
 

@@ -249,6 +249,22 @@ def test_search_rejects_incompatible_divisor(capsys):
     assert "does not divide" in stderr
 
 
+def test_search_rejects_oversized_graph(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the size check must come before the edge array")
+
+    # about 1.2e10 edges: building the edge array is what the cap prevents
+    monkeypatch.setattr(divgrace.GridGraph, "edge_indices", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "grid", "k": 10 ** 9, "m": 2}))
+    for source in (["--graph", str(path)], ["--grid", f"{10 ** 9},2"]):
+        for extra in (["--count"], ["--limit", "1"]):
+            code, stdout, stderr = _run(capsys, "search", *source, "--d", "3", *extra)
+            assert code == 2
+            assert stdout == ""
+            assert "search is limited to 1024 vertices and 1024 edges" in stderr
+
+
 def test_search_rejects_malformed_grid(capsys):
     code, _, stderr = _run(capsys, "search", "--grid", "1x2", "--d", "3")
     assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
-                      check_alpha, check_d_graceful, two_coloring)
+                      check_alpha, check_d_graceful, search, two_coloring)
 from divgrace.oracle import _prepare
 from reference_dfs import dfs_search_py
 
@@ -121,6 +121,16 @@ def search_cases(draw):
 def test_dfs_paths_agree_on_random_graphs(case):
     g, cfg, prefix = case
     _agree(g, cfg, prefix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_count_by_arc_agrees_with_vertex_walk_on_random_graphs(case):
+    g, cfg, _ = case
+    walk = search(g, SearchConfig(d=cfg.d, alpha_only=cfg.alpha_only, store_limit=1))
+    split = search(g, SearchConfig(d=cfg.d, alpha_only=cfg.alpha_only, store_limit=0))
+    assert split.count == walk.count
+    assert split.level_sizes[-1] == split.count
 
 
 def test_run_kernel_uses_selected_path(t8):

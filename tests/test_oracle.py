@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from divgrace import (InvalidParametersError, Labeling, NotBipartiteError,
-                      SearchConfig, SimpleGraph, build_grid, check_alpha,
-                      check_d_graceful, cross_validate, engine_accepts, search,
-                      two_coloring)
-from divgrace.oracle import _prepare
+from divgrace import (GridGraph, InvalidParametersError, Labeling,
+                      NotBipartiteError, SearchConfig, SimpleGraph, build_grid,
+                      check_alpha, check_d_graceful, cross_validate,
+                      engine_accepts, oracle, search, two_coloring)
+from divgrace.oracle import _arc_orbits, _prepare, _symmetries
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
@@ -240,3 +240,95 @@ def test_grid_search_finds_constructed_labelings():
     res = search(g, SearchConfig(d=3, alpha_only=True, store_limit=1000))
     values = {lab.values for lab in res.labelings}
     assert (7, 5, 9, 6, 0, 14, 1, 12) in values
+
+
+# ROADMAP Baseline: counts of the prism by the vertex-order walk.
+PRISM_COUNTS = {1: (2592, 960), 2: (1632, 864), 3: (1440, 576),
+                4: (768, 192), 6: (768, 384), 12: (7392, 960)}
+
+
+@pytest.mark.parametrize("d", sorted(PRISM_COUNTS))
+def test_prism_count_by_arc_matches_vertex_walk(t8, d):
+    for alpha, want in zip((False, True), PRISM_COUNTS[d]):
+        res = search(t8, SearchConfig(d=d, alpha_only=alpha, store_limit=0))
+        assert res.count == want
+        assert res.exhaustive and res.labelings == ()
+        assert res.level_sizes[-1] == want
+        # every labeling has its 0-D arc among the 2e = 24 forced starts
+        assert res.level_sizes[:2] == (24, 24)
+
+
+def test_c4p3_alpha_count_d5():
+    # 5152 is what the vertex-order walk counts in about a minute
+    res = search(build_grid(1, 3), SearchConfig(d=5, alpha_only=True, store_limit=0))
+    assert res.count == 5152
+
+
+@pytest.mark.parametrize("g,d,want", [(SimpleGraph(1, ()), 1, 1),
+                                      (SimpleGraph(2, ()), 2, 2)],
+                         ids=["one-vertex", "two-vertices"])
+def test_edgeless_graph_counts(g, d, want):
+    # no edge carries 0 and D, so a count-only search keeps the vertex walk
+    for store_limit in (0, 10):
+        assert search(g, SearchConfig(d=d, store_limit=store_limit)).count == want
+
+
+@pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (2, 2), (2, 5), (3, 4)])
+def test_grid_symmetries_are_automorphisms(k, m):
+    g = build_grid(k, m)
+    edges = {frozenset(e) for e in g.edge_indices().tolist()}
+    perms = _symmetries(g)
+    assert len(perms) == 3
+    for p in perms:
+        assert sorted(p) == list(range(g.num_vertices))
+        assert {frozenset((p[u], p[w])) for u, w in edges} == edges
+    orbits = _arc_orbits(g)
+    assert sum(size for _, size in orbits) == 2 * g.num_edges
+    # ring arcs of layers i and m + 1 - i, both ways, then rung arcs
+    assert len(orbits) == (m + 1) // 2 + m - 1
+    assert max(size for _, size in orbits) <= 16 * k
+
+
+@pytest.mark.parametrize("g", [EDGE, PATH3, C4, TRIANGLE])
+def test_simple_graph_arcs_are_their_own_orbits(g):
+    assert _symmetries(g) == []
+    orbits = _arc_orbits(g)
+    assert len(orbits) == 2 * g.num_edges
+    assert {size for _, size in orbits} == {1}
+
+
+@pytest.mark.parametrize("alpha", [False, True], ids=["plain", "alpha"])
+def test_grid_symmetries_map_prism_labelings_onto_themselves(t8, alpha):
+    res = search(t8, SearchConfig(d=3, alpha_only=alpha, store_limit=2000))
+    rows = {lab.values for lab in res.labelings}
+    assert len(rows) == res.count == (576 if alpha else 1440)
+    for p in _symmetries(t8):
+        moved = set()
+        for vals in rows:
+            image = [0] * len(vals)
+            for v, x in enumerate(vals):
+                image[p[v]] = x
+            moved.add(tuple(image))
+        assert moved == rows
+
+
+def test_search_size_cap_raises_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the size check must come first")
+
+    many_edges = SimpleGraph(46, tuple(itertools.combinations(range(46), 2)))
+    assert many_edges.num_edges > oracle.SEARCH_MAX_EDGES
+    monkeypatch.setattr(oracle, "adjacency_lists", refuse)
+    monkeypatch.setattr(GridGraph, "edge_indices", refuse)
+    monkeypatch.setattr(SimpleGraph, "edge_indices", refuse)
+    for g in (build_grid(10 ** 9, 2), many_edges,
+              SimpleGraph(oracle.SEARCH_MAX_VERTICES + 1, ())):
+        for store_limit in (0, 10):
+            with pytest.raises(InvalidParametersError, match="limited to"):
+                search(g, SearchConfig(d=1, store_limit=store_limit))
+
+
+def test_search_size_cap_admits_the_limit():
+    g = SimpleGraph(oracle.SEARCH_MAX_VERTICES, ((0, 1),))
+    cfg = SearchConfig(d=1, max_results=1)
+    assert search(g, cfg).count == 0  # 2 labels for 1024 vertices
