@@ -8,6 +8,7 @@ command re-verifies whatever it is about to write.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -165,12 +166,9 @@ def cmd_search(args) -> int:
             g = graph_from_obj(read_json(args.graph))
         except (OSError, CertificateError) as exc:
             return _fail(2, f"cannot read graph: {exc}")
-    cfg = SearchConfig(
-        d=args.d,
-        alpha_only=args.alpha,
-        max_results=args.limit,
-        store_limit=0 if args.count else 10000,
-    )
+    cfg = SearchConfig(d=args.d, alpha_only=args.alpha, max_results=args.limit)
+    if args.count:
+        cfg = dataclasses.replace(cfg, store_limit=0)
     try:
         result = search(g, cfg)
     except (InvalidParametersError, NotBipartiteError) as exc:
@@ -182,6 +180,10 @@ def cmd_search(args) -> int:
         alpha = check_alpha(g, labeling) if args.alpha else None
         print(json.dumps(labeling_to_obj(labeling, args.d, alpha),
                          separators=(",", ":")))
+    if result.count > len(result.labelings):
+        print(f"listed {len(result.labelings)} of {result.count} labelings; use "
+              "--limit N to list the first N or --count to count them all",
+              file=sys.stderr)
     return 0
 
 

@@ -281,7 +281,7 @@ def construct(k: int, m: int, family: Family) -> Labeling:
     return lab
 
 
-def _verify(lab: Labeling, d: int, family: Family | None = None, where: str = "") -> None:
+def _verify(lab: Labeling, d: int, family: Family, where: str) -> None:
     # Fail-fast guard: a returned labeling always satisfies its own contract.
     g = lab.graph
     report = check_d_graceful(g, lab, d)
@@ -289,5 +289,5 @@ def _verify(lab: Labeling, d: int, family: Family | None = None, where: str = ""
         raise ConstructionError(f"{where}: {report.describe()}")
     if check_alpha(g, lab) is None:
         raise ConstructionError(f"{where}: alpha boundary violated")
-    if family is not None and seed_matches(lab, family) is None:
+    if seed_matches(lab, family) is None:
         raise ConstructionError(f"{where}: top layer lost the {family.name} pattern")

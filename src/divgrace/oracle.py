@@ -143,47 +143,42 @@ def _arc_orbits(g: Graph) -> list[tuple[tuple[int, int], int]]:
     return orbits
 
 
-@dataclass(frozen=True)
-class _Arrays:
-    nbr_flat: np.ndarray
-    nbr_off: np.ndarray
-    order: np.ndarray
-    n_labels: int
-    allowed: np.ndarray
-    side: np.ndarray
+class _Walker:
+    """What every walk of one search shares, built once per search."""
 
-
-def _prepare(g: Graph, cfg: SearchConfig, arc: tuple[int, ...] = ()) -> _Arrays:
-    """Search arrays for g; the vertex order starts with arc's two ends."""
-    params = d_params(g.num_edges, cfg.d)
-    n_labels = params.d * (params.q + 1)
-    adj = adjacency_lists(g)
-    order = _bfs_order(adj, arc)
-    pos_of = {v: p for p, v in enumerate(order)}
-    flat: list[int] = []
-    off = [0]
-    for p, v in enumerate(order):
-        earlier = sorted(pos_of[u] for u in adj[v] if pos_of[u] < p)
-        flat.extend(earlier)
-        off.append(len(flat))
-    allowed = np.zeros(n_labels + 1, dtype=np.bool_)
-    for delta in params.allowed:
-        allowed[delta] = True
-    if cfg.alpha_only:
-        color = two_coloring(g)
-        if color is None:
+    def __init__(self, g: Graph, cfg: SearchConfig) -> None:
+        params = d_params(g.num_edges, cfg.d)
+        self.n_labels = params.d * (params.q + 1)
+        self.allowed = np.zeros(self.n_labels + 1, dtype=np.bool_)
+        self.allowed[list(params.allowed)] = True
+        self.adj = adjacency_lists(g)
+        self.alpha = cfg.alpha_only
+        self.color = (two_coloring(g) if self.alpha
+                      else np.zeros(g.num_vertices, dtype=np.int64))
+        if self.color is None:
             raise NotBipartiteError("alpha search requires a bipartite graph")
-        side = np.array([color[v] for v in order], dtype=np.int64)
-    else:
-        side = np.zeros(len(order), dtype=np.int64)
-    return _Arrays(
-        nbr_flat=np.array(flat, dtype=np.int64),
-        nbr_off=np.array(off, dtype=np.int64),
-        order=np.array(order, dtype=np.int64),
-        n_labels=n_labels,
-        allowed=allowed,
-        side=side,
-    )
+
+    def kernel_args(self, first: tuple[int, ...]) -> tuple:
+        """dfs_search's arguments before prefix, for the breadth-first
+        order from the vertices in first."""
+        order = _bfs_order(self.adj, first)
+        pos_of = {v: p for p, v in enumerate(order)}
+        flat: list[int] = []
+        off = [0]
+        for p, v in enumerate(order):
+            flat.extend(sorted(pos_of[u] for u in self.adj[v] if pos_of[u] < p))
+            off.append(len(flat))
+        order_arr = np.array(order, dtype=np.int64)
+        return (np.array(flat, dtype=np.int64), np.array(off, dtype=np.int64), order_arr,
+                self.allowed, self.alpha, self.color[order_arr])
+
+    def walk(self, first: tuple[int, ...], labels: tuple[int, ...], max_results: int,
+             store_cap: int):
+        """dfs_search along the order from first, with labels forced on
+        first's vertices; returns (total, rows, level_sizes)."""
+        return _kernels.dfs_search(*self.kernel_args(first),
+                                   np.array(labels, dtype=np.int64), max_results,
+                                   store_cap)
 
 
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -197,50 +192,33 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
         raise InvalidParametersError(
             f"search is limited to {SEARCH_MAX_VERTICES} vertices and "
             f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
+    walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
-        return _count_by_arc(g, cfg)
-    arrays = _prepare(g, cfg)
+        total, level_sizes = 0, 0
+        for arc, size in _arc_orbits(g):
+            count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0)
+            total += size * count
+            level_sizes = level_sizes + size * levels
+        return SearchResult(labelings=(), count=total, exhaustive=True,
+                            level_sizes=tuple(level_sizes.tolist()))
     store_cap = cfg.max_results if cfg.max_results > 0 else cfg.store_limit
-    total, rows, level_sizes = _kernels.dfs_search(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
-        cfg.alpha_only, arrays.side, np.empty(0, dtype=np.int64),
-        cfg.max_results, store_cap)
+    total, rows, level_sizes = walker.walk((), (), cfg.max_results, store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
                         level_sizes=tuple(level_sizes.tolist()))
 
 
-def _count_by_arc(g: Graph, cfg: SearchConfig) -> SearchResult:
-    """Count g's labelings as the orbit-weighted sum of forced walks."""
-    total = 0
-    level_sizes = 0
-    for arc, size in _arc_orbits(g):
-        arrays = _prepare(g, cfg, arc)
-        count, _, levels = _kernels.dfs_search(
-            arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
-            cfg.alpha_only, arrays.side,
-            np.array([0, arrays.n_labels - 1], dtype=np.int64), 0, 0)
-        total += size * count
-        level_sizes = level_sizes + size * levels
-    return SearchResult(labelings=(), count=total, exhaustive=True,
-                        level_sizes=tuple(level_sizes.tolist()))
-
-
 def engine_accepts(g: Graph, f: Labeling, cfg: SearchConfig) -> bool:
     """Replay a complete labeling through the search's constraint engine.
 
-    The labeling is a one-row frontier whose every position is forced;
-    it passes when it survives the masks at every position.
+    Every vertex is forced, in index order, so the labeling is a one-row
+    frontier; it passes when it survives the masks at every position.
     """
-    arrays = _prepare(g, cfg)
-    values = [f.values[v] for v in arrays.order]
-    if max(values) >= arrays.n_labels:  # may not even fit an int64
+    walker = _Walker(g, cfg)
+    if max(f.values) >= walker.n_labels:  # may not even fit an int64
         return False
-    total, _, _ = _kernels.dfs_search(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
-        cfg.alpha_only, arrays.side, np.array(values, dtype=np.int64),
-        cfg.max_results, 0)
+    total, _, _ = walker.walk(tuple(range(g.num_vertices)), f.values, 0, 0)
     return total == 1
 
 

@@ -224,6 +224,24 @@ def test_search_limit_prints_certificates(capsys):
         assert len(obj["labels"]) == 8
 
 
+def test_search_notes_a_truncated_listing(tmp_path, capsys):
+    # the path P_9 at d = 8 has 10752 labelings, above the 10000-row cap
+    path = tmp_path / "p9.json"
+    path.write_text(json.dumps(
+        {"kind": "simple", "n": 9, "edges": [[v, v + 1] for v in range(8)]}))
+    code, stdout, stderr = _run(capsys, "search", "--graph", str(path), "--d", "8")
+    assert code == 0
+    assert len(stdout.splitlines()) == 10000
+    assert len(stderr.splitlines()) == 1
+    for part in ("10000 of 10752", "--limit", "--count"):
+        assert part in stderr
+    code, stdout, stderr = _run(capsys, "search", "--graph", str(path), "--d", "8",
+                                "--limit", "10752")
+    assert code == 0
+    assert len(stdout.splitlines()) == 10752
+    assert stderr == ""
+
+
 def test_search_rejects_negative_limit(capsys):
     code, stdout, stderr = _run(capsys, "search", "--grid", "1,2", "--d", "3",
                                 "--alpha", "--limit", "-1")

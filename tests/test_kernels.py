@@ -5,8 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
-                      check_alpha, check_d_graceful, search, two_coloring)
-from divgrace.oracle import _prepare
+                      check_alpha, check_d_graceful, cross_validate, search,
+                      two_coloring)
+from divgrace.oracle import _Walker
 from reference_dfs import dfs_search_py
 
 STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
@@ -45,19 +46,18 @@ def _reference(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
                          use_alpha, side, prefix, max_results, store_cap) + (None,)
 
 
-def _run(kernel, arrays, cfg, prefix, cap=2000):
-    total, rows, _ = kernel(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
-        cfg.alpha_only, arrays.side, np.array(prefix, dtype=np.int64),
-        cfg.max_results, cap)
+def _run(kernel, args, cfg, prefix, cap=2000):
+    total, rows, _ = kernel(*args, np.array(prefix, dtype=np.int64),
+                            cfg.max_results, cap)
     return int(total), rows
 
 
 def _agree(g, cfg, prefix=()):
-    """Run the kernel and the reference on the same input; both must match."""
-    arrays = _prepare(g, cfg)
-    total, rows = _run(_kernels.dfs_search, arrays, cfg, prefix)
-    ref_total, ref_rows = _run(_reference, arrays, cfg, prefix)
+    """Run the kernel and the reference on the arguments of the search's
+    vertex walk, with prefix forced on its leading positions; both must match."""
+    args = _Walker(g, cfg).kernel_args(())
+    total, rows = _run(_kernels.dfs_search, args, cfg, prefix)
+    ref_total, ref_rows = _run(_reference, args, cfg, prefix)
     assert total == ref_total
     assert rows.dtype == np.int64
     assert np.array_equal(rows, ref_rows)
@@ -80,7 +80,7 @@ def test_dfs_paths_agree_beyond_64_labels():
     # 80 labels: a label or difference set no longer fits one int64
     for alpha in (False, True):
         cfg = SearchConfig(d=40, alpha_only=alpha, max_results=3)
-        assert _prepare(STAR_40, cfg).n_labels == 80
+        assert _Walker(STAR_40, cfg).n_labels == 80
         assert _agree(STAR_40, cfg) == 3
 
 
@@ -88,8 +88,7 @@ def test_frontier_matches_frozen_reference_c4p3():
     g = build_grid(1, 3)
     for limit in (1, 20):
         cfg = SearchConfig(d=5, max_results=limit)
-        arrays = _prepare(g, cfg)
-        total, rows = _run(_kernels.dfs_search, arrays, cfg, ())
+        total, rows = _run(_kernels.dfs_search, _Walker(g, cfg).kernel_args(()), cfg, ())
         assert total == limit
         assert [tuple(int(x) for x in row) for row in rows] == C4P3_D5_FIRST_20[:limit]
 
@@ -133,12 +132,37 @@ def test_count_by_arc_agrees_with_vertex_walk_on_random_graphs(case):
     assert split.level_sizes[-1] == split.count
 
 
+@settings(max_examples=200, deadline=None)
+@given(search_cases(), st.data())
+def test_cross_validate_agrees_on_random_graphs(case, data):
+    # walk labelings and tampered copies, replayed with every vertex forced
+    g, cfg, _ = case
+    n, e = g.num_vertices, g.num_edges
+    n_labels = cfg.d * (e // cfg.d + 1)
+    found = search(g, SearchConfig(d=cfg.d, store_limit=4)).labelings
+    candidates = [list(f.values) for f in found]
+    candidates.append(data.draw(st.lists(st.integers(0, n_labels), min_size=n, max_size=n)))
+    for values in list(candidates):
+        pick = st.integers(0, n - 1)
+        swapped = values[:]
+        a, b = data.draw(pick), data.draw(pick)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        bumped = values[:]
+        bumped[data.draw(pick)] += 1
+        topped = values[:]
+        topped[data.draw(pick)] = n_labels
+        candidates += [swapped, bumped, topped]
+    for alpha in (False, True) if two_coloring(g) is not None else (False,):
+        for values in candidates:
+            report = cross_validate(g, Labeling(g, tuple(values)), cfg.d,
+                                    SearchConfig(d=cfg.d, alpha_only=alpha))
+            assert report.reason in ("agree-accept", "agree-reject"), report.describe()
+
+
 def test_run_kernel_uses_selected_path(t8):
     cfg = SearchConfig(d=3, alpha_only=True)
-    arrays = _prepare(t8, cfg)
     total, rows, level_sizes = _kernels.dfs_search(
-        arrays.nbr_flat, arrays.nbr_off, arrays.order, arrays.allowed,
-        cfg.alpha_only, arrays.side, np.empty(0, dtype=np.int64), 0, 600)
+        *_Walker(t8, cfg).kernel_args(()), np.empty(0, dtype=np.int64), 0, 600)
     assert total == 576
     assert rows.shape == (576, 8) and rows.dtype == np.int64
     assert level_sizes[-1] == 576

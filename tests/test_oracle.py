@@ -9,7 +9,7 @@ from divgrace import (GridGraph, InvalidParametersError, Labeling,
                       NotBipartiteError, SearchConfig, SimpleGraph, build_grid,
                       check_alpha, check_d_graceful, cross_validate,
                       engine_accepts, oracle, search, two_coloring)
-from divgrace.oracle import _arc_orbits, _prepare, _symmetries
+from divgrace.oracle import _arc_orbits, _symmetries, _Walker
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
@@ -142,7 +142,7 @@ def test_engine_rejects_repeated_difference(t8):
 
 def _prefix_counts(g, cfg):
     # consistent partial labelings of each length, by raw enumeration
-    order = [int(v) for v in _prepare(g, cfg).order]
+    order = _Walker(g, cfg).kernel_args(())[2].tolist()
     color = two_coloring(g) if cfg.alpha_only else None
     e = g.num_edges
     q = e // cfg.d
@@ -326,6 +326,28 @@ def test_search_size_cap_raises_before_building(monkeypatch):
         for store_limit in (0, 10):
             with pytest.raises(InvalidParametersError, match="limited to"):
                 search(g, SearchConfig(d=1, store_limit=store_limit))
+
+
+def test_search_sets_up_once(monkeypatch):
+    # C_4 x P_3 has 4 arc orbits, so a count-only search makes 4 walks
+    calls = {"adjacency_lists": 0, "two_coloring": 0, "dfs_search": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(oracle, "adjacency_lists")
+    counting(oracle, "two_coloring")
+    counting(oracle._kernels, "dfs_search")
+    g = build_grid(1, 3)
+    assert len(_arc_orbits(g)) == 4
+    res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
+    assert res.count == 2688  # what the vertex-order walk counts in about a minute
+    assert calls == {"adjacency_lists": 1, "two_coloring": 1, "dfs_search": 4}
 
 
 def test_search_size_cap_admits_the_limit():
