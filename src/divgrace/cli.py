@@ -26,6 +26,14 @@ from .oracle import SearchConfig, search
 
 FULL_CHECK_MAX_V = 600
 
+# Largest host graph that construct, decompose and table take on, in
+# vertices v = 2dn(q+1) of K_{(q+1) x 2dn} (n = 1 for construct).  It
+# bounds every array they build: a labeling's labels and edges, and n
+# base blocks' labels, edges and difference classes, each stay below v.
+# At the limit construct peaks near 220 MiB and decompose near 400 MiB;
+# the inputs the benchmark and the tests use stay below v = 70000.
+MAX_V = 4_000_000
+
 # Largest v that `decompose --full-check` accepts.  verify_decomposition
 # holds dense v x v arrays and peaks at about 36 bytes per v^2 (345 MiB
 # measured at v = 3150), so 3800 keeps one check under about 500 MiB.
@@ -38,6 +46,11 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _too_large(v: int) -> int:
+    return _fail(2, f"too large: the host graph would have v = {v} vertices, above the "
+                    f"limit of {MAX_V}")
+
+
 def _parse_grid_arg(text: str) -> GridGraph:
     try:
         k_str, m_str = text.split(",")
@@ -47,13 +60,17 @@ def _parse_grid_arg(text: str) -> GridGraph:
 
 
 def cmd_construct(args) -> int:
+    family = FAMILIES[args.family]
+    d = family.divisor(args.m)
+    v = 2 * (4 * args.k * (2 * args.m - 1) + d)  # 2d(q+1), q = e/d
+    if v > MAX_V:
+        return _too_large(v)
     try:
-        labeling = construct(args.k, args.m, FAMILIES[args.family])
+        labeling = construct(args.k, args.m, family)
     except ValueError as exc:
         return _fail(2, f"invalid parameters: {exc}")
     except ConstructionError as exc:
         return _fail(1, f"construction failed verification: {exc}")
-    d = FAMILIES[args.family].divisor(args.m)
     report = check_d_graceful(labeling.graph, labeling, d)
     alpha = check_alpha(labeling.graph, labeling)
     if not report or alpha is None:
@@ -122,6 +139,9 @@ def cmd_decompose(args) -> int:
         return _fail(2, f"invalid parameters: {exc}")
     if not report:
         return _fail(1, f"labeling does not verify: {report.describe()}")
+    v = 2 * d * args.n * (g.num_edges // d + 1)
+    if v > MAX_V:
+        return _too_large(v)
     try:
         cert = check_alpha(g, labeling)
     except NotBipartiteError:
@@ -190,6 +210,9 @@ def cmd_search(args) -> int:
 def cmd_table(args) -> int:
     if args.kmax < 1 or args.mmax < 2 or args.n < 1:
         return _fail(2, "need --kmax >= 1, --mmax >= 2, --n >= 1")
+    v = max(target.spec.v for target in proposition_table(args.kmax, args.mmax, args.n))
+    if v > MAX_V:
+        return _too_large(v)
     any_failed = False
     for k in range(1, args.kmax + 1):
         for m in range(2, args.mmax + 1):

@@ -14,12 +14,14 @@ is just its vertex labels, all n built in one numpy expression from a
 graph's edge indices.
 
 verify_decomposition ignores all of that and simply counts every edge of
-every translated block into a bitmap, which is the point: the claim is
-checked against an independent exhaustive accounting, feasible at small
-scale.  check_difference_classes is the O(n*e) shortcut certificate,
-one numpy pass over the edges of all blocks: it reports the first zero,
-forbidden or repeated class in block-then-edge order, else the smallest
-class no block meets.
+every translated block into a dense v x v int64 count matrix, which is
+the point: the claim is checked against an independent exhaustive
+accounting.  With the matrix of expected edges beside it, that costs
+about 36 bytes per v^2, so it is feasible only at small scale.
+check_difference_classes is the O(n*e) shortcut certificate, one numpy
+pass over the edges of all blocks: it reports the first zero, forbidden
+or repeated class in block-then-edge order, else the smallest class no
+block meets.
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ def verify_decomposition(dec: Decomposition) -> CheckReport:
     """Exhaustively verify a developed decomposition.
 
     Checks every translated block for an injective vertex map and legal
-    edges, then counts all block edges into a v x v bitmap and compares
-    it against the multipartite edge set.  Exact, no tolerances.
+    edges, then counts all block edges into a dense v x v int64 count
+    matrix and compares it with a v x v int64 matrix of the multipartite
+    edge set, about 36 bytes per v^2 in all.  Exact, no tolerances.
     """
     if dec.development is None:
         raise ValueError("decomposition not developed; call develop() first")

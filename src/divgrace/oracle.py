@@ -15,16 +15,22 @@ A search that runs to the end and keeps no labeling is counted another
 way.  The e edge differences of a labeling are exactly the e allowed
 ones, and the largest label D = d(q + 1) - 1 is an allowed difference,
 so exactly one edge carries the labels 0 and D: one arc u -> w has
-f(u) = 0 and f(w) = D.  A graph automorphism maps the labelings of one
-arc onto those of its image, so the count is the sum, over the orbits
-of arcs under a group of automorphisms, of the orbit's size times the
-number of labelings of one arc in it.  Each such number is one walk
-with 0 and D forced on u and w.
+f(u) = 0 and f(w) = D.  Two maps carry the labelings of one arc onto
+those of another.  A graph automorphism that keeps the alpha search's
+2-coloring up to a swap maps them onto those of the arc's image; the
+complement f -> D - f keeps every difference and swaps the alpha
+classes, so it maps them onto those of the reversed arc w -> u.  The
+count is therefore the sum, over the orbits of arcs under both, of the
+orbit's size times the number of labelings of one arc in it, and each
+such number is one walk with 0 and D forced on u and w.  The
+automorphisms are found from the edge set alone (_arc_orbits): the
+prism C_4 x P_2 has one orbit of all 24 arcs, any other C_{4k} x P_m
+has m, and a cycle has one.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +39,7 @@ from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling,
                        NotBipartiteError, check_alpha, check_d_graceful,
                        d_params)
-from .grids import Graph, GridGraph, adjacency_lists, two_coloring
+from .grids import Graph, adjacency_lists, two_coloring
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,9 @@ class SearchResult:
     vertices in search order that survived pruning (a search stopped by
     max_results counts only the part it walked).  A count-only search
     (max_results and store_limit 0) sums, weighted by orbit size, the
-    level sizes of its forced walks, one per orbit of arcs.  Either way
-    the last entry is count.
+    level sizes of its forced walks, one per orbit of arcs under the
+    graph's automorphisms and arc reversal (one walk on the prism, m on
+    any other C_{4k} x P_m).  Either way the last entry is count.
     """
 
     labelings: tuple[Labeling, ...]
@@ -101,46 +108,129 @@ def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
     return order
 
 
-def _symmetries(g: Graph) -> list[list[int]]:
-    """Generators of a group of automorphisms of g, as vertex permutations.
+def _refine(adj: list[list[int]]) -> list[int]:
+    """Color refinement from the degrees: split each color class by the
+    multiset of neighbor colors until no class splits.  Every
+    automorphism keeps the colors."""
+    color = [len(nb) for nb in adj]
+    classes = len(set(color))
+    while True:
+        ids: dict = {}
+        new = [ids.setdefault((c, tuple(sorted(color[u] for u in nb))), len(ids))
+               for c, nb in zip(color, adj)]
+        if len(ids) == classes:
+            return color
+        color, classes = new, len(ids)
 
-    A grid gets ring rotation j -> j + 1, ring reflection j -> -j and
-    layer flip i -> m + 1 - i, which generate a group of order 16k; any
-    other graph gets the trivial group.
+
+def _automorphism(adj: list[list[int]], color: list[int], side: list[int],
+                  arc: tuple[int, int], target: tuple[int, int]) -> list[int] | None:
+    """A vertex permutation that maps arc onto target, keeps color and
+    keeps side up to a swap, and maps every edge onto an edge; None if
+    there is none.
+
+    Vertices are individualized one at a time in breadth-first order
+    from the arc.  A vertex with an earlier neighbor z may go to a
+    neighbor of z's image, any other to any vertex of its color; the
+    choice must keep color and side, and its neighbors already chosen
+    must be exactly the images of the vertex's earlier neighbors.  A
+    dead end undoes the last choice, so the search misses none.
     """
-    if not isinstance(g, GridGraph):
-        return []
-    i = np.arange(g.m)[:, None]
-    j = np.arange(g.ring_len)
-    w = g.ring_len
-    return [(i * w + (j + 1) % w).ravel().tolist(),
-            (i * w + -j % w).ravel().tolist(),
-            ((g.m - 1 - i) * w + j).ravel().tolist()]
+    n = len(adj)
+    order = _bfs_order(adj, arc)
+    pos = [0] * n
+    for t, v in enumerate(order):
+        pos[v] = t
+    back = [[z for z in adj[v] if pos[z] < t] for t, v in enumerate(order)]
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(color):
+        cells.setdefault(c, []).append(v)
+    flip = side[arc[0]] ^ side[target[0]]
+    image = [-1] * n
+    used = [False] * n
+    choices = [iter(target[:1])] + [iter(())] * (n - 1)
+    t = 0
+    while t < n:
+        x = order[t]
+        for y in choices[t]:
+            if (not used[y] and color[y] == color[x] and side[y] ^ flip == side[x]
+                    and {z for z in adj[y] if used[z]} == {image[z] for z in back[t]}):
+                image[x] = y
+                used[y] = True
+                t += 1
+                if t < n:
+                    earlier = back[t]
+                    choices[t] = iter(target[1:] if t == 1 else
+                                      adj[image[earlier[0]]] if earlier else
+                                      cells[color[order[t]]])
+                break
+        else:
+            t -= 1
+            if t < 0:
+                return None
+            used[image[order[t]]] = False
+    return image
 
 
-def _arc_orbits(g: Graph) -> list[tuple[tuple[int, int], int]]:
-    """Orbits of the 2e arcs of g under _symmetries(g), as pairs of the
-    first arc in canonical edge order (forward arcs first) and the size."""
-    edges = g.edge_indices().tolist()
-    perms = _symmetries(g)
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for arc in [(u, w) for u, w in edges] + [(w, u) for u, w in edges]:
-        if arc in seen:
-            continue
-        seen.add(arc)
-        stack = [arc]
-        size = 0
-        while stack:
-            u, w = stack.pop()
-            size += 1
-            for p in perms:
-                image = (p[u], p[w])
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-        orbits.append((arc, size))
-    return orbits
+def _arc_orbits(edges: list[list[int]], adj: list[list[int]], side: list[int]
+                ) -> tuple[list[tuple[tuple[int, int], int]], list[list[int]]]:
+    """Orbits of the 2e arcs under reversal u -> w to w -> u and the
+    automorphisms that keep side up to a swap, with those automorphisms.
+
+    Returns ([(arc, size), ...], [permutation, ...]); each orbit is named
+    by its first arc in canonical edge order, forward arcs first.  Arcs
+    whose ends differ in refined color lie in different orbits.  The
+    first arc of each orbit is tried against every arc of the same
+    colors that is neither in its orbit yet nor in a class already
+    shown to lie outside it (by trying the arc and, if its ends share a
+    color, its reverse); each permutation found is checked against the
+    edge set and merges every arc with its image.  Any set of checked
+    automorphisms gives orbits whose arcs have equal counts, so one
+    missed would cost walks, not exactness.
+    """
+    color = _refine(adj)
+    arcs = [(u, w) for u, w in edges] + [(w, u) for u, w in edges]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    by_color: dict[tuple[int, int], list[int]] = {}
+    for i, (u, w) in enumerate(arcs):
+        by_color.setdefault((color[u], color[w]), []).append(i)
+    root = list(range(len(arcs)))  # union-find; a class's root is its first arc
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    def merge(i: int, j: int) -> None:
+        i, j = find(i), find(j)
+        if i < j:
+            root[j] = i
+        else:
+            root[i] = j
+
+    for i in range(len(edges)):
+        merge(i, i + len(edges))
+    perms: list[list[int]] = []
+    for i, arc in enumerate(arcs):
+        if find(i) != i:
+            continue  # in the orbit of an earlier arc, which is complete
+        outside: set[int] = set()
+        for j in by_color[color[arc[0]], color[arc[1]]]:
+            if j <= i or find(j) == i or find(j) in outside:
+                continue
+            p = _automorphism(adj, color, side, arc, arcs[j])
+            if p is None and color[arc[0]] == color[arc[1]]:
+                p = _automorphism(adj, color, side, arc, arcs[j][::-1])
+            if p is None or not all((p[a], p[b]) in index for a, b in edges):
+                outside.add(find(j))
+                continue
+            perms.append(p)
+            for k, (a, b) in enumerate(arcs):
+                merge(k, index[p[a], p[b]])
+            outside = {find(r) for r in outside}
+    sizes = Counter(find(i) for i in range(len(arcs)))
+    return [(arcs[r], size) for r, size in sizes.items()], perms
 
 
 class _Walker:
@@ -195,7 +285,9 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         total, level_sizes = 0, 0
-        for arc, size in _arc_orbits(g):
+        orbits, _ = _arc_orbits(g.edge_indices().tolist(), walker.adj,
+                                walker.color.tolist())
+        for arc, size in orbits:
             count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0)
             total += size * count
             level_sizes = level_sizes + size * levels

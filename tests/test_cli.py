@@ -181,6 +181,48 @@ def test_decompose_full_check_rejects_large_v(tmp_path, capsys, monkeypatch):
     assert cli.DECOMPOSE_FULL_CHECK_MAX_V >= 3300
 
 
+def test_oversized_inputs_exit_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the size check must come before any array is built")
+
+    cert = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    for name in ("construct", "base_blocks", "check_alpha", "develop"):
+        monkeypatch.setattr(cli, name, refuse)
+    big = str(10 ** 9)
+    for argv in (["decompose", "--in", str(cert), "--n", big,
+                  "--out", str(tmp_path / "d.json")],
+                 ["construct", "--k", big, "--m", "2", "--family", "f1",
+                  "--out", str(tmp_path / "c.json")],
+                 ["construct", "--k", "1", "--m", big, "--family", "f4",
+                  "--out", str(tmp_path / "c.json")],
+                 ["table", "--kmax", big, "--mmax", "2", "--n", "1"],
+                 ["table", "--kmax", "1", "--mmax", big, "--n", "1"],
+                 ["table", "--kmax", "1", "--mmax", "2", "--n", big]):
+        code, stdout, stderr = _run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("too large: the host graph would have v = ")
+        assert stderr.endswith(f"above the limit of {cli.MAX_V}\n")
+        assert stderr.count("\n") == 1
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "d.json").exists()
+
+
+def test_size_limit_admits_its_bound(tmp_path, capsys, monkeypatch):
+    # construct-deep decomposes grids near C_160 x P_40 with n = 2: v < 70000
+    assert cli.MAX_V >= 70000
+    # the prism's f1 labeling: d = 3, q = 4, so v = 30n
+    monkeypatch.setattr(cli, "MAX_V", 30)
+    cert = tmp_path / "t8.json"
+    assert _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+                "--out", str(cert))[0] == 0
+    assert _run(capsys, "decompose", "--in", str(cert), "--n", "1",
+                "--out", str(tmp_path / "d.json"))[0] == 0
+    code, _, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", "2",
+                           "--out", str(tmp_path / "d.json"))
+    assert code == 2 and "v = 60 vertices" in stderr
+
+
 def test_decompose_rejects_bad_n(tmp_path, capsys):
     cert = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
@@ -409,3 +451,12 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
         ["a.dot", "a.json", "b.json"]
     for name in files:
         assert (same / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_module_runs_the_cli(tmp_path):
+    # python -m divgrace from a checkout, with only src on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(divgrace.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "divgrace", "search", "--grid", "1,2",
+                           "--d", "3", "--count"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1440\n", "")

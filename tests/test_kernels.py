@@ -1,5 +1,8 @@
 """The numpy frontier search must match the plain-Python reference DFS."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
                       check_alpha, check_d_graceful, cross_validate, search,
                       two_coloring)
-from divgrace.oracle import _Walker
+from divgrace.grids import adjacency_lists
+from divgrace.oracle import _arc_orbits, _Walker
 from reference_dfs import dfs_search_py
 
 STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
@@ -130,6 +134,61 @@ def test_count_by_arc_agrees_with_vertex_walk_on_random_graphs(case):
     split = search(g, SearchConfig(d=cfg.d, alpha_only=cfg.alpha_only, store_limit=0))
     assert split.count == walk.count
     assert split.level_sizes[-1] == split.count
+
+
+def _closure(arcs, perms):
+    """Each arc's orbit under perms and reversal, named by its first arc
+    in arcs, by plain graph search."""
+    orbit_of = {}
+    for arc in arcs:
+        if arc in orbit_of:
+            continue
+        orbit_of[arc] = arc
+        todo = [arc]
+        while todo:
+            u, w = todo.pop()
+            for image in [(w, u)] + [(p[u], p[w]) for p in perms]:
+                if image not in orbit_of:
+                    orbit_of[image] = arc
+                    todo.append(image)
+    return orbit_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+def test_arc_orbit_walks_agree_on_random_graphs(case):
+    # every arc's forced walk counts what its orbit's first arc counts:
+    # the automorphisms found and the complement f -> D - f both hold
+    g, cfg, _ = case
+    assume(g.num_edges > 0)
+    edges = [tuple(e) for e in g.edge_indices().tolist()]
+    arcs = edges + [(w, u) for u, w in edges]
+    for alpha in (False, True) if two_coloring(g) is not None else (False,):
+        walker = _Walker(g, SearchConfig(d=cfg.d, alpha_only=alpha))
+        orbits, perms = _arc_orbits(edges, walker.adj, walker.color.tolist())
+        orbit_of = _closure(arcs, perms)
+        assert set(orbit_of) == set(arcs)
+        assert orbits == list(Counter(orbit_of.values()).items())
+        counts = {arc: walker.walk(arc, (0, walker.n_labels - 1), 0, 0)[0] for arc in arcs}
+        assert all(counts[arc] == counts[orbit_of[arc]] for arc in arcs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+def test_arc_orbits_are_those_of_the_full_group(case):
+    # the search misses no automorphism: compare with every permutation
+    g, _, _ = case
+    n = g.num_vertices
+    edges = [tuple(e) for e in g.edge_indices().tolist()]
+    edge_set = {frozenset(e) for e in edges}
+    arcs = edges + [(w, u) for u, w in edges]
+    color = two_coloring(g)
+    for side in [[0] * n] + ([color.tolist()] if color is not None else []):
+        group = [p for p in itertools.permutations(range(n))
+                 if {frozenset((p[u], p[w])) for u, w in edges} == edge_set
+                 and len({(side[v], side[p[v]]) for v in range(n)}) == len(set(side))]
+        orbits, _ = _arc_orbits(edges, adjacency_lists(g), side)
+        assert orbits == list(Counter(_closure(arcs, group).values()).items())
 
 
 @settings(max_examples=200, deadline=None)

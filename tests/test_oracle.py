@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,12 +10,30 @@ from divgrace import (GridGraph, InvalidParametersError, Labeling,
                       NotBipartiteError, SearchConfig, SimpleGraph, build_grid,
                       check_alpha, check_d_graceful, cross_validate,
                       engine_accepts, oracle, search, two_coloring)
-from divgrace.oracle import _arc_orbits, _symmetries, _Walker
+from divgrace.grids import adjacency_lists
+from divgrace.oracle import _arc_orbits, _Walker
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
 C4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 TRIANGLE = SimpleGraph(3, ((0, 1), (1, 2), (0, 2)))
+K4 = SimpleGraph(4, tuple(itertools.combinations(range(4), 2)))
+K13 = SimpleGraph(4, ((0, 1), (0, 2), (0, 3)))
+PETERSEN = SimpleGraph(10, tuple([(i, (i + 1) % 5) for i in range(5)]
+                                 + [(i, i + 5) for i in range(5)]
+                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
+
+
+def _orbits(g, side=None):
+    """_arc_orbits on g's edge set, with no side (a plain search) by default."""
+    side = [0] * g.num_vertices if side is None else side.tolist()
+    return _arc_orbits(g.edge_indices().tolist(), adjacency_lists(g), side)
+
+
+def _maps_edges_onto_edges(g, p):
+    edges = {frozenset(e) for e in g.edge_indices().tolist()}
+    return (sorted(p) == list(range(g.num_vertices))
+            and {frozenset((p[u], p[w])) for u, w in edges} == edges)
 
 
 def _brute_force(g, d):
@@ -276,25 +295,47 @@ def test_edgeless_graph_counts(g, d, want):
 @pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (2, 2), (2, 5), (3, 4)])
 def test_grid_symmetries_are_automorphisms(k, m):
     g = build_grid(k, m)
-    edges = {frozenset(e) for e in g.edge_indices().tolist()}
-    perms = _symmetries(g)
-    assert len(perms) == 3
+    for side in (None, two_coloring(g)):
+        orbits, perms = _orbits(g, side)
+        assert perms and all(_maps_edges_onto_edges(g, p) for p in perms)
+        assert sum(size for _, size in orbits) == 2 * g.num_edges
+        # the prism is the cube, which is arc-transitive; any other grid
+        # has ring arcs of layers i and m + 1 - i, and rung arcs of
+        # layer gaps i and m - i, both ways: m orbits
+        assert len(orbits) == (1 if (k, m) == (1, 2) else m)
+
+
+@pytest.mark.parametrize("g", [EDGE, PATH3, C4, TRIANGLE, K4, K13, PETERSEN])
+def test_simple_graph_arc_orbits(g):
+    # with reversal each group is arc-transitive: one orbit of all 2e arcs
+    # (4 on P_3, 8 on C_4, 12 on K_4, 30 on the Petersen graph)
+    orbits, perms = _orbits(g)
+    assert orbits == [((0, 1), 2 * g.num_edges)]
+    assert all(_maps_edges_onto_edges(g, p) for p in perms)
+
+
+def test_arc_orbits_keep_the_alpha_sides():
+    # P_4 + P_3: reflecting P_4 alone swaps its sides but not P_3's, so it
+    # maps labelings the alpha walk accepts onto ones it rejects, and the
+    # end arcs of P_4 have different alpha counts
+    g = SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
+    color = two_coloring(g)
+    assert [size for _, size in _orbits(g)[0]] == [4, 2, 4]
+    orbits, perms = _orbits(g, color)
+    assert [size for _, size in orbits] == [2, 2, 2, 4]
     for p in perms:
-        assert sorted(p) == list(range(g.num_vertices))
-        assert {frozenset((p[u], p[w])) for u, w in edges} == edges
-    orbits = _arc_orbits(g)
-    assert sum(size for _, size in orbits) == 2 * g.num_edges
-    # ring arcs of layers i and m + 1 - i, both ways, then rung arcs
-    assert len(orbits) == (m + 1) // 2 + m - 1
-    assert max(size for _, size in orbits) <= 16 * k
-
-
-@pytest.mark.parametrize("g", [EDGE, PATH3, C4, TRIANGLE])
-def test_simple_graph_arcs_are_their_own_orbits(g):
-    assert _symmetries(g) == []
-    orbits = _arc_orbits(g)
-    assert len(orbits) == 2 * g.num_edges
-    assert {size for _, size in orbits} == {1}
+        assert {(color[v], color[p[v]]) for v in range(7)} == {(0, 0), (1, 1)}
+    cfg = SearchConfig(d=5, alpha_only=True, store_limit=0)
+    walker = _Walker(g, cfg)
+    assert [walker.walk(arc, (0, 9), 0, 0)[0] for arc in ((0, 1), (3, 2))] == [6, 8]
+    for alpha, want in ((False, 432), (True, 64)):
+        cfg = SearchConfig(d=5, alpha_only=alpha)
+        assert search(g, replace(cfg, store_limit=0)).count == want
+        assert search(g, cfg).count == want
+    # C_4 and a lone vertex: no automorphism swaps the sides, so none
+    # reverses an edge, and 1 -> 2 joins 2 -> 4 only by a map onto 4 -> 2
+    g = SimpleGraph(5, ((1, 2), (2, 4), (3, 4), (1, 3)))
+    assert [size for _, size in _orbits(g, two_coloring(g))[0]] == [8]
 
 
 @pytest.mark.parametrize("alpha", [False, True], ids=["plain", "alpha"])
@@ -302,7 +343,9 @@ def test_grid_symmetries_map_prism_labelings_onto_themselves(t8, alpha):
     res = search(t8, SearchConfig(d=3, alpha_only=alpha, store_limit=2000))
     rows = {lab.values for lab in res.labelings}
     assert len(rows) == res.count == (576 if alpha else 1440)
-    for p in _symmetries(t8):
+    _, perms = _orbits(t8, two_coloring(t8) if alpha else None)
+    assert perms
+    for p in perms:
         moved = set()
         for vals in rows:
             image = [0] * len(vals)
@@ -329,7 +372,7 @@ def test_search_size_cap_raises_before_building(monkeypatch):
 
 
 def test_search_sets_up_once(monkeypatch):
-    # C_4 x P_3 has 4 arc orbits, so a count-only search makes 4 walks
+    # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks
     calls = {"adjacency_lists": 0, "two_coloring": 0, "dfs_search": 0}
 
     def counting(module, name):
@@ -340,14 +383,14 @@ def test_search_sets_up_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
+    g = build_grid(1, 3)
+    assert len(_orbits(g, two_coloring(g))[0]) == 3
     counting(oracle, "adjacency_lists")
     counting(oracle, "two_coloring")
     counting(oracle._kernels, "dfs_search")
-    g = build_grid(1, 3)
-    assert len(_arc_orbits(g)) == 4
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
-    assert calls == {"adjacency_lists": 1, "two_coloring": 1, "dfs_search": 4}
+    assert calls == {"adjacency_lists": 1, "two_coloring": 1, "dfs_search": 3}
 
 
 def test_search_size_cap_admits_the_limit():
