@@ -14,6 +14,7 @@ largest label on the low class is the boundary of the labeling.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,6 +80,26 @@ class Labeling:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "values", vals)
 
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The labels as a read-only int64 array, built on first use and kept.
+
+        Python ints (dtype object) when one does not fit in int64.  The
+        checkers and base_blocks read it instead of converting values.
+        """
+        try:
+            array = np.array(self.values, dtype=np.int64)
+        except OverflowError:
+            array = np.array(self.values, dtype=object)
+        array.setflags(write=False)
+        return array
+
+    @functools.cached_property
+    def passed_d(self) -> set[int]:
+        """The divisors d for which check_d_graceful has passed this labeling
+        on its own graph; base_blocks reads it to skip a second check."""
+        return set()
+
     def layer(self, i: int) -> tuple[int, ...]:
         if not isinstance(self.graph, GridGraph):
             raise TypeError("layers are only defined for grid graphs")
@@ -124,14 +145,6 @@ class AlphaCert:
     boundary: int
 
 
-def _label_array(f: Labeling) -> np.ndarray:
-    """The labels as int64, or as Python ints when one does not fit in int64."""
-    try:
-        return np.array(f.values, dtype=np.int64)
-    except OverflowError:
-        return np.array(f.values, dtype=object)
-
-
 def _first_repeat(values: np.ndarray) -> int:
     """Index of the first entry equal to an earlier one; len(values) if none."""
     order = np.argsort(values, kind="stable")
@@ -140,47 +153,56 @@ def _first_repeat(values: np.ndarray) -> int:
     return int(repeats.min()) if repeats.size else len(values)
 
 
+def _has_repeat(values: np.ndarray, bound: int) -> bool:
+    """Whether two entries agree, for values already known to lie in [0, bound)."""
+    return int(np.bincount(values, minlength=bound).max()) > 1
+
+
 def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
     """Check the d-divisible graceful condition, reporting the first violation.
 
     Clause order: label range and injectivity by vertex index, then the
     difference multiset by canonical edge order.  Witnesses carry
-    canonical vertex indices and the offending values.
+    canonical vertex indices and the offending values.  Repeats are
+    found by one bincount over the checked range, labels in
+    [0, max_label] and differences in [1, d(q+1)]; only a failing input
+    pays for the stable argsort that locates its first witness.  A pass
+    on f's own graph is recorded in f.passed_d.
     """
     params = d_params(g.num_edges, d)
     vals = f.values
     n = len(vals)
     if n != g.num_vertices:
         return CheckReport(False, "wrong-vertex-count", (n, g.num_vertices))
-    labels = _label_array(f)
+    labels = f.array
     over = np.flatnonzero(labels > params.max_label)
     first_over = int(over[0]) if over.size else n
-    first_dup = _first_repeat(labels)
-    if first_over < first_dup:
-        return CheckReport(False, "label-out-of-range",
-                           (first_over, vals[first_over], params.max_label))
-    if first_dup < n:
+    if over.size or _has_repeat(labels, params.max_label + 1):
+        first_dup = _first_repeat(labels)
+        if first_over < first_dup:
+            return CheckReport(False, "label-out-of-range",
+                               (first_over, vals[first_over], params.max_label))
         lab = vals[first_dup]
         return CheckReport(False, "duplicate-label", (vals.index(lab), first_dup, lab))
     edges = g.edge_indices()
     deltas = np.abs(labels[edges[:, 0]] - labels[edges[:, 1]])
-    width = params.q + 1
-    top = params.d * width
-    # A repeated forbidden difference is forbidden first, at its earlier edge.
-    bad = np.flatnonzero((deltas < 1) | (deltas > top) | (deltas % width == 0))
-    first_bad = int(bad[0]) if bad.size else len(deltas)
-    first_rep = _first_repeat(deltas)
-    if first_bad < first_rep:
-        u, w = (int(x) for x in edges[first_bad])
-        return CheckReport(False, "forbidden-difference", ((u, w), int(deltas[first_bad])))
-    if first_rep < len(deltas):
+    # The labels are distinct and in range here, so every difference lies in
+    # [1, max_label] and only a multiple of q + 1 is forbidden.  A repeated
+    # forbidden difference is forbidden first, at its earlier edge.
+    bad = np.flatnonzero(deltas % (params.q + 1) == 0)
+    if bad.size or _has_repeat(deltas, params.d * (params.q + 1) + 1):
+        first_bad = int(bad[0]) if bad.size else len(deltas)
+        first_rep = _first_repeat(deltas)
+        if first_bad < first_rep:
+            u, w = (int(x) for x in edges[first_bad])
+            return CheckReport(False, "forbidden-difference",
+                               ((u, w), int(deltas[first_bad])))
         u, w = (int(x) for x in edges[first_rep])
         return CheckReport(False, "duplicate-difference", ((u, w), int(deltas[first_rep])))
-    hit = np.zeros(top + 1, dtype=bool)
-    hit[deltas] = True
-    missing = np.flatnonzero(~hit & (np.arange(top + 1) % width != 0))
-    if missing.size:
-        return CheckReport(False, "missing-difference", (int(missing[0]),))
+    # The e differences are now distinct and allowed, and there are d*q = e
+    # allowed values, so none of them is missing.
+    if g == f.graph:
+        f.passed_d.add(d)
     return CheckReport(True)
 
 
@@ -193,7 +215,7 @@ def check_alpha(g: Graph, f: Labeling) -> AlphaCert | None:
     color = two_coloring(g)
     if color is None:
         raise NotBipartiteError("graph is not bipartite")
-    labels = _label_array(f)
+    labels = f.array
     classes = (np.flatnonzero(color == 0), np.flatnonzero(color == 1))
     for low, high in (classes, classes[::-1]):
         max_low = int(labels[low].max()) if low.size else -1

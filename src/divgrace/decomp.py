@@ -19,9 +19,13 @@ the point: the claim is checked against an independent exhaustive
 accounting.  With the matrix of expected edges beside it, that costs
 about 36 bytes per v^2, so it is feasible only at small scale.
 check_difference_classes is the O(n*e) shortcut certificate, one numpy
-pass over the edges of all blocks: it reports the first zero, forbidden
-or repeated class in block-then-edge order, else the smallest class no
-block meets.
+pass over the edges of all blocks.  Once no class is zero or forbidden,
+every class lies in [0, v/2], so one bincount over v/2 + 1 slots finds
+repeats; only a failing input pays for the stable argsort that reports
+the first zero, forbidden or repeated class in block-then-edge order.
+Distinct allowed classes leave one missing exactly when there are fewer
+of them than allowed classes, and then the smallest missing one is
+reported.
 """
 
 from __future__ import annotations
@@ -81,16 +85,18 @@ class Decomposition:
 def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decomposition:
     """The n base blocks induced by a verified labeling.
 
-    The labeling is re-checked here; n > 1 additionally requires an alpha
-    certificate because the higher blocks shift one whole class.
+    The labeling is checked here unless check_d_graceful has already
+    passed it for this d (f.passed_d); n > 1 additionally requires an
+    alpha certificate because the higher blocks shift one whole class.
     """
     if n < 1:
         raise InvalidParametersError(f"n must be >= 1, got {n}")
-    report = check_d_graceful(g, f, d)
-    if not report:
-        raise ValueError(f"labeling rejected: {report.describe()}")
+    if g != f.graph or d not in f.passed_d:
+        report = check_d_graceful(g, f, d)
+        if not report:
+            raise ValueError(f"labeling rejected: {report.describe()}")
     params = d_params(g.num_edges, d)
-    values = np.asarray(f.values, dtype=np.int64)
+    values = f.array
     # 1 on the class that blocks j > 0 shift up, 0 on the low class
     high = np.ones_like(values)
     if n > 1:
@@ -176,16 +182,19 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
     labels = np.array([b.vertex_labels for b in dec.blocks],
                       dtype=np.int64).reshape(len(dec.blocks), dec.graph.num_vertices)
     edge_idx = dec.graph.edge_indices()
-    ends_a = labels[:, edge_idx[:, 0]].ravel()
-    ends_b = labels[:, edge_idx[:, 1]].ravel()
-    cls = np.minimum((ends_a - ends_b) % v, (ends_b - ends_a) % v)
-    # every occurrence of a class after its first, found by a stable sort
-    by_class = np.argsort(cls, kind="stable")
-    repeated = np.zeros(cls.shape, dtype=np.bool_)
-    repeated[by_class[1:]] = cls[by_class[1:]] == cls[by_class[:-1]]
-    bad = np.flatnonzero((cls % parts == 0) | repeated)
-    if bad.size:
-        pos = int(bad[0])
+    ends = np.take(labels, edge_idx.T, axis=1)
+    ends_a = ends[:, 0].ravel()
+    diff = (ends_a - ends[:, 1].ravel()) % v
+    cls = np.minimum(diff, v - diff)
+    forbidden = cls % parts == 0
+    half = v // 2
+    counts = None if forbidden.any() else np.bincount(cls, minlength=half + 1)
+    if counts is None or counts.max() > 1:
+        # every occurrence of a class after its first, found by a stable sort
+        by_class = np.argsort(cls, kind="stable")
+        repeated = np.zeros(cls.shape, dtype=np.bool_)
+        repeated[by_class[1:]] = cls[by_class[1:]] == cls[by_class[:-1]]
+        pos = int(np.flatnonzero(forbidden | repeated)[0])
         b_idx = pos // edge_idx.shape[0]
         c = int(cls[pos])
         if c == 0:
@@ -193,9 +202,10 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
         if c % parts == 0:
             return CheckReport(False, "forbidden-difference-class", (b_idx, c))
         return CheckReport(False, "duplicate-difference-class", (b_idx, c))
-    missing = np.arange(v // 2 + 1) % parts != 0
-    missing[cls] = False
-    if missing.any():
+    # the classes are now distinct and allowed, so one is missing exactly
+    # when there are fewer of them than allowed classes in [1, v/2]
+    if cls.size < half - half // parts:
+        missing = (counts == 0) & (np.arange(half + 1) % parts != 0)
         return CheckReport(False, "missing-difference-class", (int(np.argmax(missing)),))
     return CheckReport(True)
 

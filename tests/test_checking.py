@@ -262,3 +262,47 @@ def test_labels_beyond_int64(t8, t8_labeling, index):
     assert report == ref.check_d_graceful(t8, lab, 3)
     assert report.witness == (index, 2 ** 70, 14)
     assert check_alpha(t8, lab) == ref.check_alpha(t8, lab)
+
+
+@pytest.mark.parametrize("index", [4, 5])
+def test_label_above_range_within_int64(t8, t8_labeling, index):
+    # fits int64, so the label array stays int64, but it is far above
+    # max_label: the range check must report it before any bincount
+    values = list(t8_labeling.values)
+    values[index] = 10 ** 15
+    lab = Labeling(t8, tuple(values))
+    assert lab.array.dtype == np.int64
+    report = check_d_graceful(t8, lab, 3)
+    assert report == ref.check_d_graceful(t8, lab, 3)
+    assert report.witness == (index, 10 ** 15, 14)
+    assert check_alpha(t8, lab) == ref.check_alpha(t8, lab)
+
+
+def test_labeling_array_is_built_once(t8, t8_labeling):
+    arr = t8_labeling.array
+    assert arr.dtype == np.int64
+    assert arr.tolist() == list(t8_labeling.values)
+    assert t8_labeling.array is arr
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    big = Labeling(t8, (2 ** 70,) + t8_labeling.values[1:])
+    assert big.array.dtype == object
+    assert big.array.tolist() == list(big.values)
+
+
+def test_a_pass_is_recorded_on_the_labeling(t8, t8_labeling):
+    lab = Labeling(t8, t8_labeling.values)
+    assert lab.passed_d == set()
+    assert not check_d_graceful(t8, lab, 6)
+    assert lab.passed_d == set()
+    assert check_d_graceful(t8, lab, 3)
+    assert lab.passed_d == {3}
+    # the record is not part of the value
+    assert lab == Labeling(t8, t8_labeling.values)
+    assert hash(lab) == hash(Labeling(t8, t8_labeling.values))
+    # a pass on another graph object, even with the same edges, is not recorded
+    same_edges = SimpleGraph(8, tuple(map(tuple, t8.edge_indices().tolist())))
+    other = Labeling(t8, t8_labeling.values)
+    assert check_d_graceful(same_edges, other, 3)
+    assert other.passed_d == set()
+

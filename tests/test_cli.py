@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import divgrace
 
-from divgrace import cli
+from divgrace import checking, cli
 from divgrace.cli import main
 
 
@@ -245,6 +246,68 @@ def test_decompose_rejects_invalid_labeling(tmp_path, capsys):
                            "--n", "1", "--out", str(tmp_path / "d.json"))
     assert code == 1
     assert "labeling does not verify" in stderr
+
+
+def test_verify_rejects_a_huge_label_without_sizing_by_it(tmp_path, capsys):
+    cert = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    assert _run(capsys, "verify", str(cert), "--alpha")[0] == 0
+    obj = json.loads(cert.read_text())
+    obj["labels"][4] = 10 ** 15
+    cert.write_text(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        code, stdout, _ = _run(capsys, "verify", str(cert), "--alpha")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "INVALID (label-out-of-range: (4, 1000000000000000, 14))" in stdout
+    # a bincount sized by the label would need 8 PB; the check stays small
+    assert peak < 2 ** 20
+
+
+def _count_checks(monkeypatch):
+    """Count check_d_graceful and check_alpha calls under every name that
+    any divgrace module binds them to."""
+    counts = {"check_d_graceful": 0, "check_alpha": 0}
+    modules = [mod for name, mod in sys.modules.items()
+               if name == "divgrace" or name.startswith("divgrace.")]
+    for fname in counts:
+        original = getattr(checking, fname)
+
+        def counted(*args, _original=original, _name=fname):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", ["f1", "f2", "f4"])
+def test_one_check_per_command(tmp_path, capsys, monkeypatch, family):
+    counts = _count_checks(monkeypatch)
+    cert, dec = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    calls = [
+        (["construct", "--k", "3", "--m", "5", "--family", family, "--out", cert], 1),
+        (["verify", cert, "--alpha"], 1),
+        (["decompose", "--in", cert, "--n", "2", "--out", dec], 1),
+        (["decompose", "--in", cert, "--n", "2", "--full-check", "--out", dec], 1),
+        (["construct", "--k", "2", "--m", "2", "--family", family, "--out", cert], 1),
+        (["decompose", "--in", cert, "--n", "1", "--out", dec], 1),
+        # one construct per cell: 2 rows of 3 cells
+        (["table", "--kmax", "1", "--mmax", "3", "--n", "2"], 6),
+    ]
+    for argv, per_check in calls:
+        before = dict(counts)
+        assert main(argv) == 0, argv
+        assert {name: counts[name] - before[name] for name in counts} == \
+            {"check_d_graceful": per_check, "check_alpha": per_check}, argv
+    capsys.readouterr()
 
 
 def test_search_count(capsys):

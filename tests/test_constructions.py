@@ -183,10 +183,11 @@ def test_construct_labels_frozen_digest():
 
 
 @pytest.mark.parametrize("family", [F1, F2, F4])
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_construct_equals_extend_chain(family, k):
+    # k = 1..6 covers both parities of f4's rules
     lab = prism_labeling(k, family.prism_divisor)
-    for m in range(2, 8):
+    for m in range(2, 13):
         assert construct(k, m, family) == lab
         lab = extend(lab, family)
 

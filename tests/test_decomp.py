@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_decomp as ref
+from divgrace import decomp
 from divgrace import (F1, F2, F4, BaseBlock, InvalidParametersError, Labeling,
                       MultipartiteSpec, base_blocks, check_alpha,
                       check_difference_classes, construct, develop,
@@ -248,6 +249,24 @@ def test_bad_labeling_rejected(t8):
         base_blocks(t8, clash, None, 3, 1)
     with pytest.raises(InvalidParametersError):
         base_blocks(t8, clash, None, 3, 0)
+
+
+def test_base_blocks_checks_a_labeling_once(t8, t8_labeling, monkeypatch):
+    calls = []
+    original = decomp.check_d_graceful
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decomp, "check_d_graceful", counted)
+    lab = Labeling(t8, t8_labeling.values)
+    base_blocks(t8, lab, None, 3, 1)
+    assert len(calls) == 1
+    # the first call's pass is recorded on the labeling, so no second check
+    dec = base_blocks(t8, lab, check_alpha(t8, lab), 3, 2)
+    assert len(calls) == 1
+    assert dec.blocks[0].vertex_labels == t8_labeling.values
 
 
 def test_proposition_table_k1_m2():
