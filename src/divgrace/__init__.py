@@ -11,11 +11,11 @@ from .checking import (AlphaCert, CheckReport, DParams, InvalidParametersError,
                        Labeling, NotBipartiteError, check_alpha,
                        check_d_graceful, d_params)
 from .constructions import (F1, F2, F4, FAMILIES, ConstructionError, Family,
-                            LayerPattern, SeedMismatchError, construct, extend,
-                            layer_pattern, prism_labeling, seed_matches)
-from .decomp import (BaseBlock, Decomposition, DecompositionTarget,
-                     MultipartiteSpec, base_blocks, check_difference_classes,
-                     develop, proposition_table, verify_decomposition)
+                            SeedMismatchError, construct, extend, layer_pattern,
+                            prism_labeling, seed_matches)
+from .decomp import (Decomposition, DecompositionTarget, MultipartiteSpec,
+                     base_blocks, check_difference_classes, develop,
+                     proposition_table, verify_decomposition)
 from .grids import GridGraph, SimpleGraph, build_grid, two_coloring
 from .oracle import (SearchConfig, SearchResult, cross_validate,
                      engine_accepts, search)
@@ -23,10 +23,10 @@ from .oracle import (SearchConfig, SearchResult, cross_validate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaCert", "BaseBlock", "CheckReport", "ConstructionError", "DParams",
+    "AlphaCert", "CheckReport", "ConstructionError", "DParams",
     "Decomposition", "DecompositionTarget", "F1", "F2", "F4", "FAMILIES",
     "Family", "GridGraph", "InvalidParametersError", "Labeling",
-    "LayerPattern", "MultipartiteSpec", "NotBipartiteError", "SearchConfig",
+    "MultipartiteSpec", "NotBipartiteError", "SearchConfig",
     "SearchResult", "SeedMismatchError", "SimpleGraph", "base_blocks",
     "build_grid", "check_alpha", "check_d_graceful",
     "check_difference_classes", "construct", "cross_validate", "d_params",

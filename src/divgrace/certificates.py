@@ -4,12 +4,15 @@ Certificates are plain JSON with a fixed key order so that write/read
 round-trips are byte-identical: `dumps` produces exactly the bytes of
 `json.dumps(obj, indent=2)` plus a final newline.  A labeling
 certificate names its graph, the divisor d and the labels in canonical
-vertex order, plus an optional alpha block.  A decomposition
-certificate records q, d, n, v and the base blocks as label arrays.
-Every number a reader accepts must be a JSON integer, and every
-sequence a JSON list; anything else raises CertificateError.  DOT
-output has one node statement per vertex (labeled with the f-value)
-and one edge statement per edge, both in canonical order.
+vertex order, plus an optional alpha block: the low class as sorted
+vertex indices and the boundary lambda (the high class is the rest).  A
+decomposition certificate records q, d, n, v and the base blocks, one
+label list per row of the blocks array.  Every number a reader accepts
+must be a JSON integer, and every sequence a JSON list; anything else
+raises CertificateError, as does a low class that repeats an index or
+names one outside the graph.  DOT output has one node statement per
+vertex (labeled with the f-value) and one edge statement per edge,
+both in canonical order.
 """
 
 from __future__ import annotations
@@ -103,10 +106,15 @@ def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
         block = obj["alpha"]
         if not isinstance(block, dict) or "low_class" not in block or "lambda" not in block:
             raise CertificateError("bad alpha block: need an object with low_class and lambda")
-        low = frozenset(_ints(block["low_class"], "low_class"))
+        low = _ints(block["low_class"], "low_class")
         boundary = _int(block["lambda"], "lambda")
-        high = frozenset(range(graph.num_vertices)) - low
-        alpha = AlphaCert(low=low, high=high, boundary=boundary)
+        size = graph.num_vertices
+        if low and not 0 <= min(low) <= max(low) < size:
+            raise CertificateError(f"bad alpha block: low_class indices must lie in [0, {size})")
+        low_class = frozenset(low)
+        if len(low_class) != len(low):
+            raise CertificateError("bad alpha block: low_class repeats an index")
+        alpha = AlphaCert(low=low_class, boundary=boundary)
     return labeling, d, alpha
 
 
@@ -116,7 +124,7 @@ def decomposition_to_obj(dec: Decomposition) -> dict:
         "d": dec.d,
         "n": dec.n,
         "v": dec.spec.v,
-        "base_blocks": [list(b.vertex_labels) for b in dec.blocks],
+        "base_blocks": dec.blocks.tolist(),
     }
 
 

@@ -9,7 +9,9 @@ differences are exactly the odd numbers below 2e.
 
 The alpha condition asks, for a bipartite graph, that every label on one
 color class stays strictly below every label on the other class.  The
-largest label on the low class is the boundary of the labeling.
+largest label on the low class is the boundary of the labeling.  An
+AlphaCert holds just the low class and the boundary; the high class is
+the rest of the vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -107,15 +108,6 @@ class Labeling:
         base = g.vertex_index((i, 1))
         return self.values[base : base + g.ring_len]
 
-    @classmethod
-    def from_rows(cls, grid: GridGraph, rows: Sequence[Sequence[int]]) -> "Labeling":
-        if len(rows) != grid.m or any(len(r) != grid.ring_len for r in rows):
-            raise ValueError("rows must be m sequences of length 4k")
-        flat: list[int] = []
-        for r in rows:
-            flat.extend(r)
-        return cls(grid, tuple(flat))
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -138,10 +130,12 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class AlphaCert:
-    """Witness of the alpha condition: the class split and its boundary."""
+    """Witness of the alpha condition: the low class and its boundary.
+
+    The high class is every other vertex; it is not stored.
+    """
 
     low: frozenset[int]
-    high: frozenset[int]
     boundary: int
 
 
@@ -220,6 +214,5 @@ def check_alpha(g: Graph, f: Labeling) -> AlphaCert | None:
     for low, high in (classes, classes[::-1]):
         max_low = int(labels[low].max()) if low.size else -1
         if high.size == 0 or max_low < labels[high].min():
-            return AlphaCert(low=frozenset(low.tolist()), high=frozenset(high.tolist()),
-                             boundary=max_low)
+            return AlphaCert(low=frozenset(low.tolist()), boundary=max_low)
     return None

@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
             print("INVALID (alpha-boundary-violation)")
             return 1
         if alpha is not None and (alpha.boundary != fresh.boundary
-                                  or alpha.low not in (fresh.low, fresh.high)):
+                                  or alpha.low != fresh.low):
             print(f"INVALID (alpha-block-mismatch: stated boundary {alpha.boundary})")
             return 1
         print(f"alpha: valid, boundary {fresh.boundary}")

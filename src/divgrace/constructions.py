@@ -72,22 +72,13 @@ def _interleave(lows: list[int], highs: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LayerPattern:
+def layer_pattern(family: Family, k: int, ceiling: int) -> tuple[int, ...]:
     """The interleaved low/high sequence written onto a fresh layer.
 
-    values has length 4k and starts with 0; lows sit at the odd positions
-    in increasing order and the highs are ceiling - t for the subtrahends
-    t that survive the family's skip rule.
+    It has length 4k and starts with 0; the lows sit at the even indices in increasing
+    order, and the highs at the odd ones are ceiling - t for the
+    subtrahends t that survive the family's skip rule.
     """
-
-    ceiling: int
-    lows: tuple[int, ...]
-    values: tuple[int, ...]
-
-
-def layer_pattern(family: Family, k: int, ceiling: int) -> LayerPattern:
-    """Materialize the fresh-layer sequence for the family at ring length 4k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if family.name == "f1":
@@ -114,7 +105,7 @@ def layer_pattern(family: Family, k: int, ceiling: int) -> LayerPattern:
         raise ConstructionError("pattern size bookkeeping broke")
     if min(highs) <= max(lows):
         raise ValueError(f"ceiling {ceiling} too small for k={k}")
-    return LayerPattern(ceiling=ceiling, lows=tuple(lows), values=_interleave(lows, highs))
+    return _interleave(lows, highs)
 
 
 def _prism_rows(k: int, variant: int) -> tuple[list[int], list[int]]:
@@ -197,7 +188,7 @@ def prism_labeling(k: int, variant: int) -> Labeling:
         raise ValueError(f"variant must be 3, 6 or 12, got {variant}")
     grid = build_grid(k, 2)
     r1, r2 = _prism_rows(k, variant)
-    lab = Labeling.from_rows(grid, [r1, r2])
+    lab = Labeling(grid, tuple(r1 + r2))
     family = {3: F1, 6: F2, 12: F4}[variant]
     _verify(lab, variant, family=family, where=f"prism k={k} variant={variant}")
     return lab
@@ -213,7 +204,7 @@ def seed_matches(f: Labeling, family: Family) -> int | None:
     if not isinstance(g, GridGraph):
         raise TypeError("seed property is defined for grid labelings")
     k, m = g.k, g.m
-    pattern = layer_pattern(family, k, family.shift(k) * (2 * m - 1)).values
+    pattern = layer_pattern(family, k, family.shift(k) * (2 * m - 1))
     top = f.layer(m)
     w = g.ring_len
     try:
@@ -250,7 +241,7 @@ def extend(f: Labeling, family: Family) -> Labeling:
         raise ConstructionError(f"shifted maximum {target} missing from top layer") from None
     pattern = layer_pattern(family, k, (2 * m + 1) * s)
     fresh = [0] * w
-    for t, value in enumerate(pattern.values):
+    for t, value in enumerate(pattern):
         fresh[(j_star - 1 + t) % w] = value
     out = Labeling(build_grid(k, m + 1), tuple(shifted + fresh))
     _verify(out, family.divisor(m + 1), family=family,
@@ -278,7 +269,7 @@ def construct(k: int, m: int, family: Family) -> Labeling:
                 f"k={k} layer 3 family={family.name}: no unique anchor {3 * s - 1}")
         # layer L is the layer-3 pattern with 2(L - 3)s more on its highs (the
         # odd positions), rolled one place further per layer, plus (m - L)s
-        base = np.array(layer_pattern(family, k, 5 * s).values, dtype=np.int64)
+        base = np.array(layer_pattern(family, k, 5 * s), dtype=np.int64)
         high = np.arange(w) % 2
         layers = np.arange(3, m + 1)[:, None]
         at = (np.arange(w) - (anchor[0] + layers - 3)) % w

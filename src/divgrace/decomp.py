@@ -8,10 +8,11 @@ shifts the high class up by j * d * (q+1); the n base blocks together
 meet every difference class in [1, dn(q+1)] that is not a multiple of
 q + 1 exactly once, so their v translates partition the edge set.  One
 block (n = 1) needs no class split, so a plain labeling suffices there;
-for n > 1 the shift argument leans on the alpha boundary.  A base block
-is just its vertex labels, all n built in one numpy expression from a
-0/1 mask of the high class; its edges are the labels gathered at the
-graph's edge indices.
+for n > 1 the shift argument leans on the alpha boundary.  The n base
+blocks are one read-only (n, |V|) int64 label array, row j block j,
+built in one numpy expression from a 0/1 mask of the high class (the
+complement of the certificate's low class); a block's edges are its
+labels gathered at the graph's edge indices.
 
 verify_decomposition ignores all of that and simply counts every edge of
 every translated block into a dense v x v int64 count matrix, which is
@@ -61,24 +62,14 @@ class MultipartiteSpec:
         return f"K_{{{self.parts}x{self.part_size}}}"
 
 
-@dataclass(frozen=True)
-class BaseBlock:
-    """One base block: the labels of the graph's vertices, in canonical order.
-
-    Its edges are labels[graph.edge_indices()]; they are not stored.
-    """
-
-    vertex_labels: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class Decomposition:
     spec: MultipartiteSpec
     graph: Graph
     d: int
     n: int
     q: int
-    blocks: tuple[BaseBlock, ...]
+    blocks: np.ndarray  # (n, |V|) int64, read-only; row j is base block j
     development: np.ndarray | None = None
 
 
@@ -103,26 +94,24 @@ def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -
         if cert is None:
             raise ValueError("an alpha certificate is required for n > 1")
         low = list(cert.low)
-        max_low = values[low].max()
-        min_high = values[list(cert.high)].min()
-        if max_low >= min_high or max_low != cert.boundary:
-            raise ValueError("alpha certificate does not match the labeling")
         high[low] = 0
+        max_low = values[low].max()
+        if max_low >= values[high == 1].min() or max_low != cert.boundary:
+            raise ValueError("alpha certificate does not match the labeling")
     span = d * (params.q + 1)
     labels = values + np.arange(n, dtype=np.int64)[:, None] * span * high
     spec = MultipartiteSpec(parts=params.q + 1, part_size=2 * d * n)
     assert spec.v == 2 * n * span
-    blocks = tuple(BaseBlock(vertex_labels=tuple(row)) for row in labels.tolist())
-    return Decomposition(spec=spec, graph=g, d=d, n=n, q=params.q, blocks=blocks)
+    labels.setflags(write=False)
+    return Decomposition(spec=spec, graph=g, d=d, n=n, q=params.q, blocks=labels)
 
 
 def develop(dec: Decomposition) -> Decomposition:
     """All v translates of every base block, as an (n*v, |V|) label array."""
     v = dec.spec.v
-    base = np.array([b.vertex_labels for b in dec.blocks], dtype=np.int64)
     shifts = np.arange(v, dtype=np.int64)
-    dev = (base[:, None, :] + shifts[None, :, None]) % v
-    dev = np.ascontiguousarray(dev.reshape(-1, base.shape[1]))
+    dev = (dec.blocks[:, None, :] + shifts[None, :, None]) % v
+    dev = np.ascontiguousarray(dev.reshape(-1, dec.blocks.shape[1]))
     dev.setflags(write=False)
     return replace(dec, development=dev)
 
@@ -179,10 +168,8 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
     """
     v = dec.spec.v
     parts = dec.spec.parts
-    labels = np.array([b.vertex_labels for b in dec.blocks],
-                      dtype=np.int64).reshape(len(dec.blocks), dec.graph.num_vertices)
     edge_idx = dec.graph.edge_indices()
-    ends = np.take(labels, edge_idx.T, axis=1)
+    ends = np.take(dec.blocks, edge_idx.T, axis=1)
     ends_a = ends[:, 0].ravel()
     diff = (ends_a - ends[:, 1].ravel()) % v
     cls = np.minimum(diff, v - diff)

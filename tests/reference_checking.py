@@ -56,7 +56,7 @@ def check_alpha(g, f):
         max_low = max((vals[v] for v in low), default=-1)
         min_high = min((vals[v] for v in high), default=max_low + 1)
         if max_low < min_high:
-            return AlphaCert(low=low, high=high, boundary=max_low)
+            return AlphaCert(low=low, boundary=max_low)
     return None
 
 

@@ -3,8 +3,8 @@
 It walks the blocks and their edges one at a time through a set, in the
 order the clauses are stated, so it serves as the reference that the
 numpy divgrace.check_difference_classes must agree with, verdict and
-witness alike.  A block's edges are its labels at the graph's edge
-indices.
+witness alike.  A block is one row of the blocks array, and its edges
+are its labels at the graph's edge indices.
 """
 
 from divgrace import CheckReport
@@ -15,8 +15,7 @@ def check_difference_classes(dec):
     parts = dec.spec.parts
     edge_idx = dec.graph.edge_indices()
     seen = set()
-    for b_idx, block in enumerate(dec.blocks):
-        labels = block.vertex_labels
+    for b_idx, labels in enumerate(dec.blocks.tolist()):
         for u, w in edge_idx:
             a, b = labels[int(u)], labels[int(w)]
             cls = min((a - b) % v, (b - a) % v)

@@ -71,7 +71,7 @@ def test_decomposition_round_trip(t8, t8_labeling):
     assert list(obj) == ["q", "d", "n", "v", "base_blocks"]
     record = decomposition_from_obj(json.loads(dumps(obj)))
     assert record == {"q": 4, "d": 3, "n": 2, "v": 60,
-                      "base_blocks": [list(b.vertex_labels) for b in dec.blocks]}
+                      "base_blocks": dec.blocks.tolist()}
 
 
 T8 = {"kind": "grid", "k": 1, "m": 2}
@@ -122,6 +122,14 @@ def test_bad_graph_objects(obj):
     {"graph": T8, "d": 3, "labels": T8_LABELS,
      "alpha": {"low_class": [1, 3, 4, 6], "lambda": 6.5}},
     {"graph": T8, "d": 3, "labels": T8_LABELS, "alpha": [[1, 3, 4, 6], 6]},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [1, 3, 4, 6, 6], "lambda": 6}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [1, 1, 3, 4], "lambda": 6}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [1, 3, 4, 8], "lambda": 6}},
+    {"graph": T8, "d": 3, "labels": T8_LABELS,
+     "alpha": {"low_class": [-1, 1, 3, 4, 6], "lambda": 6}},
 ])
 def test_bad_labeling_objects(obj):
     with pytest.raises(CertificateError):

@@ -102,6 +102,24 @@ def test_verify_rejects_misstated_alpha_block(tmp_path, capsys):
     assert "alpha-block-mismatch" in stdout
 
 
+# On the F1 prism certificate (low class [1, 3, 4, 6], labels 5, 6, 0, 1,
+# lambda 6) both keep lambda: the complement, labels 7, 9, 14, 12, and
+# the low class with index 6 moved across, whose largest label is still 6.
+@pytest.mark.parametrize("low_class", [[0, 2, 5, 7], [1, 3, 4]],
+                         ids=["swapped", "one-moved"])
+def test_verify_rejects_misstated_low_class(tmp_path, capsys, low_class):
+    out = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(out))
+    obj = json.loads(out.read_text())
+    assert obj["alpha"] == {"low_class": [1, 3, 4, 6], "lambda": 6}
+    obj["alpha"]["low_class"] = low_class
+    out.write_text(json.dumps(obj))
+    code, stdout, _ = _run(capsys, "verify", str(out), "--alpha")
+    assert code == 1
+    assert stdout.endswith("INVALID (alpha-block-mismatch: stated boundary 6)\n")
+
+
 def test_verify_rejects_non_integer_label(tmp_path, capsys):
     out = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",

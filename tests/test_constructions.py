@@ -86,9 +86,9 @@ def test_prism_validation():
 
 
 def test_layer_pattern_frozen_examples():
-    assert layer_pattern(F1, 1, 25).values == (0, 24, 1, 22)
-    assert layer_pattern(F4, 2, 36).values == (0, 35, 1, 33, 2, 30, 4, 29)
-    assert layer_pattern(F4, 1, 24).values == (0, 23, 2, 19)
+    assert layer_pattern(F1, 1, 25) == (0, 24, 1, 22)
+    assert layer_pattern(F4, 2, 36) == (0, 35, 1, 33, 2, 30, 4, 29)
+    assert layer_pattern(F4, 1, 24) == (0, 23, 2, 19)
 
 
 @pytest.mark.parametrize("family", [F1, F2, F4])
@@ -96,13 +96,13 @@ def test_layer_pattern_frozen_examples():
 def test_layer_pattern_shape(family, k):
     ceiling = family.shift(k) * 5
     pat = layer_pattern(family, k, ceiling)
-    assert len(pat.values) == 4 * k
-    assert pat.values[0] == 0
-    assert pat.values[::2] == pat.lows
-    assert tuple(sorted(pat.lows)) == pat.lows
-    highs = set(pat.values[1::2])
-    assert not (set(pat.lows) & highs)
-    assert all(0 <= val < ceiling for val in pat.values)
+    assert len(pat) == 4 * k
+    assert pat[0] == 0
+    lows = pat[::2]
+    assert tuple(sorted(set(lows))) == lows
+    highs = set(pat[1::2])
+    assert max(lows) < min(highs)
+    assert all(0 <= val < ceiling for val in pat)
     assert ceiling - 1 in highs
 
 
