@@ -11,7 +11,8 @@ The alpha condition asks, for a bipartite graph, that every label on one
 color class stays strictly below every label on the other class.  The
 largest label on the low class is the boundary of the labeling.  An
 AlphaCert holds just the low class and the boundary; the high class is
-the rest of the vertices.
+the rest of the vertices.  A Labeling holds its graph, so the checkers
+take the labeling alone.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class Labeling:
 
     @functools.cached_property
     def passed_d(self) -> set[int]:
-        """The divisors d for which check_d_graceful has passed this labeling
-        on its own graph; base_blocks reads it to skip a second check."""
+        """The divisors d for which check_d_graceful has passed this
+        labeling; base_blocks reads it to skip a second check."""
         return set()
 
     def layer(self, i: int) -> tuple[int, ...]:
@@ -152,8 +153,8 @@ def _has_repeat(values: np.ndarray, bound: int) -> bool:
     return int(np.bincount(values, minlength=bound).max()) > 1
 
 
-def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
-    """Check the d-divisible graceful condition, reporting the first violation.
+def check_d_graceful(f: Labeling, d: int) -> CheckReport:
+    """Check the d-divisible graceful condition on f.graph, reporting the first violation.
 
     Clause order: label range and injectivity by vertex index, then the
     difference multiset by canonical edge order.  Witnesses carry
@@ -161,13 +162,11 @@ def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
     found by one bincount over the checked range, labels in
     [0, max_label] and differences in [1, d(q+1)]; only a failing input
     pays for the stable argsort that locates its first witness.  A pass
-    on f's own graph is recorded in f.passed_d.
+    is recorded in f.passed_d.
     """
-    params = d_params(g.num_edges, d)
+    params = d_params(f.graph.num_edges, d)
     vals = f.values
     n = len(vals)
-    if n != g.num_vertices:
-        return CheckReport(False, "wrong-vertex-count", (n, g.num_vertices))
     labels = f.array
     over = np.flatnonzero(labels > params.max_label)
     first_over = int(over[0]) if over.size else n
@@ -178,7 +177,7 @@ def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
                                (first_over, vals[first_over], params.max_label))
         lab = vals[first_dup]
         return CheckReport(False, "duplicate-label", (vals.index(lab), first_dup, lab))
-    edges = g.edge_indices()
+    edges = f.graph.edge_indices()
     deltas = np.abs(labels[edges[:, 0]] - labels[edges[:, 1]])
     # The labels are distinct and in range here, so every difference lies in
     # [1, max_label] and only a multiple of q + 1 is forbidden.  A repeated
@@ -195,18 +194,17 @@ def check_d_graceful(g: Graph, f: Labeling, d: int) -> CheckReport:
         return CheckReport(False, "duplicate-difference", ((u, w), int(deltas[first_rep])))
     # The e differences are now distinct and allowed, and there are d*q = e
     # allowed values, so none of them is missing.
-    if g == f.graph:
-        f.passed_d.add(d)
+    f.passed_d.add(d)
     return CheckReport(True)
 
 
-def check_alpha(g: Graph, f: Labeling) -> AlphaCert | None:
-    """Try both orientations of the canonical 2-coloring; None if neither works.
+def check_alpha(f: Labeling) -> AlphaCert | None:
+    """Try both orientations of f.graph's canonical 2-coloring; None if neither works.
 
-    Raises NotBipartiteError for non-bipartite input, which is a different
-    failure than a boundary violation.
+    Raises NotBipartiteError for a non-bipartite graph, which is a
+    different failure than a boundary violation.
     """
-    color = two_coloring(g)
+    color = two_coloring(f.graph)
     if color is None:
         raise NotBipartiteError("graph is not bipartite")
     labels = f.array

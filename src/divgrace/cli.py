@@ -5,7 +5,7 @@ Subcommands: construct, verify, decompose, search, table.  Exit codes:
 command verifies what it writes once: construct through construct's own
 check, decompose and table through check_d_graceful, whose pass
 base_blocks then reuses.  verify is the independent re-check of a
-labeling from its file.
+labeling from its file; it and decompose refuse a misstated alpha block.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def cmd_construct(args) -> int:
     except ConstructionError as exc:
         return _fail(1, f"construction failed verification: {exc}")
     # construct has verified the labeling; this call builds its certificate
-    alpha = check_alpha(labeling.graph, labeling)
+    alpha = check_alpha(labeling)
     try:
         write_labeling(args.out, labeling, d, alpha)
     except OSError as exc:
@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
         return _fail(2, f"cannot read certificate: {exc}")
     g = labeling.graph
     try:
-        report = check_d_graceful(g, labeling, d)
+        report = check_d_graceful(labeling, d)
     except InvalidParametersError as exc:
         return _fail(2, f"invalid parameters: {exc}")
     e = g.num_edges
@@ -111,15 +111,14 @@ def cmd_verify(args) -> int:
     need_alpha = args.alpha or alpha is not None
     if need_alpha:
         try:
-            fresh = check_alpha(g, labeling)
+            fresh = check_alpha(labeling)
         except NotBipartiteError as exc:
             print(f"INVALID (not-bipartite: {exc})")
             return 1
         if fresh is None:
             print("INVALID (alpha-boundary-violation)")
             return 1
-        if alpha is not None and (alpha.boundary != fresh.boundary
-                                  or alpha.low != fresh.low):
+        if alpha is not None and alpha != fresh:
             print(f"INVALID (alpha-block-mismatch: stated boundary {alpha.boundary})")
             return 1
         print(f"alpha: valid, boundary {fresh.boundary}")
@@ -130,12 +129,12 @@ def cmd_decompose(args) -> int:
     if args.n < 1:
         return _fail(2, f"--n must be >= 1, got {args.n}")
     try:
-        labeling, d, _ = read_labeling(args.infile)
+        labeling, d, alpha = read_labeling(args.infile)
     except (OSError, CertificateError) as exc:
         return _fail(2, f"cannot read certificate: {exc}")
     g = labeling.graph
     try:
-        report = check_d_graceful(g, labeling, d)
+        report = check_d_graceful(labeling, d)
     except InvalidParametersError as exc:
         return _fail(2, f"invalid parameters: {exc}")
     if not report:
@@ -144,12 +143,15 @@ def cmd_decompose(args) -> int:
     if v > MAX_V:
         return _too_large(v)
     try:
-        cert = check_alpha(g, labeling)
+        cert = check_alpha(labeling)
     except NotBipartiteError:
         cert = None
+    if alpha is not None and alpha != cert:
+        return _fail(1, f"stated alpha block does not verify (alpha-block-mismatch: "
+                        f"stated boundary {alpha.boundary})")
     if args.n > 1 and cert is None:
         return _fail(1, "alpha condition fails, cannot decompose with n > 1")
-    dec = base_blocks(g, labeling, cert, d, args.n)
+    dec = base_blocks(labeling, cert, d, args.n)
     if args.full_check:
         if dec.spec.v > DECOMPOSE_FULL_CHECK_MAX_V:
             return _fail(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
@@ -198,7 +200,7 @@ def cmd_search(args) -> int:
         print(result.count)
         return 0
     for labeling in result.labelings:
-        alpha = check_alpha(g, labeling) if args.alpha else None
+        alpha = check_alpha(labeling) if args.alpha else None
         print(json.dumps(labeling_to_obj(labeling, args.d, alpha),
                          separators=(",", ":")))
     if result.count > len(result.labelings):
@@ -221,8 +223,8 @@ def cmd_table(args) -> int:
             for target in proposition_table(k, m, args.n):
                 try:
                     labeling = construct(k, m, target.family)
-                    cert = check_alpha(labeling.graph, labeling)
-                    dec = base_blocks(labeling.graph, labeling, cert, target.d, args.n)
+                    cert = check_alpha(labeling)
+                    dec = base_blocks(labeling, cert, target.d, args.n)
                     if dec.spec.v <= FULL_CHECK_MAX_V:
                         status = "verified" if verify_decomposition(develop(dec)) \
                             else "FAILED"

@@ -283,13 +283,12 @@ def construct(k: int, m: int, family: Family) -> Labeling:
 
 def _verify(lab: Labeling, d: int, family: Family, where: str) -> None:
     # Fail-fast guard: a returned labeling always satisfies its own contract.
-    g = lab.graph
-    report = check_d_graceful(g, lab, d)
+    report = check_d_graceful(lab, d)
     if not report:
         raise ConstructionError(f"{where}: {report.describe()}")
     # Rosa's alpha condition, some boundary between the two ends of every
     # edge; on a connected graph such as a grid it is what check_alpha tests
-    ends = lab.array[g.edge_indices()]
+    ends = lab.array[lab.graph.edge_indices()]
     if ends.min(axis=1).max() >= ends.max(axis=1).min():
         raise ConstructionError(f"{where}: alpha boundary violated")
     if seed_matches(lab, family) is None:

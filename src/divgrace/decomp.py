@@ -22,11 +22,11 @@ about 36 bytes per v^2, so it is feasible only at small scale.
 check_difference_classes is the O(n*e) shortcut certificate, one numpy
 pass over the edges of all blocks.  Once no class is zero or forbidden,
 every class lies in [0, v/2], so one bincount over v/2 + 1 slots finds
-repeats; only a failing input pays for the stable argsort that reports
-the first zero, forbidden or repeated class in block-then-edge order.
-Distinct allowed classes leave one missing exactly when there are fewer
-of them than allowed classes, and then the smallest missing one is
-reported.
+repeats; only a failing input pays for the stable argsort (the labeling
+checker's _first_repeat) that reports the first zero, forbidden or
+repeated class in block-then-edge order.  Distinct allowed classes leave
+one missing exactly when there are fewer of them than allowed classes,
+and then the smallest missing one is reported.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .checking import (AlphaCert, CheckReport, InvalidParametersError, Labeling,
-                       check_d_graceful, d_params)
+                       _first_repeat, check_d_graceful, d_params)
 from .constructions import F1, F2, F4, Family
 from .grids import Graph
 
@@ -73,8 +73,8 @@ class Decomposition:
     development: np.ndarray | None = None
 
 
-def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decomposition:
-    """The n base blocks induced by a verified labeling.
+def base_blocks(f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decomposition:
+    """The n base blocks induced by a verified labeling, on f.graph.
 
     The labeling is checked here unless check_d_graceful has already
     passed it for this d (f.passed_d); n > 1 additionally requires an
@@ -82,11 +82,11 @@ def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -
     """
     if n < 1:
         raise InvalidParametersError(f"n must be >= 1, got {n}")
-    if g != f.graph or d not in f.passed_d:
-        report = check_d_graceful(g, f, d)
+    if d not in f.passed_d:
+        report = check_d_graceful(f, d)
         if not report:
             raise ValueError(f"labeling rejected: {report.describe()}")
-    params = d_params(g.num_edges, d)
+    params = d_params(f.graph.num_edges, d)
     values = f.array
     # 1 on the class that blocks j > 0 shift up, 0 on the low class
     high = np.ones_like(values)
@@ -103,7 +103,7 @@ def base_blocks(g: Graph, f: Labeling, cert: AlphaCert | None, d: int, n: int) -
     spec = MultipartiteSpec(parts=params.q + 1, part_size=2 * d * n)
     assert spec.v == 2 * n * span
     labels.setflags(write=False)
-    return Decomposition(spec=spec, graph=g, d=d, n=n, q=params.q, blocks=labels)
+    return Decomposition(spec=spec, graph=f.graph, d=d, n=n, q=params.q, blocks=labels)
 
 
 def develop(dec: Decomposition) -> Decomposition:
@@ -177,11 +177,8 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
     half = v // 2
     counts = None if forbidden.any() else np.bincount(cls, minlength=half + 1)
     if counts is None or counts.max() > 1:
-        # every occurrence of a class after its first, found by a stable sort
-        by_class = np.argsort(cls, kind="stable")
-        repeated = np.zeros(cls.shape, dtype=np.bool_)
-        repeated[by_class[1:]] = cls[by_class[1:]] == cls[by_class[:-1]]
-        pos = int(np.flatnonzero(forbidden | repeated)[0])
+        bad = np.flatnonzero(forbidden)
+        pos = min(int(bad[0]) if bad.size else cls.size, _first_repeat(cls))
         b_idx = pos // edge_idx.shape[0]
         c = int(cls[pos])
         if c == 0:

@@ -6,7 +6,8 @@ repeated labels, repeated or forbidden differences and, optionally, on
 both orientations of the alpha boundary.  It is deliberately a second,
 independent route to the same answers as the closed-form constructions:
 cross_validate insists the incremental constraint engine and the offline
-checker agree labeling by labeling.
+checker agree labeling by labeling, each on the graph it holds; only
+search, which has no labeling yet, takes a graph.
 
 Results are deterministic for a given configuration: labelings come out
 in lexicographic order of their labels along the search order.
@@ -301,33 +302,29 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
                         level_sizes=tuple(level_sizes.tolist()))
 
 
-def engine_accepts(g: Graph, f: Labeling, cfg: SearchConfig) -> bool:
+def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     """Replay a complete labeling through the search's constraint engine.
 
     Every vertex is forced, in index order, so the labeling is a one-row
     frontier; it passes when it survives the masks at every position.
     """
-    walker = _Walker(g, cfg)
+    walker = _Walker(f.graph, cfg)
     if max(f.values) >= walker.n_labels:  # may not even fit an int64
         return False
-    total, _, _ = walker.walk(tuple(range(g.num_vertices)), f.values, 0, 0)
+    total, _, _ = walker.walk(tuple(range(f.graph.num_vertices)), f.values, 0, 0)
     return total == 1
 
 
-def cross_validate(g: Graph, f: Labeling, d: int,
-                   cfg: SearchConfig | None = None) -> CheckReport:
-    """Require the checker and the constraint engine to agree on f.
+def cross_validate(f: Labeling, cfg: SearchConfig) -> CheckReport:
+    """Require the checker and the constraint engine to agree on f at cfg.d.
 
     Agreement is a pass (reason "agree-accept" or "agree-reject"); any
     disagreement is an internal consistency failure.
     """
-    cfg = cfg or SearchConfig(d=d)
-    if cfg.d != d:
-        raise ValueError("cfg.d must match d")
-    checker_ok = bool(check_d_graceful(g, f, d))
+    checker_ok = bool(check_d_graceful(f, cfg.d))
     if checker_ok and cfg.alpha_only:
-        checker_ok = check_alpha(g, f) is not None
-    engine_ok = engine_accepts(g, f, cfg)
+        checker_ok = check_alpha(f) is not None
+    engine_ok = engine_accepts(f, cfg)
     if checker_ok == engine_ok:
         return CheckReport(True, "agree-accept" if checker_ok else "agree-reject")
     return CheckReport(False, "engine-checker-disagreement",

@@ -16,10 +16,9 @@ from divgrace import (AlphaCert, CheckReport, GridGraph, NotBipartiteError, d_pa
                       two_coloring)
 
 
-def check_d_graceful(g, f, d):
+def check_d_graceful(f, d):
+    g = f.graph
     params = d_params(g.num_edges, d)
-    if len(f.values) != g.num_vertices:
-        return CheckReport(False, "wrong-vertex-count", (len(f.values), g.num_vertices))
     seen = {}
     for idx, lab in enumerate(f.values):
         if lab > params.max_label:
@@ -45,8 +44,8 @@ def check_d_graceful(g, f, d):
     return CheckReport(True)
 
 
-def check_alpha(g, f):
-    color = two_coloring(g)
+def check_alpha(f):
+    color = two_coloring(f.graph)
     if color is None:
         raise NotBipartiteError("graph is not bipartite")
     class0 = frozenset(int(i) for i in np.flatnonzero(color == 0))

@@ -61,8 +61,8 @@ def test_criterion_1_prism_interval_claims(capsys):
         for k in range(1, 9):
             for variant, claim in claims.items():
                 lab = prism_labeling(k, variant)
-                assert check_d_graceful(lab.graph, lab, variant).ok
-                assert check_alpha(lab.graph, lab) is not None
+                assert check_d_graceful(lab, variant).ok
+                assert check_alpha(lab) is not None
                 ring1, spokes, ring2 = claim(k)
                 prof = difference_profile(lab.graph, lab)
                 assert set(prof.layer1) == ring1
@@ -77,8 +77,8 @@ def test_criterion_2_inductive_families(capsys):
                 for family in (F1, F2, F4):
                     lab = construct(k, m, family)
                     d = family.multiplier * (2 * m - 1)
-                    assert check_d_graceful(lab.graph, lab, d).ok
-                    assert check_alpha(lab.graph, lab) is not None
+                    assert check_d_graceful(lab, d).ok
+                    assert check_alpha(lab) is not None
                     q = lab.graph.num_edges // d
                     assert 0 in lab.values
                     assert d * (q + 1) - 1 in lab.values
@@ -111,8 +111,8 @@ def test_criterion_4_decomposition_edge_counts(capsys):
     with _criterion(4, capsys, budget=10.0):
         for (k, m, family, n), parts, size, edges in cases:
             lab = construct(k, m, family)
-            cert = check_alpha(lab.graph, lab)
-            dec = develop(base_blocks(lab.graph, lab, cert, family.divisor(m), n))
+            cert = check_alpha(lab)
+            dec = develop(base_blocks(lab, cert, family.divisor(m), n))
             assert (dec.spec.parts, dec.spec.part_size) == (parts, size)
             assert dec.spec.edge_count == edges
             v = parts * size
@@ -131,12 +131,12 @@ def test_criterion_5_oracle_equivalence(capsys):
         res = search(c4, SearchConfig(d=1))
         assert res.count >= 1
         for lab in res.labelings:
-            assert check_d_graceful(c4, lab, 1).ok
+            assert check_d_graceful(lab, 1).ok
         res = search(t8, SearchConfig(d=3, alpha_only=True))
         assert res.count >= 1
         for lab in res.labelings:
-            assert check_d_graceful(t8, lab, 3).ok
-            assert check_alpha(t8, lab) is not None
+            assert check_d_graceful(lab, 3).ok
+            assert check_alpha(lab) is not None
         cases = [(1, 2, F1), (1, 2, F2), (1, 2, F4), (1, 3, F1), (2, 2, F1)]
         built = [(construct(k, m, fam), fam.divisor(m)) for k, m, fam in cases]
         rng = random.Random(2026)
@@ -148,10 +148,10 @@ def test_criterion_5_oracle_equivalence(capsys):
             x = rng.randrange(len(vals))
             vals[x] = rng.choice([c for c in range(span) if c != vals[x]])
             perturbed = Labeling(base.graph, tuple(vals))
-            if check_d_graceful(base.graph, perturbed, d).ok:
+            if check_d_graceful(perturbed, d).ok:
                 # a rare symmetric relabeling can stay valid; not a perturbation
                 continue
-            report = cross_validate(base.graph, perturbed, d)
+            report = cross_validate(perturbed, SearchConfig(d=d))
             assert report.ok, report.describe()
             assert report.reason == "agree-reject"
             rejected += 1
@@ -164,9 +164,9 @@ def test_criterion_6_definitional_edge_cases(capsys):
         assert g.num_edges == 12
         diffs = set(edge_differences(g, lab))
         assert diffs == set(range(1, 24, 2))
-        assert check_d_graceful(g, lab, 12).ok
+        assert check_d_graceful(lab, 12).ok
         try:
-            check_d_graceful(g, lab, 5)
+            check_d_graceful(lab, 5)
         except InvalidParametersError:
             pass
         else:

@@ -29,7 +29,7 @@ def test_simple_graph_round_trip():
 
 
 def test_labeling_obj_key_order(t8_labeling):
-    cert = check_alpha(t8_labeling.graph, t8_labeling)
+    cert = check_alpha(t8_labeling)
     obj = labeling_to_obj(t8_labeling, 3, cert)
     assert list(obj) == ["graph", "d", "labels", "alpha"]
     assert obj["labels"] == [7, 5, 9, 6, 0, 14, 1, 12]
@@ -37,7 +37,7 @@ def test_labeling_obj_key_order(t8_labeling):
 
 
 def test_labeling_round_trip(t8_labeling):
-    cert = check_alpha(t8_labeling.graph, t8_labeling)
+    cert = check_alpha(t8_labeling)
     obj = labeling_to_obj(t8_labeling, 3, cert)
     lab, d, alpha = labeling_from_obj(json.loads(dumps(obj)))
     assert lab.values == t8_labeling.values
@@ -47,7 +47,7 @@ def test_labeling_round_trip(t8_labeling):
 
 
 def test_file_round_trip_is_byte_identical(tmp_path, t8_labeling):
-    cert = check_alpha(t8_labeling.graph, t8_labeling)
+    cert = check_alpha(t8_labeling)
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     write_labeling(first, t8_labeling, 3, cert)
@@ -65,8 +65,8 @@ def test_alpha_block_optional(t8_labeling):
 
 
 def test_decomposition_round_trip(t8, t8_labeling):
-    cert = check_alpha(t8, t8_labeling)
-    dec = base_blocks(t8, t8_labeling, cert, 3, 2)
+    cert = check_alpha(t8_labeling)
+    dec = base_blocks(t8_labeling, cert, 3, 2)
     obj = decomposition_to_obj(dec)
     assert list(obj) == ["q", "d", "n", "v", "base_blocks"]
     record = decomposition_from_obj(json.loads(dumps(obj)))

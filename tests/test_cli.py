@@ -120,6 +120,28 @@ def test_verify_rejects_misstated_low_class(tmp_path, capsys, low_class):
     assert stdout.endswith("INVALID (alpha-block-mismatch: stated boundary 6)\n")
 
 
+# decompose refuses the same misstated blocks, and writes nothing
+@pytest.mark.parametrize("n", ["1", "2"])
+@pytest.mark.parametrize("alpha", [{"low_class": [1, 3, 4, 6], "lambda": 7},
+                                   {"low_class": [0, 2, 5, 7], "lambda": 6}],
+                         ids=["lambda-plus-one", "swapped"])
+def test_decompose_rejects_misstated_alpha_block(tmp_path, capsys, alpha, n):
+    cert = tmp_path / "t8.json"
+    out = tmp_path / "dec.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    obj["alpha"] = alpha
+    cert.write_text(json.dumps(obj))
+    for flags in ([], ["--full-check"]):
+        code, stdout, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", n,
+                                    *flags, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == ("stated alpha block does not verify (alpha-block-mismatch: "
+                          f"stated boundary {alpha['lambda']})\n")
+        assert not out.exists()
+
+
 def test_verify_rejects_non_integer_label(tmp_path, capsys):
     out = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",

@@ -74,8 +74,8 @@ def test_prism_d12_interval_claims(k):
 @pytest.mark.parametrize("variant", [3, 6, 12])
 def test_prisms_verify(k, variant):
     lab = prism_labeling(k, variant)
-    assert check_d_graceful(lab.graph, lab, variant).ok
-    assert check_alpha(lab.graph, lab) is not None
+    assert check_d_graceful(lab, variant).ok
+    assert check_alpha(lab) is not None
 
 
 def test_prism_validation():
@@ -136,7 +136,7 @@ def test_extend_worked_example():
     assert lab.layer(1) == (12, 10, 14, 11)
     assert lab.layer(2) == (5, 19, 6, 17)
     assert lab.layer(3) == (22, 0, 24, 1)
-    assert check_d_graceful(lab.graph, lab, 5).ok
+    assert check_d_graceful(lab, 5).ok
     g = lab.graph
     spokes = {abs(lab.values[g.vertex_index((2, j))] - lab.values[g.vertex_index((3, j))])
               for j in range(1, 5)}
@@ -162,8 +162,8 @@ def test_extend_shifts_old_differences_rigidly():
 def test_construct_verifies_everywhere(family, k, m):
     lab = construct(k, m, family)
     d = family.divisor(m)
-    assert check_d_graceful(lab.graph, lab, d).ok
-    cert = check_alpha(lab.graph, lab)
+    assert check_d_graceful(lab, d).ok
+    cert = check_alpha(lab)
     assert cert is not None
     q = lab.graph.num_edges // d
     assert 0 in lab.values

@@ -213,7 +213,7 @@ def test_cross_validate_agrees_on_random_graphs(case, data):
         candidates += [swapped, bumped, topped]
     for alpha in (False, True) if two_coloring(g) is not None else (False,):
         for values in candidates:
-            report = cross_validate(g, Labeling(g, tuple(values)), cfg.d,
+            report = cross_validate(Labeling(g, tuple(values)),
                                     SearchConfig(d=cfg.d, alpha_only=alpha))
             assert report.reason in ("agree-accept", "agree-reject"), report.describe()
 
@@ -228,7 +228,7 @@ def test_run_kernel_uses_selected_path(t8):
     # rows are by vertex: each one is a labeling the checkers accept
     for row in rows[::50]:
         lab = Labeling(t8, tuple(row))
-        assert check_d_graceful(t8, lab, 3).ok and check_alpha(t8, lab) is not None
+        assert check_d_graceful(lab, 3).ok and check_alpha(lab) is not None
 
 
 def test_count_pairs_variants_agree():

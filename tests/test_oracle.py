@@ -118,21 +118,21 @@ def test_t8_full_count(t8):
     res = search(t8, SearchConfig(d=3, store_limit=2000))
     assert res.count == 1440
     alphas = sum(1 for lab in res.labelings
-                 if check_alpha(t8, lab) is not None)
+                 if check_alpha(lab) is not None)
     assert alphas == 576
 
 
 def test_engine_accepts_valid(t8, t8_labeling):
-    assert engine_accepts(t8, t8_labeling, SearchConfig(d=3))
-    assert engine_accepts(t8, t8_labeling, SearchConfig(d=3, alpha_only=True))
+    assert engine_accepts(t8_labeling, SearchConfig(d=3))
+    assert engine_accepts(t8_labeling, SearchConfig(d=3, alpha_only=True))
 
 
 def test_engine_rejects_boundary_violation(t8):
     # graceful but not alpha: the alpha-only engine must prune it
     res = search(t8, SearchConfig(d=3, store_limit=2000))
-    plain = next(lab for lab in res.labelings if check_alpha(t8, lab) is None)
-    assert engine_accepts(t8, plain, SearchConfig(d=3))
-    assert not engine_accepts(t8, plain, SearchConfig(d=3, alpha_only=True))
+    plain = next(lab for lab in res.labelings if check_alpha(lab) is None)
+    assert engine_accepts(plain, SearchConfig(d=3))
+    assert not engine_accepts(plain, SearchConfig(d=3, alpha_only=True))
 
 
 @pytest.mark.parametrize("index,label", [
@@ -146,17 +146,17 @@ def test_engine_rejects_bad_labels(t8, t8_labeling, index, label):
     lab = Labeling(t8, tuple(vals))
     for alpha in (False, True):
         cfg = SearchConfig(d=3, alpha_only=alpha)
-        assert engine_accepts(t8, lab, cfg) is False
-        assert cross_validate(t8, lab, 3, cfg).reason == "agree-reject"
+        assert engine_accepts(lab, cfg) is False
+        assert cross_validate(lab, cfg).reason == "agree-reject"
 
 
 def test_engine_rejects_repeated_difference(t8):
     lab = Labeling(t8, (5, 7, 9, 6, 0, 14, 1, 12))
-    assert check_d_graceful(t8, lab, 3).reason == "duplicate-difference"
+    assert check_d_graceful(lab, 3).reason == "duplicate-difference"
     for alpha in (False, True):
         cfg = SearchConfig(d=3, alpha_only=alpha)
-        assert engine_accepts(t8, lab, cfg) is False
-        assert cross_validate(t8, lab, 3, cfg).reason == "agree-reject"
+        assert engine_accepts(lab, cfg) is False
+        assert cross_validate(lab, cfg).reason == "agree-reject"
 
 
 def _prefix_counts(g, cfg):
@@ -208,7 +208,7 @@ def test_level_sizes_exhaustive_t8(t8):
 
 
 def test_cross_validate_accepts(t8, t8_labeling):
-    report = cross_validate(t8, t8_labeling, 3)
+    report = cross_validate(t8_labeling, SearchConfig(d=3))
     assert report.ok
     assert report.reason == "agree-accept"
 
@@ -216,7 +216,7 @@ def test_cross_validate_accepts(t8, t8_labeling):
 def test_cross_validate_rejects_perturbation(t8, t8_labeling):
     vals = list(t8_labeling.values)
     vals[2] = 13
-    report = cross_validate(t8, Labeling(t8, tuple(vals)), 3)
+    report = cross_validate(Labeling(t8, tuple(vals)), SearchConfig(d=3))
     assert report.ok
     assert report.reason == "agree-reject"
 
@@ -228,14 +228,9 @@ def test_cross_validate_random_perturbations(t8, t8_labeling):
         x = rng.randrange(len(vals))
         vals[x] = rng.choice([c for c in range(15) if c != vals[x]])
         cfg = SearchConfig(d=3, alpha_only=trial % 2 == 0)
-        report = cross_validate(t8, Labeling(t8, tuple(vals)), 3, cfg)
+        report = cross_validate(Labeling(t8, tuple(vals)), cfg)
         assert report.ok, report.describe()
         assert report.reason.startswith("agree")
-
-
-def test_cross_validate_d_mismatch(t8, t8_labeling):
-    with pytest.raises(ValueError):
-        cross_validate(t8, t8_labeling, 3, SearchConfig(d=1))
 
 
 def test_search_rejects_bad_divisor(t8):
