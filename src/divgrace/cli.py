@@ -37,11 +37,13 @@ FULL_CHECK_MAX_V = 600
 # the inputs the benchmark and the tests use stay below v = 70000.
 MAX_V = 4_000_000
 
-# Largest v that `decompose --full-check` accepts.  verify_decomposition
-# holds dense v x v arrays and peaks at about 36 bytes per v^2 (345 MiB
-# measured at v = 3150), so 3800 keeps one check under about 500 MiB.
+# Largest v that `decompose --full-check` accepts.  The development (up
+# to about 2.7 bytes per v^2, at m = 2) and verify_decomposition's one
+# v x v int64 count matrix (8 bytes per v^2) take a process to about 30
+# MiB plus 10.7 bytes per v^2: 488 MiB measured at v = 6702 and 501 MiB
+# at v = 6798, both m = 2.  So 6700 keeps one check under about 500 MiB.
 # Above it the difference-class check, O(n*e), is the certificate to use.
-DECOMPOSE_FULL_CHECK_MAX_V = 3800
+DECOMPOSE_FULL_CHECK_MAX_V = 6700
 
 
 def _fail(code: int, message: str) -> int:

@@ -15,10 +15,13 @@ complement of the certificate's low class); a block's edges are its
 labels gathered at the graph's edge indices.
 
 verify_decomposition ignores all of that and simply counts every edge of
-every translated block into a dense v x v int64 count matrix, which is
-the point: the claim is checked against an independent exhaustive
-accounting.  With the matrix of expected edges beside it, that costs
-about 36 bytes per v^2, so it is feasible only at small scale.
+every translated block into a v x v int64 count matrix, which is the
+point: the claim is checked against an independent exhaustive
+accounting.  It walks the development PAIR_BUDGET edges at a time and
+compares the matrix with the multipartite edge set a few rows at a
+time, so beside the development (at most about 2.7 bytes per v^2) it
+holds little more than the matrix's 8 bytes per v^2; that still makes
+it a check for moderate v only.
 check_difference_classes is the O(n*e) shortcut certificate, one numpy
 pass over the edges of all blocks.  Once no class is zero or forbidden,
 every class lies in [0, v/2], so one bincount over v/2 + 1 slots finds
@@ -41,6 +44,11 @@ from .checking import (AlphaCert, CheckReport, InvalidParametersError, Labeling,
                        _first_repeat, check_d_graceful, d_params)
 from .constructions import F1, F2, F4, Family
 from .grids import Graph
+
+# Translated edges gathered, checked and counted at once, and count-matrix
+# cells compared at once: this bounds verify_decomposition's working set
+# beside its v x v count matrix.
+PAIR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,44 +127,68 @@ def develop(dec: Decomposition) -> Decomposition:
 def verify_decomposition(dec: Decomposition) -> CheckReport:
     """Exhaustively verify a developed decomposition.
 
-    Checks every translated block for an injective vertex map and legal
-    edges, then counts all block edges into a dense v x v int64 count
-    matrix and compares it with a v x v int64 matrix of the multipartite
-    edge set, about 36 bytes per v^2 in all.  Exact, no tolerances.
+    Walks the development about PAIR_BUDGET translated edges at a time:
+    each chunk of translates must map its block injectively and put
+    every edge between two parts, and its edges are counted into one
+    v x v int64 count matrix.  That matrix is then compared with the
+    multipartite edge set, PAIR_BUDGET // v rows (at least one) of its
+    upper triangle at a time, so the check holds a little over 8 bytes
+    per v^2 beside the development.  Reasons come in the order
+    block-not-injective, illegal-edge, duplicate-edge, uncovered-edge,
+    each with its first witness in development order (translates) or
+    row-major order (pairs).  Exact, no tolerances.
     """
     if dec.development is None:
         raise ValueError("decomposition not developed; call develop() first")
     dev = dec.development
     v = dec.spec.v
-    parts = dec.spec.parts
-    srt = np.sort(dev, axis=1)
-    dup_rows = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
-    if dup_rows.size:
-        row = int(dup_rows[0])
-        dup_at = int(np.flatnonzero(srt[row, 1:] == srt[row, :-1])[0])
-        return CheckReport(False, "block-not-injective", (row, int(srt[row, dup_at])))
+    residues = np.arange(v, dtype=np.int64) % dec.spec.parts
     edge_idx = dec.graph.edge_indices()
-    ends_a = dev[:, edge_idx[:, 0]]
-    ends_b = dev[:, edge_idx[:, 1]]
-    illegal = np.argwhere(ends_a % parts == ends_b % parts)
-    if illegal.size:
-        row, col = (int(x) for x in illegal[0])
-        return CheckReport(False, "illegal-edge",
-                           (row, (int(ends_a[row, col]), int(ends_b[row, col]))))
     counts = np.zeros((v, v), dtype=np.int64)
-    _kernels.count_pairs(np.ascontiguousarray(ends_a.ravel()),
-                         np.ascontiguousarray(ends_b.ravel()), counts)
-    residues = np.arange(v, dtype=np.int64) % parts
-    expected = np.triu((residues[:, None] != residues[None, :]).astype(np.int64), 1)
-    over = np.argwhere(counts > expected)
-    if over.size:
-        x, y = (int(t) for t in over[0])
-        return CheckReport(False, "duplicate-edge", ((x, y), int(counts[x, y])))
-    under = np.argwhere(counts < expected)
-    if under.size:
-        x, y = (int(t) for t in under[0])
-        return CheckReport(False, "uncovered-edge", ((x, y),))
-    return CheckReport(True)
+    illegal = None
+    step = max(1, PAIR_BUDGET // max(1, edge_idx.shape[0]))
+    for start in range(0, dev.shape[0], step):
+        rows = dev[start:start + step]
+        srt = np.sort(rows, axis=1)
+        dup = srt[:, 1:] == srt[:, :-1]
+        dup_rows = np.flatnonzero(dup.any(axis=1))
+        if dup_rows.size:
+            row = int(dup_rows[0])
+            at = int(np.argmax(dup[row]))
+            return CheckReport(False, "block-not-injective", (start + row, int(srt[row, at])))
+        if illegal is not None:
+            continue  # keep looking for a non-injective block, which comes first
+        ends_a = np.take(rows, edge_idx[:, 0], axis=1)  # C order, so ravel is a view
+        ends_b = np.take(rows, edge_idx[:, 1], axis=1)
+        bad = np.argwhere(residues[ends_a] == residues[ends_b])
+        if bad.size:
+            row, col = (int(x) for x in bad[0])
+            illegal = CheckReport(False, "illegal-edge", (
+                start + row, (int(ends_a[row, col]), int(ends_b[row, col]))))
+            continue
+        _kernels.count_pairs(ends_a.ravel(), ends_b.ravel(), counts)
+    if illegal is not None:
+        return illegal
+    # count_pairs fills only y >= x, so rows [x0, x1) are compared from
+    # column x0 on; an over-count anywhere comes before an under-count
+    cols = np.arange(v)
+    under = None
+    step = max(1, PAIR_BUDGET // v)
+    for x0 in range(0, v, step):
+        xs = cols[x0:x0 + step, None]
+        expected = (residues[xs] != residues[x0:]) & (cols[x0:] > xs)
+        got = counts[x0:x0 + step, x0:]
+        wrong = got != expected
+        if not wrong.any():
+            continue
+        over = np.argwhere(got > expected)
+        if over.size:
+            x, y = int(over[0, 0]) + x0, int(over[0, 1]) + x0
+            return CheckReport(False, "duplicate-edge", ((x, y), int(counts[x, y])))
+        if under is None:
+            x, y = (int(t) + x0 for t in np.argwhere(wrong)[0])
+            under = CheckReport(False, "uncovered-edge", ((x, y),))
+    return under if under is not None else CheckReport(True)
 
 
 def check_difference_classes(dec: Decomposition) -> CheckReport:

@@ -202,7 +202,7 @@ def test_decompose_into_missing_directory(tmp_path, capsys):
 
 
 def test_decompose_full_check_rejects_large_v(tmp_path, capsys, monkeypatch):
-    # k=40, m=10, F1, n=3 gives v = 18354: dense v x v arrays of about 2.7 GB
+    # k=40, m=10, F1, n=3 gives v = 18354: a count matrix of 2.7 GB alone
     def refuse(*args):
         raise AssertionError("the full check must not start above the limit")
 

@@ -1,6 +1,7 @@
 """Base blocks, development and exhaustive decomposition verification."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_decomp as ref
-from divgrace import decomp
+from divgrace import _kernels, decomp
 from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
                       MultipartiteSpec, base_blocks, check_alpha,
                       check_difference_classes, construct, develop,
@@ -206,6 +207,91 @@ def test_difference_classes_agree_with_reference(dec):
     want = ref.check_difference_classes(dec)
     assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
     assert got.describe() == want.describe()
+
+
+@st.composite
+def developed_decompositions(draw):
+    """Developed tampered base blocks, with up to five trailing translates
+    dropped, or replaced by copies of other translates, so that edges are
+    left uncovered or covered twice, not only at vertex 0."""
+    dec = develop(draw(tampered_decompositions()))
+    total = dec.development.shape[0]
+    keep = total - draw(st.integers(0, min(5, total)))
+    rows = list(range(keep))
+    if keep and draw(st.booleans()):
+        copies = st.integers(0, keep - 1)
+        rows += draw(st.lists(copies, min_size=total - keep, max_size=total - keep))
+    return replace(dec, development=dec.development[rows])
+
+
+# 1 checks one translate and compares one row at a time; 251 cuts chunks
+# of 2 to 20 translates, which split blocks, and compares several rows at
+# once at small v; the default takes most test developments whole.
+BUDGETS = [1, 251, decomp.PAIR_BUDGET]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=120, deadline=None)
+@given(developed_decompositions())
+def test_verify_agrees_with_dense_reference(budget, dec):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "PAIR_BUDGET", budget)
+        got = verify_decomposition(dec)
+    want = ref.verify_decomposition(dec)
+    assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_a_later_non_injective_block_beats_an_earlier_illegal_edge(
+        t8, t8_labeling, monkeypatch, budget):
+    # block 0 gets an edge inside a part (10 and 5 are both 0 mod 5),
+    # block 1 repeats a label; the dense order reports block 1
+    dec = base_blocks(t8_labeling, check_alpha(t8_labeling), 3, 2)
+    blocks = dec.blocks.copy()
+    blocks[0, 0] = 10
+    blocks[1, 0] = blocks[1, 1]
+    dec = develop(replace(dec, blocks=blocks))
+    monkeypatch.setattr(decomp, "PAIR_BUDGET", budget)
+    report = verify_decomposition(dec)
+    assert report.reason == "block-not-injective"
+    assert report.witness[0] == dec.spec.v
+    assert report == ref.verify_decomposition(dec)
+
+
+def test_verify_peaks_under_half_the_dense_reference():
+    # v = 1620: the dense reference peaks near 83 MiB, 33 bytes per v^2,
+    # and the streaming check near 22 MiB, most of it the count matrix
+    dec = develop(_grid_decomposition(2, 14, F2, 3))
+    assert dec.spec.v == 1620
+    peaks = []
+    for verify in (verify_decomposition, ref.verify_decomposition):
+        tracemalloc.start()
+        try:
+            assert verify(dec).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 2
+
+
+@pytest.mark.parametrize("grid,budget", [((1, 2, F1, 2), 1), ((1, 2, F1, 2), 251),
+                                         ((2, 14, F2, 3), decomp.PAIR_BUDGET)])
+def test_count_pairs_sees_every_translated_edge_once(monkeypatch, grid, budget):
+    # the benchmark's trace sums count_pairs' pairs; chunking must not
+    # change that sum, n * v * e, which is also the host's edge count
+    sizes = []
+    count_pairs = _kernels.count_pairs
+
+    def counted(lo_ends, hi_ends, counts):
+        sizes.append(lo_ends.shape[0])
+        return count_pairs(lo_ends, hi_ends, counts)
+
+    monkeypatch.setattr(_kernels, "count_pairs", counted)
+    monkeypatch.setattr(decomp, "PAIR_BUDGET", budget)
+    dec = develop(_grid_decomposition(*grid))
+    assert verify_decomposition(dec).ok
+    assert len(sizes) > 1
+    assert sum(sizes) == dec.n * dec.spec.v * dec.graph.num_edges == dec.spec.edge_count
 
 
 def test_certificate_agrees_with_exhaustive_verify(t8, t8_labeling):
