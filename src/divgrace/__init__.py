@@ -8,8 +8,7 @@ double-checks everything by brute force on small instances.
 """
 
 from .checking import (AlphaCert, CheckReport, DParams, InvalidParametersError,
-                       Labeling, NotBipartiteError, check_alpha,
-                       check_d_graceful, d_params)
+                       Labeling, check_alpha, check_d_graceful, d_params)
 from .constructions import (F1, F2, F4, FAMILIES, ConstructionError, Family,
                             SeedMismatchError, construct, extend, layer_pattern,
                             prism_labeling, seed_matches)
@@ -26,7 +25,7 @@ __all__ = [
     "AlphaCert", "CheckReport", "ConstructionError", "DParams",
     "Decomposition", "DecompositionTarget", "F1", "F2", "F4", "FAMILIES",
     "Family", "GridGraph", "InvalidParametersError", "Labeling",
-    "MultipartiteSpec", "NotBipartiteError", "SearchConfig",
+    "MultipartiteSpec", "SearchConfig",
     "SearchResult", "SeedMismatchError", "SimpleGraph", "base_blocks",
     "build_grid", "check_alpha", "check_d_graceful",
     "check_difference_classes", "construct", "cross_validate", "d_params",

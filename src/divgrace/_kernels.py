@@ -12,6 +12,9 @@ order a depth-first search discovers the children in, so descending
 into slices of the survivors one after another yields the labelings in
 lexicographic order of positions.  Slices are cut to CELL_BUDGET mask
 cells, which bounds memory and lets max_results stop the walk early.
+
+An alpha search tests Rosa's condition edge by edge: a row dies once the
+largest lower end of its edges is not below their smallest upper end.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 CELL_BUDGET = 1 << 13
 
 
-def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
-               max_results, store_cap):
+def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
+               store_cap):
     """Enumerate injective labelings in depth-first order with masked pruning.
 
     Parameters
@@ -37,9 +40,10 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
     allowed : bool array of length n_labels + 1
         allowed[delta] says the edge difference delta may appear (once);
         labels run over [0, n_labels - 1].
-    use_alpha, side : bool, int64 array
-        When use_alpha, prune partial labelings where neither orientation
-        of the 2-coloring in side can still satisfy the boundary condition.
+    use_alpha : bool
+        When use_alpha, prune partial labelings whose edges already admit
+        no boundary lambda with min f(u) <= lambda < max f(u) on each
+        edge uw (Rosa's alpha condition).
     prefix : int64 array
         Forced labels for the leading positions; an inconsistent prefix
         or one with a label outside [0, n_labels) yields no labeling.  A
@@ -69,53 +73,61 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
         ranges[p] = (int(lab), int(lab) + 1)
 
     def survivors(p, state):
-        """Rows, labels and new differences of the candidates at p that pass."""
-        assign, used_label, blocked_diff, top, bottom = state
+        """Rows, labels and new differences of the candidates at p that
+        pass, and for an alpha search each row's largest and smallest
+        label on p's earlier neighbors."""
+        assign, used_label, blocked_diff, low, high = state
         lo, hi = ranges[p]
         cand = np.arange(lo, hi)
         ok = ~used_label[:, lo:hi]
         row_base = np.arange(0, blocked_diff.size, L + 1)[:, None]
+        nbrs = nbr_flat[nbr_off[p]:nbr_off[p + 1]]
         deltas = []
-        for t in nbr_flat[nbr_off[p]:nbr_off[p + 1]]:
+        for t in nbrs:
             delta = np.abs(assign[:, t, None] - cand)
             ok &= ~blocked_diff.ravel()[row_base + delta]
             for earlier in deltas:
                 ok &= delta != earlier
             deltas.append(delta)
+        ends = None
         if use_alpha:
-            s = side[p]
-            own_top = np.maximum(top[:, s, None], cand)
-            own_bottom = np.minimum(bottom[:, s, None], cand)
-            ok &= (own_top < bottom[:, 1 - s, None]) | (top[:, 1 - s, None] < own_bottom)
+            # c's edges to its earlier neighbors have largest lower end
+            # min(emax, c) and smallest upper end max(emin, c)
+            ends = emax, emin = (assign[:, nbrs].max(axis=1, initial=-1),
+                                 assign[:, nbrs].min(axis=1, initial=L))
+            ok &= (np.maximum(low[:, None], np.minimum(emax[:, None], cand))
+                   < np.minimum(high[:, None], np.maximum(emin[:, None], cand)))
         rows, cols = np.nonzero(ok)
-        return rows, cand[cols], [delta[rows, cols] for delta in deltas]
+        return rows, cand[cols], [delta[rows, cols] for delta in deltas], ends
 
     def children(p, state):
         """Yield the survivors at p as states, one slice of the budget at a time."""
-        rows, labs, deltas = survivors(p, state)
+        rows, labs, deltas, ends = survivors(p, state)
         level_sizes[p] += rows.shape[0]
         lo, hi = ranges[p + 1]
         step = max(1, CELL_BUDGET // (hi - lo))
-        s = side[p]
         for start in range(0, rows.shape[0], step):
             part = slice(start, start + step)
             lab = labs[part]
-            assign, used_label, blocked_diff, top, bottom = (a[rows[part]] for a in state)
+            assign, used_label, blocked_diff, low, high = (a[rows[part]] for a in state)
             k = np.arange(lab.shape[0])
             assign[:, p] = lab
             used_label[k, lab] = True
             for delta in deltas:
                 blocked_diff[k, delta[part]] = True
-            top[:, s] = np.maximum(top[:, s], lab)
-            bottom[:, s] = np.minimum(bottom[:, s], lab)
-            yield assign, used_label, blocked_diff, top, bottom
+            if ends is not None:
+                emax, emin = (x[rows[part]] for x in ends)
+                low = np.maximum(low, np.minimum(emax, lab))
+                high = np.minimum(high, np.maximum(emin, lab))
+            yield assign, used_label, blocked_diff, low, high
 
     # A state holds, per row: the labels so far, the labels used, the
-    # differences forbidden or used, and each side's largest and smallest
-    # label.  stack[p] yields the states whose positions 0..p are set.
+    # differences forbidden or used, and the largest lower end and the
+    # smallest upper end of its edges.  stack[p] yields the states whose
+    # positions 0..p are set.
     state = (np.zeros((1, n), dtype=np.int64), np.zeros((1, L), dtype=np.bool_),
-             ~allowed[None, :], np.full((1, 2), -1, dtype=np.int64),
-             np.full((1, 2), L, dtype=np.int64))
+             ~allowed[None, :], np.full(1, -1, dtype=np.int64),
+             np.full(1, L, dtype=np.int64))
     total = stored = 0
     found = []  # kept labelings in position order, one array per slice
     stack = []
@@ -124,7 +136,7 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
         if p < n - 1:
             stack.append(children(p, state))
         else:
-            rows, labs, _ = survivors(p, state)
+            rows, labs, _, _ = survivors(p, state)
             take = rows.shape[0]
             if max_results > 0:
                 take = min(take, max_results - total)

@@ -9,8 +9,9 @@ vertex indices and the boundary lambda (the high class is the rest).  A
 decomposition certificate records q, d, n, v and the base blocks, one
 label list per row of the blocks array.  Every number a reader accepts
 must be a JSON integer, and every sequence a JSON list; anything else
-raises CertificateError, as does a low class that repeats an index or
-names one outside the graph.  DOT output has one node statement per
+raises CertificateError, as do a file that is not UTF-8 or nests too
+deeply to decode and a low class that repeats an index or names one
+outside the graph.  DOT output has one node statement per
 vertex (labeled with the f-value) and one edge statement per edge,
 both in canonical order.
 """
@@ -179,7 +180,7 @@ def write_json(path: str | Path, obj: dict) -> None:
 def read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
 
 

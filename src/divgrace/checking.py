@@ -7,12 +7,13 @@ once.  The allowed values split into d blocks of q consecutive integers.
 With d = 1 this is the classical graceful condition; with d = e the
 differences are exactly the odd numbers below 2e.
 
-The alpha condition asks, for a bipartite graph, that every label on one
-color class stays strictly below every label on the other class.  The
-largest label on the low class is the boundary of the labeling.  An
-AlphaCert holds just the low class and the boundary; the high class is
-the rest of the vertices.  A Labeling holds its graph, so the checkers
-take the labeling alone.
+The alpha condition is Rosa's: some boundary lambda has
+min f(u) <= lambda < max f(u) on every edge uw.  The smallest such
+lambda is the largest lower end of an edge.  An AlphaCert holds the
+low class {u : f(u) <= lambda} and lambda; the high class is the rest
+of the vertices.  The condition makes the low and high classes a proper
+2-coloring, so a graph that is not bipartite has no alpha-labeling.  A
+Labeling holds its graph, so the checkers take the labeling alone.
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Graph, GridGraph, two_coloring
+from .grids import Graph, GridGraph
 
 
 class InvalidParametersError(ValueError):
     """Raised when e, d do not describe a valid divisibility split (d must divide e)."""
-
-
-class NotBipartiteError(ValueError):
-    """Raised when an alpha question is asked of a non-bipartite graph."""
 
 
 @dataclass(frozen=True)
@@ -199,18 +196,17 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
 
 
 def check_alpha(f: Labeling) -> AlphaCert | None:
-    """Try both orientations of f.graph's canonical 2-coloring; None if neither works.
+    """Rosa's alpha condition on f.graph; None if no boundary works.
 
-    Raises NotBipartiteError for a non-bipartite graph, which is a
-    different failure than a boundary violation.
+    The boundary is the largest lower end of an edge, or the largest
+    label on a graph without edges, where every vertex is low.
     """
-    color = two_coloring(f.graph)
-    if color is None:
-        raise NotBipartiteError("graph is not bipartite")
     labels = f.array
-    classes = (np.flatnonzero(color == 0), np.flatnonzero(color == 1))
-    for low, high in (classes, classes[::-1]):
-        max_low = int(labels[low].max()) if low.size else -1
-        if high.size == 0 or max_low < labels[high].min():
-            return AlphaCert(low=frozenset(low.tolist()), boundary=max_low)
-    return None
+    edges = f.graph.edge_indices()
+    ends = labels[edges[:, 0]], labels[edges[:, 1]]
+    lower, upper = np.minimum(*ends), np.maximum(*ends)
+    boundary = lower.max() if lower.size else labels.max()
+    if upper.size and boundary >= upper.min():
+        return None
+    return AlphaCert(low=frozenset(np.flatnonzero(labels <= boundary).tolist()),
+                     boundary=int(boundary))

@@ -19,8 +19,7 @@ import sys
 from .certificates import (CertificateError, decomposition_to_obj, dot_export,
                            graph_from_obj, labeling_to_obj, read_json,
                            read_labeling, write_json, write_labeling)
-from .checking import (InvalidParametersError, NotBipartiteError, check_alpha,
-                       check_d_graceful)
+from .checking import InvalidParametersError, check_alpha, check_d_graceful
 from .constructions import FAMILIES, ConstructionError, construct
 from .decomp import (base_blocks, check_difference_classes, develop,
                      proposition_table, verify_decomposition)
@@ -112,11 +111,7 @@ def cmd_verify(args) -> int:
     print("labeling: valid")
     need_alpha = args.alpha or alpha is not None
     if need_alpha:
-        try:
-            fresh = check_alpha(labeling)
-        except NotBipartiteError as exc:
-            print(f"INVALID (not-bipartite: {exc})")
-            return 1
+        fresh = check_alpha(labeling)
         if fresh is None:
             print("INVALID (alpha-boundary-violation)")
             return 1
@@ -144,10 +139,7 @@ def cmd_decompose(args) -> int:
     v = 2 * d * args.n * (g.num_edges // d + 1)
     if v > MAX_V:
         return _too_large(v)
-    try:
-        cert = check_alpha(labeling)
-    except NotBipartiteError:
-        cert = None
+    cert = check_alpha(labeling)
     if alpha is not None and alpha != cert:
         return _fail(1, f"stated alpha block does not verify (alpha-block-mismatch: "
                         f"stated boundary {alpha.boundary})")
@@ -196,7 +188,7 @@ def cmd_search(args) -> int:
         cfg = dataclasses.replace(cfg, store_limit=0)
     try:
         result = search(g, cfg)
-    except (InvalidParametersError, NotBipartiteError) as exc:
+    except InvalidParametersError as exc:
         return _fail(2, str(exc))
     if args.count:
         print(result.count)

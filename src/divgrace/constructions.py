@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checking import Labeling, check_d_graceful
+from .checking import Labeling, check_alpha, check_d_graceful
 from .grids import GridGraph, build_grid
 
 
@@ -286,10 +286,7 @@ def _verify(lab: Labeling, d: int, family: Family, where: str) -> None:
     report = check_d_graceful(lab, d)
     if not report:
         raise ConstructionError(f"{where}: {report.describe()}")
-    # Rosa's alpha condition, some boundary between the two ends of every
-    # edge; on a connected graph such as a grid it is what check_alpha tests
-    ends = lab.array[lab.graph.edge_indices()]
-    if ends.min(axis=1).max() >= ends.max(axis=1).min():
+    if check_alpha(lab) is None:
         raise ConstructionError(f"{where}: alpha boundary violated")
     if seed_matches(lab, family) is None:
         raise ConstructionError(f"{where}: top layer lost the {family.name} pattern")

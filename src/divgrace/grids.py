@@ -115,6 +115,7 @@ def adjacency_lists(g: Graph) -> list[list[int]]:
     return [sorted(nb) for nb in adj]
 
 
+# Unused by the package; kept because perfbench/tracing.py traces it by name.
 def two_coloring(g: Graph) -> np.ndarray | None:
     """2-coloring with lowest-index roots in class 0; None if not bipartite.
 

@@ -3,11 +3,12 @@
 The oracle enumerates labelings of an arbitrary small graph by
 depth-first assignment along a breadth-first vertex order, pruning on
 repeated labels, repeated or forbidden differences and, optionally, on
-both orientations of the alpha boundary.  It is deliberately a second,
-independent route to the same answers as the closed-form constructions:
-cross_validate insists the incremental constraint engine and the offline
-checker agree labeling by labeling, each on the graph it holds; only
-search, which has no labeling yet, takes a graph.
+Rosa's alpha condition (some lambda with min f(u) <= lambda < max f(u)
+on every edge).  It is deliberately a second, independent route to the
+same answers as the closed-form constructions: cross_validate insists
+the incremental constraint engine and the offline checker agree
+labeling by labeling, each on the graph it holds; only search, which
+has no labeling yet, takes a graph.
 
 Results are deterministic for a given configuration: labelings come out
 in lexicographic order of their labels along the search order.
@@ -17,13 +18,13 @@ way.  The e edge differences of a labeling are exactly the e allowed
 ones, and the largest label D = d(q + 1) - 1 is an allowed difference,
 so exactly one edge carries the labels 0 and D: one arc u -> w has
 f(u) = 0 and f(w) = D.  Two maps carry the labelings of one arc onto
-those of another.  A graph automorphism that keeps the alpha search's
-2-coloring up to a swap maps them onto those of the arc's image; the
-complement f -> D - f keeps every difference and swaps the alpha
-classes, so it maps them onto those of the reversed arc w -> u.  The
-count is therefore the sum, over the orbits of arcs under both, of the
-orbit's size times the number of labelings of one arc in it, and each
-such number is one walk with 0 and D forced on u and w.  The
+those of another.  A graph automorphism maps them onto those of the
+arc's image; the complement f -> D - f keeps every difference and turns
+a boundary lambda into D - 1 - lambda, so it maps them onto those of the
+reversed arc w -> u.  Both keep Rosa's condition.  The count is
+therefore the sum, over the orbits of arcs under both, of the orbit's
+size times the number of labelings of one arc in it, and each such
+number is one walk with 0 and D forced on u and w.  The
 automorphisms are found from the edge set alone (_arc_orbits): the
 prism C_4 x P_2 has one orbit of all 24 arcs, any other C_{4k} x P_m
 has m, and a cycle has one.
@@ -38,9 +39,8 @@ import numpy as np
 
 from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling,
-                       NotBipartiteError, check_alpha, check_d_graceful,
-                       d_params)
-from .grids import Graph, adjacency_lists, two_coloring
+                       check_alpha, check_d_graceful, d_params)
+from .grids import Graph, adjacency_lists
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,17 @@ def _refine(adj: list[list[int]]) -> list[int]:
         color, classes = new, len(ids)
 
 
-def _automorphism(adj: list[list[int]], color: list[int], side: list[int],
-                  arc: tuple[int, int], target: tuple[int, int]) -> list[int] | None:
+def _automorphism(adj: list[list[int]], color: list[int], arc: tuple[int, int],
+                  target: tuple[int, int]) -> list[int] | None:
     """A vertex permutation that maps arc onto target, keeps color and
-    keeps side up to a swap, and maps every edge onto an edge; None if
-    there is none.
+    maps every edge onto an edge; None if there is none.
 
     Vertices are individualized one at a time in breadth-first order
     from the arc.  A vertex with an earlier neighbor z may go to a
     neighbor of z's image, any other to any vertex of its color; the
-    choice must keep color and side, and its neighbors already chosen
-    must be exactly the images of the vertex's earlier neighbors.  A
-    dead end undoes the last choice, so the search misses none.
+    choice must keep color, and its neighbors already chosen must be
+    exactly the images of the vertex's earlier neighbors.  A dead end
+    undoes the last choice, so the search misses none.
     """
     n = len(adj)
     order = _bfs_order(adj, arc)
@@ -146,7 +145,6 @@ def _automorphism(adj: list[list[int]], color: list[int], side: list[int],
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(color):
         cells.setdefault(c, []).append(v)
-    flip = side[arc[0]] ^ side[target[0]]
     image = [-1] * n
     used = [False] * n
     choices = [iter(target[:1])] + [iter(())] * (n - 1)
@@ -154,7 +152,7 @@ def _automorphism(adj: list[list[int]], color: list[int], side: list[int],
     while t < n:
         x = order[t]
         for y in choices[t]:
-            if (not used[y] and color[y] == color[x] and side[y] ^ flip == side[x]
+            if (not used[y] and color[y] == color[x]
                     and {z for z in adj[y] if used[z]} == {image[z] for z in back[t]}):
                 image[x] = y
                 used[y] = True
@@ -173,10 +171,10 @@ def _automorphism(adj: list[list[int]], color: list[int], side: list[int],
     return image
 
 
-def _arc_orbits(edges: list[list[int]], adj: list[list[int]], side: list[int]
+def _arc_orbits(edges: list[list[int]], adj: list[list[int]]
                 ) -> tuple[list[tuple[tuple[int, int], int]], list[list[int]]]:
     """Orbits of the 2e arcs under reversal u -> w to w -> u and the
-    automorphisms that keep side up to a swap, with those automorphisms.
+    graph's automorphisms, with those automorphisms.
 
     Returns ([(arc, size), ...], [permutation, ...]); each orbit is named
     by its first arc in canonical edge order, forward arcs first.  Arcs
@@ -220,9 +218,9 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]], side: list[int]
         for j in by_color[color[arc[0]], color[arc[1]]]:
             if j <= i or find(j) == i or find(j) in outside:
                 continue
-            p = _automorphism(adj, color, side, arc, arcs[j])
+            p = _automorphism(adj, color, arc, arcs[j])
             if p is None and color[arc[0]] == color[arc[1]]:
-                p = _automorphism(adj, color, side, arc, arcs[j][::-1])
+                p = _automorphism(adj, color, arc, arcs[j][::-1])
             if p is None or not all((p[a], p[b]) in index for a, b in edges):
                 outside.add(find(j))
                 continue
@@ -244,10 +242,6 @@ class _Walker:
         self.allowed[list(params.allowed)] = True
         self.adj = adjacency_lists(g)
         self.alpha = cfg.alpha_only
-        self.color = (two_coloring(g) if self.alpha
-                      else np.zeros(g.num_vertices, dtype=np.int64))
-        if self.color is None:
-            raise NotBipartiteError("alpha search requires a bipartite graph")
 
     def kernel_args(self, first: tuple[int, ...]) -> tuple:
         """dfs_search's arguments before prefix, for the breadth-first
@@ -259,9 +253,8 @@ class _Walker:
         for p, v in enumerate(order):
             flat.extend(sorted(pos_of[u] for u in self.adj[v] if pos_of[u] < p))
             off.append(len(flat))
-        order_arr = np.array(order, dtype=np.int64)
-        return (np.array(flat, dtype=np.int64), np.array(off, dtype=np.int64), order_arr,
-                self.allowed, self.alpha, self.color[order_arr])
+        return (np.array(flat, dtype=np.int64), np.array(off, dtype=np.int64),
+                np.array(order, dtype=np.int64), self.allowed, self.alpha)
 
     def walk(self, first: tuple[int, ...], labels: tuple[int, ...], max_results: int,
              store_cap: int):
@@ -286,8 +279,7 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         total, level_sizes = 0, 0
-        orbits, _ = _arc_orbits(g.edge_indices().tolist(), walker.adj,
-                                walker.color.tolist())
+        orbits, _ = _arc_orbits(g.edge_indices().tolist(), walker.adj)
         for arc, size in orbits:
             count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0)
             total += size * count

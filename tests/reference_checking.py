@@ -10,10 +10,7 @@ allowed differences, and a prism's differences split by edge role.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from divgrace import (AlphaCert, CheckReport, GridGraph, NotBipartiteError, d_params,
-                      two_coloring)
+from divgrace import AlphaCert, CheckReport, GridGraph, d_params
 
 
 def check_d_graceful(f, d):
@@ -45,17 +42,15 @@ def check_d_graceful(f, d):
 
 
 def check_alpha(f):
-    color = two_coloring(f.graph)
-    if color is None:
-        raise NotBipartiteError("graph is not bipartite")
-    class0 = frozenset(int(i) for i in np.flatnonzero(color == 0))
-    class1 = frozenset(int(i) for i in np.flatnonzero(color == 1))
+    # Rosa: the smallest label lambda with min <= lambda < max on every
+    # edge; without edges every label works, and the largest is taken
     vals = f.values
-    for low, high in ((class0, class1), (class1, class0)):
-        max_low = max((vals[v] for v in low), default=-1)
-        min_high = min((vals[v] for v in high), default=max_low + 1)
-        if max_low < min_high:
-            return AlphaCert(low=low, boundary=max_low)
+    edges = [(vals[int(u)], vals[int(w)]) for u, w in f.graph.edge_indices()]
+    candidates = sorted(set(vals), reverse=not edges)
+    for boundary in candidates:
+        if all(min(a, b) <= boundary < max(a, b) for a, b in edges):
+            low = frozenset(v for v, x in enumerate(vals) if x <= boundary)
+            return AlphaCert(low=low, boundary=boundary)
     return None
 
 

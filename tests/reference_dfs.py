@@ -1,7 +1,9 @@
 """Plain-Python depth-first labeling search, kept as the reference.
 
 This is the search the package ran before its kernel became a numpy
-frontier search.  Tests run both on the same inputs and require the same
+frontier search, with the alpha condition kept as two scalar bounds
+updated one edge at a time where the kernel gathers each row's earlier
+neighbors at once.  Tests run both on the same inputs and require the same
 total and the same rows in the same order, so "the paths agree" compares
 two different implementations.  It takes the kernel's arguments, plus
 the label count, and returns (total, rows) without the level sizes.
@@ -12,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
-                  prefix, max_results, store_cap):
+def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, prefix,
+                  max_results, store_cap):
     """Depth-first search over injective labelings with incremental pruning.
 
     Parameters
@@ -27,9 +29,11 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
         Labels run over [0, n_labels - 1].
     allowed : bool array of length n_labels + 1
         allowed[delta] says the edge difference delta may appear (once).
-    use_alpha, side : bool, int64 array
-        When use_alpha, prune branches where neither orientation of the
-        2-coloring in side can still satisfy the boundary condition.
+    use_alpha : bool
+        When use_alpha, prune branches whose edges admit no boundary
+        lambda with min <= lambda < max on each (Rosa's alpha condition),
+        tracked edge by edge as the largest lower end and the smallest
+        upper end.
     prefix : int64 array
         Forced labels for the leading positions; an inconsistent prefix
         yields no labeling.  A full-length prefix turns the search into a
@@ -50,10 +54,8 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
     used_label = np.zeros(L, dtype=np.bool_)
     used_diff = np.zeros(L + 1, dtype=np.bool_)
     cur = np.zeros(n, dtype=np.int64)
-    mx = np.full(2, -1, dtype=np.int64)
-    mn = np.full(2, L, dtype=np.int64)
-    save_mx = np.zeros(n, dtype=np.int64)
-    save_mn = np.zeros(n, dtype=np.int64)
+    bounds = [-1, L]  # largest lower end, smallest upper end
+    saved = [None] * n
     found = []
 
     def _keep():
@@ -83,22 +85,12 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
                 if d2 == delta:
                     return False
         if use_alpha:
-            s = side[p]
-            m0 = mx[0]
-            m1 = mx[1]
-            n0 = mn[0]
-            n1 = mn[1]
-            if s == 0:
-                if lab > m0:
-                    m0 = lab
-                if lab < n0:
-                    n0 = lab
-            else:
-                if lab > m1:
-                    m1 = lab
-                if lab < n1:
-                    n1 = lab
-            if not (m0 < n1 or m1 < n0):
+            lower, upper = bounds
+            for t in range(a0, a1):
+                other = assign[nbr_flat[t]]
+                lower = max(lower, min(other, lab))
+                upper = min(upper, max(other, lab))
+            if lower >= upper:
                 return False
         return True
 
@@ -107,18 +99,15 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
         used_label[lab] = True
         a0 = nbr_off[p]
         a1 = nbr_off[p + 1]
+        saved[p] = list(bounds)
         for t in range(a0, a1):
-            delta = assign[nbr_flat[t]] - lab
+            other = assign[nbr_flat[t]]
+            delta = other - lab
             if delta < 0:
                 delta = -delta
             used_diff[delta] = True
-        s = side[p]
-        save_mx[p] = mx[s]
-        save_mn[p] = mn[s]
-        if lab > mx[s]:
-            mx[s] = lab
-        if lab < mn[s]:
-            mn[s] = lab
+            bounds[0] = max(bounds[0], min(other, lab))
+            bounds[1] = min(bounds[1], max(other, lab))
 
     def _unplace(p):
         lab = assign[p]
@@ -129,9 +118,7 @@ def dfs_search_py(nbr_flat, nbr_off, order, n_labels, allowed, use_alpha, side,
             if delta < 0:
                 delta = -delta
             used_diff[delta] = False
-        s = side[p]
-        mx[s] = save_mx[p]
-        mn[s] = save_mn[p]
+        bounds[:] = saved[p]
         used_label[lab] = False
         assign[p] = -1
 

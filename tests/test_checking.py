@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checking as ref
-from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
-                      NotBipartiteError, SimpleGraph, build_grid, check_alpha,
-                      check_d_graceful, construct, d_params)
+from divgrace import (F1, F2, F4, AlphaCert, InvalidParametersError, Labeling,
+                      SimpleGraph, build_grid, check_alpha, check_d_graceful,
+                      construct, d_params)
 
 
 def test_d_params_12_3():
@@ -137,9 +137,25 @@ def test_alpha_boundary_violation(t8):
 
 
 def test_alpha_rejects_non_bipartite():
+    # an odd cycle has an edge whose ends are both low or both high
     triangle = SimpleGraph(3, ((0, 1), (1, 2), (0, 2)))
-    with pytest.raises(NotBipartiteError):
-        check_alpha(Labeling(triangle, (0, 1, 3)))
+    assert check_alpha(Labeling(triangle, (0, 1, 3))) is None
+
+
+def test_alpha_on_a_disconnected_graph():
+    # P_2 + P_2 + K_1: the boundary is the largest lower end, 2; the
+    # second edge's low end is vertex 3, and the lone vertex is high
+    g = SimpleGraph(5, ((0, 1), (2, 3)))
+    cert = check_alpha(Labeling(g, (0, 4, 3, 2, 6)))
+    assert cert == AlphaCert(low=frozenset({0, 3}), boundary=2)
+    # an edge wholly below the other leaves no boundary
+    assert check_alpha(Labeling(g, (0, 1, 3, 4, 6))) is None
+
+
+def test_alpha_without_edges():
+    # every vertex is low and the boundary is the largest label
+    cert = check_alpha(Labeling(SimpleGraph(3, ()), (4, 0, 2)))
+    assert cert == AlphaCert(low=frozenset({0, 1, 2}), boundary=4)
 
 
 def test_profile_t8_d3(t8, t8_labeling):
@@ -228,13 +244,7 @@ def _same_report(lab, d):
 
 
 def _same_alpha(lab):
-    try:
-        slow = ref.check_alpha(lab)
-    except NotBipartiteError:
-        with pytest.raises(NotBipartiteError):
-            check_alpha(lab)
-        return
-    assert check_alpha(lab) == slow
+    assert check_alpha(lab) == ref.check_alpha(lab)
 
 
 @settings(max_examples=300, deadline=None)

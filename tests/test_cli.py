@@ -161,6 +161,47 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "cannot read certificate" in stderr
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}", "not valid JSON: 'utf-8' codec can't decode"),
+    (b"[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+], ids=["not-utf8", "deeply-nested"])
+def test_readers_refuse_undecodable_files(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "dec.json"
+    for argv, what in ((["verify", str(path)], "certificate"),
+                       (["decompose", "--in", str(path), "--n", "1", "--out", str(out)],
+                        "certificate"),
+                       (["search", "--graph", str(path), "--d", "1"], "graph")):
+        code, stdout, stderr = _run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"cannot read {what}: {message}")
+    assert not out.exists()
+
+
+def test_non_bipartite_graph_has_no_alpha_labeling(tmp_path, capsys):
+    # the triangle labeled 0, 1, 3 is graceful, but no boundary splits
+    # the ends of all three edges
+    graph = {"kind": "simple", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(graph))
+    for extra in ([], ["--count"]):
+        assert _run(capsys, "search", "--graph", str(path), "--d", "1", "--alpha",
+                    *extra) == (0, "0\n" if extra else "", "")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"graph": graph, "d": 1, "labels": [0, 1, 3]}))
+    code, stdout, _ = _run(capsys, "verify", str(cert), "--alpha")
+    assert code == 1
+    assert stdout.splitlines()[-1] == "INVALID (alpha-boundary-violation)"
+    out = tmp_path / "dec.json"
+    code, _, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", "2",
+                           "--out", str(out))
+    assert code == 1
+    assert stderr == "alpha condition fails, cannot decompose with n > 1\n"
+    assert not out.exists()
+
+
 def test_decompose_difference_classes(tmp_path, capsys):
     cert = tmp_path / "t8.json"
     out = tmp_path / "dec.json"
@@ -332,21 +373,24 @@ def _count_checks(monkeypatch):
 def test_one_check_per_command(tmp_path, capsys, monkeypatch, family):
     counts = _count_checks(monkeypatch)
     cert, dec = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    # (argv, check_d_graceful calls, check_alpha calls): construct checks
+    # both conditions once, and check_alpha once more builds the alpha
+    # block of the certificate or the base blocks
     calls = [
-        (["construct", "--k", "3", "--m", "5", "--family", family, "--out", cert], 1),
-        (["verify", cert, "--alpha"], 1),
-        (["decompose", "--in", cert, "--n", "2", "--out", dec], 1),
-        (["decompose", "--in", cert, "--n", "2", "--full-check", "--out", dec], 1),
-        (["construct", "--k", "2", "--m", "2", "--family", family, "--out", cert], 1),
-        (["decompose", "--in", cert, "--n", "1", "--out", dec], 1),
+        (["construct", "--k", "3", "--m", "5", "--family", family, "--out", cert], 1, 2),
+        (["verify", cert, "--alpha"], 1, 1),
+        (["decompose", "--in", cert, "--n", "2", "--out", dec], 1, 1),
+        (["decompose", "--in", cert, "--n", "2", "--full-check", "--out", dec], 1, 1),
+        (["construct", "--k", "2", "--m", "2", "--family", family, "--out", cert], 1, 2),
+        (["decompose", "--in", cert, "--n", "1", "--out", dec], 1, 1),
         # one construct per cell: 2 rows of 3 cells
-        (["table", "--kmax", "1", "--mmax", "3", "--n", "2"], 6),
+        (["table", "--kmax", "1", "--mmax", "3", "--n", "2"], 6, 12),
     ]
-    for argv, per_check in calls:
+    for argv, graceful, alpha in calls:
         before = dict(counts)
         assert main(argv) == 0, argv
         assert {name: counts[name] - before[name] for name in counts} == \
-            {"check_d_graceful": per_check, "check_alpha": per_check}, argv
+            {"check_d_graceful": graceful, "check_alpha": alpha}, argv
     capsys.readouterr()
 
 

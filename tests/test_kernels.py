@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
-                      check_alpha, check_d_graceful, cross_validate, search,
-                      two_coloring)
+                      check_alpha, check_d_graceful, cross_validate, search)
 from divgrace.grids import adjacency_lists
 from divgrace.oracle import _arc_orbits, _Walker
 from reference_dfs import dfs_search_py
@@ -43,11 +42,11 @@ C4P3_D5_FIRST_20 = [
 ]
 
 
-def _reference(nbr_flat, nbr_off, order, allowed, use_alpha, side, prefix,
-               max_results, store_cap):
+def _reference(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
+               store_cap):
     """dfs_search_py behind the kernel's signature and return value."""
     return dfs_search_py(nbr_flat, nbr_off, order, allowed.shape[0] - 1, allowed,
-                         use_alpha, side, prefix, max_results, store_cap) + (None,)
+                         use_alpha, prefix, max_results, store_cap) + (None,)
 
 
 def _run(kernel, args, cfg, prefix, cap=2000):
@@ -108,9 +107,7 @@ def search_cases(draw):
     g = SimpleGraph(n, edges)
     e = len(edges)
     d = draw(st.sampled_from([x for x in range(1, e + 1) if e % x == 0] or [1, 2]))
-    alpha = draw(st.booleans())
-    assume(not alpha or two_coloring(g) is not None)
-    cfg = SearchConfig(d=d, alpha_only=alpha,
+    cfg = SearchConfig(d=d, alpha_only=draw(st.booleans()),
                        max_results=draw(st.sampled_from([0, 1, 2, 5, 17])))
     n_labels = d * (e // d + 1)
     prefix = []
@@ -163,12 +160,12 @@ def test_arc_orbit_walks_agree_on_random_graphs(case):
     assume(g.num_edges > 0)
     edges = [tuple(e) for e in g.edge_indices().tolist()]
     arcs = edges + [(w, u) for u, w in edges]
-    for alpha in (False, True) if two_coloring(g) is not None else (False,):
+    orbits, perms = _arc_orbits(edges, adjacency_lists(g))
+    orbit_of = _closure(arcs, perms)
+    assert set(orbit_of) == set(arcs)
+    assert orbits == list(Counter(orbit_of.values()).items())
+    for alpha in (False, True):
         walker = _Walker(g, SearchConfig(d=cfg.d, alpha_only=alpha))
-        orbits, perms = _arc_orbits(edges, walker.adj, walker.color.tolist())
-        orbit_of = _closure(arcs, perms)
-        assert set(orbit_of) == set(arcs)
-        assert orbits == list(Counter(orbit_of.values()).items())
         counts = {arc: walker.walk(arc, (0, walker.n_labels - 1), 0, 0)[0] for arc in arcs}
         assert all(counts[arc] == counts[orbit_of[arc]] for arc in arcs)
 
@@ -182,13 +179,10 @@ def test_arc_orbits_are_those_of_the_full_group(case):
     edges = [tuple(e) for e in g.edge_indices().tolist()]
     edge_set = {frozenset(e) for e in edges}
     arcs = edges + [(w, u) for u, w in edges]
-    color = two_coloring(g)
-    for side in [[0] * n] + ([color.tolist()] if color is not None else []):
-        group = [p for p in itertools.permutations(range(n))
-                 if {frozenset((p[u], p[w])) for u, w in edges} == edge_set
-                 and len({(side[v], side[p[v]]) for v in range(n)}) == len(set(side))]
-        orbits, _ = _arc_orbits(edges, adjacency_lists(g), side)
-        assert orbits == list(Counter(_closure(arcs, group).values()).items())
+    group = [p for p in itertools.permutations(range(n))
+             if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
+    orbits, _ = _arc_orbits(edges, adjacency_lists(g))
+    assert orbits == list(Counter(_closure(arcs, group).values()).items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +205,7 @@ def test_cross_validate_agrees_on_random_graphs(case, data):
         topped = values[:]
         topped[data.draw(pick)] = n_labels
         candidates += [swapped, bumped, topped]
-    for alpha in (False, True) if two_coloring(g) is not None else (False,):
+    for alpha in (False, True):
         for values in candidates:
             report = cross_validate(Labeling(g, tuple(values)),
                                     SearchConfig(d=cfg.d, alpha_only=alpha))

@@ -1,15 +1,18 @@
 """Exhaustive search oracle against independent brute force."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divgrace import (GridGraph, InvalidParametersError, Labeling,
-                      NotBipartiteError, SearchConfig, SimpleGraph, build_grid,
-                      check_alpha, check_d_graceful, cross_validate,
-                      engine_accepts, oracle, search, two_coloring)
+from divgrace import (GridGraph, InvalidParametersError, Labeling, SearchConfig,
+                      SimpleGraph, build_grid, check_alpha, check_d_graceful,
+                      cross_validate, engine_accepts, oracle, search)
 from divgrace.grids import adjacency_lists
 from divgrace.oracle import _arc_orbits, _Walker
 
@@ -24,10 +27,9 @@ PETERSEN = SimpleGraph(10, tuple([(i, (i + 1) % 5) for i in range(5)]
                                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
 
 
-def _orbits(g, side=None):
-    """_arc_orbits on g's edge set, with no side (a plain search) by default."""
-    side = [0] * g.num_vertices if side is None else side.tolist()
-    return _arc_orbits(g.edge_indices().tolist(), adjacency_lists(g), side)
+def _orbits(g):
+    """_arc_orbits on g's edge set."""
+    return _arc_orbits(g.edge_indices().tolist(), adjacency_lists(g))
 
 
 def _maps_edges_onto_edges(g, p):
@@ -162,7 +164,6 @@ def test_engine_rejects_repeated_difference(t8):
 def _prefix_counts(g, cfg):
     # consistent partial labelings of each length, by raw enumeration
     order = _Walker(g, cfg).kernel_args(())[2].tolist()
-    color = two_coloring(g) if cfg.alpha_only else None
     e = g.num_edges
     q = e // cfg.d
     n_labels = cfg.d * (q + 1)
@@ -177,11 +178,11 @@ def _prefix_counts(g, cfg):
             diffs = [abs(lab[u] - lab[w]) for u, w in inner]
             if len(set(diffs)) != len(diffs) or not set(diffs) <= allowed:
                 continue
-            if color is not None:
-                sides = [[x for v, x in lab.items() if color[v] == s] for s in (0, 1)]
-                if sides[0] and sides[1] and not (max(sides[0]) < min(sides[1])
-                                                  or max(sides[1]) < min(sides[0])):
-                    continue
+            if cfg.alpha_only and not any(
+                    all(min(lab[u], lab[w]) <= boundary < max(lab[u], lab[w])
+                        for u, w in inner)
+                    for boundary in range(n_labels)):
+                continue
             hits += 1
         counts.append(hits)
     return tuple(counts)
@@ -245,8 +246,13 @@ def test_search_config_rejects_negative_counts(field):
 
 
 def test_alpha_search_needs_bipartite():
-    with pytest.raises(NotBipartiteError):
-        search(TRIANGLE, SearchConfig(d=1, alpha_only=True))
+    # an odd cycle has no alpha-labeling: the low and high ends of its
+    # edges would 2-color it
+    assert search(TRIANGLE, SearchConfig(d=1)).count == 12
+    for store_limit in (0, 10):
+        cfg = SearchConfig(d=1, alpha_only=True, store_limit=store_limit)
+        res = search(TRIANGLE, cfg)
+        assert (res.count, res.labelings) == (0, ())
 
 
 def test_grid_search_finds_constructed_labelings():
@@ -290,14 +296,13 @@ def test_edgeless_graph_counts(g, d, want):
 @pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (2, 2), (2, 5), (3, 4)])
 def test_grid_symmetries_are_automorphisms(k, m):
     g = build_grid(k, m)
-    for side in (None, two_coloring(g)):
-        orbits, perms = _orbits(g, side)
-        assert perms and all(_maps_edges_onto_edges(g, p) for p in perms)
-        assert sum(size for _, size in orbits) == 2 * g.num_edges
-        # the prism is the cube, which is arc-transitive; any other grid
-        # has ring arcs of layers i and m + 1 - i, and rung arcs of
-        # layer gaps i and m - i, both ways: m orbits
-        assert len(orbits) == (1 if (k, m) == (1, 2) else m)
+    orbits, perms = _orbits(g)
+    assert perms and all(_maps_edges_onto_edges(g, p) for p in perms)
+    assert sum(size for _, size in orbits) == 2 * g.num_edges
+    # the prism is the cube, which is arc-transitive; any other grid
+    # has ring arcs of layers i and m + 1 - i, and rung arcs of
+    # layer gaps i and m - i, both ways: m orbits
+    assert len(orbits) == (1 if (k, m) == (1, 2) else m)
 
 
 @pytest.mark.parametrize("g", [EDGE, PATH3, C4, TRIANGLE, K4, K13, PETERSEN])
@@ -309,28 +314,76 @@ def test_simple_graph_arc_orbits(g):
     assert all(_maps_edges_onto_edges(g, p) for p in perms)
 
 
-def test_arc_orbits_keep_the_alpha_sides():
-    # P_4 + P_3: reflecting P_4 alone swaps its sides but not P_3's, so it
-    # maps labelings the alpha walk accepts onto ones it rejects, and the
-    # end arcs of P_4 have different alpha counts
+def test_p4_plus_p3_counts_are_pinned():
+    # P_4 + P_3 at d = 5: brute force over all labelings finds 432, and
+    # 128 alpha-labelings in Rosa's sense; in 64 of them the two
+    # components put opposite color classes low
     g = SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
-    color = two_coloring(g)
     assert [size for _, size in _orbits(g)[0]] == [4, 2, 4]
-    orbits, perms = _orbits(g, color)
-    assert [size for _, size in orbits] == [2, 2, 2, 4]
-    for p in perms:
-        assert {(color[v], color[p[v]]) for v in range(7)} == {(0, 0), (1, 1)}
-    cfg = SearchConfig(d=5, alpha_only=True, store_limit=0)
-    walker = _Walker(g, cfg)
-    assert [walker.walk(arc, (0, 9), 0, 0)[0] for arc in ((0, 1), (3, 2))] == [6, 8]
-    for alpha, want in ((False, 432), (True, 64)):
+    for alpha, want in ((False, 432), (True, 128)):
         cfg = SearchConfig(d=5, alpha_only=alpha)
         assert search(g, replace(cfg, store_limit=0)).count == want
-        assert search(g, cfg).count == want
-    # C_4 and a lone vertex: no automorphism swaps the sides, so none
-    # reverses an edge, and 1 -> 2 joins 2 -> 4 only by a map onto 4 -> 2
-    g = SimpleGraph(5, ((1, 2), (2, 4), (3, 4), (1, 3)))
-    assert [size for _, size in _orbits(g, two_coloring(g))[0]] == [8]
+        res = search(g, cfg)
+        assert res.count == len(res.labelings) == want
+    plain = search(g, SearchConfig(d=5)).labelings
+    assert sum(check_alpha(f) is not None for f in plain) == 128
+
+
+# Labelings that one brute-force example may enumerate.
+BRUTE_FORCE_MAX = 10 ** 5
+
+
+def _rosa_brute_force(g, d):
+    """The alpha-labelings of g at d, as a set of label tuples: every
+    injective labeling, kept when its differences are the allowed ones
+    and some lambda has min <= lambda < max on every edge."""
+    e = g.num_edges
+    n_labels = d * (e // d + 1)
+    values = np.array(list(itertools.permutations(range(n_labels), g.num_vertices)),
+                      dtype=np.int64).reshape(-1, g.num_vertices)
+    ends = values[:, [u for u, _ in g.edges]], values[:, [w for _, w in g.edges]]
+    lower, upper = np.minimum(*ends), np.maximum(*ends)
+    diffs = np.sort(upper - lower, axis=1)
+    allowed = np.array([x % (e // d + 1) != 0 for x in range(n_labels + 1)])
+    keep = allowed[diffs].all(axis=1) & (diffs[:, 1:] != diffs[:, :-1]).all(axis=1)
+    rosa = np.zeros(len(values), dtype=bool)
+    for boundary in range(n_labels):
+        rosa |= ((lower <= boundary) & (boundary < upper)).all(axis=1)
+    return set(map(tuple, values[keep & rosa].tolist()))
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 7 vertices, connected or not, and a divisor d
+    for which the labelings into [0, d(q+1)) number at most BRUTE_FORCE_MAX."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    # n_labels = e + d, so at most this many edges leave room for d = 1
+    room = max(x for x in range(n, 50) if math.perm(x, n) <= BRUTE_FORCE_MAX) - 1
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=min(len(pairs), room),
+                          unique=True)) if pairs else []
+    e = len(edges)
+    d = draw(st.sampled_from([x for x in range(1, max(e, 2) + 1) if e % x == 0
+                              and math.perm(e + x, n) <= BRUTE_FORCE_MAX]))
+    return SimpleGraph(n, tuple(edges)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+@example((SimpleGraph(5, ((1, 2), (2, 4), (3, 4), (1, 3))), 2))  # C_4 + K_1
+@example((TRIANGLE, 3))
+@example((SimpleGraph(6, ((0, 1), (2, 3), (4, 5))), 3))  # 3K_2
+@example((SimpleGraph(5, ((0, 1), (1, 2), (3, 4))), 3))  # P_3 + K_2
+def test_alpha_search_matches_rosa_brute_force(case):
+    g, d = case
+    expect = _rosa_brute_force(g, d)
+    cfg = SearchConfig(d=d, alpha_only=True, store_limit=BRUTE_FORCE_MAX)
+    assert search(g, replace(cfg, store_limit=0)).count == len(expect)
+    res = search(g, cfg)
+    assert res.count == len(expect)
+    assert {f.values for f in res.labelings} == expect
+    plain = search(g, SearchConfig(d=d, store_limit=BRUTE_FORCE_MAX)).labelings
+    assert {f.values for f in plain if check_alpha(f) is not None} == expect
 
 
 @pytest.mark.parametrize("alpha", [False, True], ids=["plain", "alpha"])
@@ -338,7 +391,7 @@ def test_grid_symmetries_map_prism_labelings_onto_themselves(t8, alpha):
     res = search(t8, SearchConfig(d=3, alpha_only=alpha, store_limit=2000))
     rows = {lab.values for lab in res.labelings}
     assert len(rows) == res.count == (576 if alpha else 1440)
-    _, perms = _orbits(t8, two_coloring(t8) if alpha else None)
+    _, perms = _orbits(t8)
     assert perms
     for p in perms:
         moved = set()
@@ -368,7 +421,7 @@ def test_search_size_cap_raises_before_building(monkeypatch):
 
 def test_search_sets_up_once(monkeypatch):
     # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks
-    calls = {"adjacency_lists": 0, "two_coloring": 0, "dfs_search": 0}
+    calls = {"adjacency_lists": 0, "dfs_search": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -379,13 +432,12 @@ def test_search_sets_up_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     g = build_grid(1, 3)
-    assert len(_orbits(g, two_coloring(g))[0]) == 3
+    assert len(_orbits(g)[0]) == 3
     counting(oracle, "adjacency_lists")
-    counting(oracle, "two_coloring")
     counting(oracle._kernels, "dfs_search")
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
-    assert calls == {"adjacency_lists": 1, "two_coloring": 1, "dfs_search": 3}
+    assert calls == {"adjacency_lists": 1, "dfs_search": 3}
 
 
 def test_search_size_cap_admits_the_limit():
