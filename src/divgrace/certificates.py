@@ -9,8 +9,9 @@ vertex indices and the boundary lambda (the high class is the rest).  A
 decomposition certificate records q, d, n, v and the base blocks, one
 label list per row of the blocks array.  Every number a reader accepts
 must be a JSON integer, and every sequence a JSON list; anything else
-raises CertificateError, as do a file that is not UTF-8 or nests too
-deeply to decode and a low class that repeats an index or names one
+raises CertificateError, as do a file larger than MAX_FILE_BYTES (refused
+before it is read), a file that is not UTF-8 or nests too deeply to
+decode, and a low class that repeats an index or names one
 outside the graph.  DOT output has one node statement per
 vertex (labeled with the f-value) and one edge statement per edge,
 both in canonical order.
@@ -19,6 +20,7 @@ both in canonical order.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .checking import AlphaCert, Labeling
@@ -177,9 +179,31 @@ def write_json(path: str | Path, obj: dict) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
+# Largest file read_json takes in, in bytes: the biggest labeling
+# certificate that cli.MAX_V = 4 000 000 allows, in write_json's layout.
+# Its host has v = 2n(e + d) <= MAX_V vertices, and the labels are
+# distinct in [0, e + d), so the graph has at most MAX_V / 2 vertices and
+# edges, and every number has at most 7 digits.  A label line then takes
+# 13 bytes, a low-class line 15 and a simple graph's edge 50 (four lines
+# at indents 6 and 8), 78 bytes per vertex-and-edge pair; the keys, d,
+# lambda and brackets take under 200 more.  A grid's certificate, with
+# fewer vertices than edges and no edge list, is smaller still.
+MAX_FILE_BYTES = 78 * (4_000_000 // 2) + 4096
+
+
 def read_json(path: str | Path):
+    with open(path, "rb") as fh:
+        # a file is refused by its size before it is read; a pipe reports
+        # size 0, so the read itself stops once it passes the limit
+        data = bytearray()
+        too_large = os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES
+        while not too_large and (chunk := fh.read(1 << 16)):
+            data += chunk
+            too_large = len(data) > MAX_FILE_BYTES
+    if too_large:
+        raise CertificateError(f"file too large: more than {MAX_FILE_BYTES} bytes")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
 

@@ -99,6 +99,13 @@ class Labeling:
         labeling; base_blocks reads it to skip a second check."""
         return set()
 
+    @functools.cached_property
+    def alpha_cert(self) -> AlphaCert | None:
+        """check_alpha's answer for this labeling, found on first use and
+        kept; construct's own check fills it, so the certificate that
+        construct and table then build needs no second check."""
+        return check_alpha(self)
+
     def layer(self, i: int) -> tuple[int, ...]:
         if not isinstance(self.graph, GridGraph):
             raise TypeError("layers are only defined for grid graphs")

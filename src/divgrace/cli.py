@@ -3,7 +3,8 @@
 Subcommands: construct, verify, decompose, search, table.  Exit codes:
 0 success, 1 verification failure, 2 usage or format error.  Each
 command verifies what it writes once: construct through construct's own
-check, decompose and table through check_d_graceful, whose pass
+check, whose alpha certificate the labeling keeps (construct and table
+reuse it), decompose and table through check_d_graceful, whose pass
 base_blocks then reuses.  verify is the independent re-check of a
 labeling from its file; it and decompose refuse a misstated alpha block.
 """
@@ -21,8 +22,8 @@ from .certificates import (CertificateError, decomposition_to_obj, dot_export,
                            read_labeling, write_json, write_labeling)
 from .checking import InvalidParametersError, check_alpha, check_d_graceful
 from .constructions import FAMILIES, ConstructionError, construct
-from .decomp import (base_blocks, check_difference_classes, develop,
-                     proposition_table, verify_decomposition)
+from .decomp import (base_blocks, check_difference_classes, proposition_table,
+                     verify_decomposition)
 from .grids import GridGraph, build_grid
 from .oracle import SearchConfig, search
 
@@ -36,13 +37,15 @@ FULL_CHECK_MAX_V = 600
 # the inputs the benchmark and the tests use stay below v = 70000.
 MAX_V = 4_000_000
 
-# Largest v that `decompose --full-check` accepts.  The development (up
-# to about 2.7 bytes per v^2, at m = 2) and verify_decomposition's one
-# v x v int64 count matrix (8 bytes per v^2) take a process to about 30
-# MiB plus 10.7 bytes per v^2: 488 MiB measured at v = 6702 and 501 MiB
-# at v = 6798, both m = 2.  So 6700 keeps one check under about 500 MiB.
-# Above it the difference-class check, O(n*e), is the certificate to use.
-DECOMPOSE_FULL_CHECK_MAX_V = 6700
+# Largest v that `decompose --full-check` accepts.  verify_decomposition
+# builds its translates from the base blocks a chunk at a time, so its
+# one v x v int64 count matrix (8 bytes per v^2) is nearly all it holds:
+# a process peaks at about 31 MiB plus 8.0 bytes per v^2, 100 MiB
+# measured at v = 3006, 222 at 4998, 404 at 6990 and 500 at 7830 (m = 2,
+# n = 1), and 495 at v = 7794 (m = 2, n = 3) and 501 at 7848 (m = 5,
+# n = 2).  So 7800 keeps one check under about 500 MiB.  Above it the
+# difference-class check, O(n*e), is the certificate to use.
+DECOMPOSE_FULL_CHECK_MAX_V = 7800
 
 
 def _fail(code: int, message: str) -> int:
@@ -75,8 +78,8 @@ def cmd_construct(args) -> int:
         return _fail(2, f"invalid parameters: {exc}")
     except ConstructionError as exc:
         return _fail(1, f"construction failed verification: {exc}")
-    # construct has verified the labeling; this call builds its certificate
-    alpha = check_alpha(labeling)
+    # construct has verified the labeling and kept its alpha certificate
+    alpha = labeling.alpha_cert
     try:
         write_labeling(args.out, labeling, d, alpha)
     except OSError as exc:
@@ -151,7 +154,6 @@ def cmd_decompose(args) -> int:
             return _fail(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
                             f" (here v = {dec.spec.v}); drop --full-check to verify by"
                             " difference classes")
-        dec = develop(dec)
         result = verify_decomposition(dec)
     else:
         result = check_difference_classes(dec)
@@ -217,11 +219,9 @@ def cmd_table(args) -> int:
             for target in proposition_table(k, m, args.n):
                 try:
                     labeling = construct(k, m, target.family)
-                    cert = check_alpha(labeling)
-                    dec = base_blocks(labeling, cert, target.d, args.n)
+                    dec = base_blocks(labeling, labeling.alpha_cert, target.d, args.n)
                     if dec.spec.v <= FULL_CHECK_MAX_V:
-                        status = "verified" if verify_decomposition(develop(dec)) \
-                            else "FAILED"
+                        status = "verified" if verify_decomposition(dec) else "FAILED"
                     else:
                         status = "verified (classes)" if check_difference_classes(dec) \
                             else "FAILED"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checking import Labeling, check_alpha, check_d_graceful
+from .checking import Labeling, check_d_graceful
 from .grids import GridGraph, build_grid
 
 
@@ -286,7 +286,7 @@ def _verify(lab: Labeling, d: int, family: Family, where: str) -> None:
     report = check_d_graceful(lab, d)
     if not report:
         raise ConstructionError(f"{where}: {report.describe()}")
-    if check_alpha(lab) is None:
+    if lab.alpha_cert is None:
         raise ConstructionError(f"{where}: alpha boundary violated")
     if seed_matches(lab, family) is None:
         raise ConstructionError(f"{where}: top layer lost the {family.name} pattern")

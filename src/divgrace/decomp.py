@@ -17,11 +17,11 @@ labels gathered at the graph's edge indices.
 verify_decomposition ignores all of that and simply counts every edge of
 every translated block into a v x v int64 count matrix, which is the
 point: the claim is checked against an independent exhaustive
-accounting.  It walks the development PAIR_BUDGET edges at a time and
-compares the matrix with the multipartite edge set a few rows at a
-time, so beside the development (at most about 2.7 bytes per v^2) it
-holds little more than the matrix's 8 bytes per v^2; that still makes
-it a check for moderate v only.
+accounting.  It builds the translates from the base blocks PAIR_BUDGET
+edges at a time, never the whole development, and compares the matrix
+with the multipartite edge set a few rows at a time, so it holds little
+more than the matrix's 8 bytes per v^2; that still makes it a check for
+moderate v only.
 check_difference_classes is the O(n*e) shortcut certificate, one numpy
 pass over the edges of all blocks.  Once no class is zero or forbidden,
 every class lies in [0, v/2], so one bincount over v/2 + 1 slots finds
@@ -78,7 +78,7 @@ class Decomposition:
     n: int
     q: int
     blocks: np.ndarray  # (n, |V|) int64, read-only; row j is base block j
-    development: np.ndarray | None = None
+    development: np.ndarray | None = None  # set only by develop
 
 
 def base_blocks(f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decomposition:
@@ -114,6 +114,8 @@ def base_blocks(f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decompos
     return Decomposition(spec=spec, graph=f.graph, d=d, n=n, q=params.q, blocks=labels)
 
 
+# Unused by the package; kept because perfbench/tracing.py traces it by name
+# and reads development.nbytes, and the dense test reference checks its rows.
 def develop(dec: Decomposition) -> Decomposition:
     """All v translates of every base block, as an (n*v, |V|) label array."""
     v = dec.spec.v
@@ -125,30 +127,34 @@ def develop(dec: Decomposition) -> Decomposition:
 
 
 def verify_decomposition(dec: Decomposition) -> CheckReport:
-    """Exhaustively verify a developed decomposition.
+    """Exhaustively verify a decomposition from its base blocks.
 
-    Walks the development about PAIR_BUDGET translated edges at a time:
-    each chunk of translates must map its block injectively and put
-    every edge between two parts, and its edges are counted into one
-    v x v int64 count matrix.  That matrix is then compared with the
-    multipartite edge set, PAIR_BUDGET // v rows (at least one) of its
-    upper triangle at a time, so the check holds a little over 8 bytes
-    per v^2 beside the development.  Reasons come in the order
-    block-not-injective, illegal-edge, duplicate-edge, uncovered-edge,
-    each with its first witness in development order (translates) or
-    row-major order (pairs).  Exact, no tolerances.
+    The development is the rows t < len(blocks) * v, row t the translate
+    (blocks[t // v] + t % v) mod v; it is never held whole.  About
+    PAIR_BUDGET translated edges' worth of rows are built at a time:
+    each must map its block injectively and put every edge between two
+    parts, and its edges are counted into one v x v int64 count matrix.
+    That matrix is then compared with the multipartite edge set,
+    PAIR_BUDGET // v rows (at least one) of its upper triangle at a
+    time, so the check holds a little over 8 bytes per v^2.  Reasons
+    come in the order block-not-injective, illegal-edge,
+    duplicate-edge, uncovered-edge, each with its first witness in
+    development order (translates) or row-major order (pairs).  Exact,
+    no tolerances.
     """
-    if dec.development is None:
-        raise ValueError("decomposition not developed; call develop() first")
-    dev = dec.development
+    blocks = dec.blocks
     v = dec.spec.v
     residues = np.arange(v, dtype=np.int64) % dec.spec.parts
     edge_idx = dec.graph.edge_indices()
     counts = np.zeros((v, v), dtype=np.int64)
     illegal = None
+    total = blocks.shape[0] * v
     step = max(1, PAIR_BUDGET // max(1, edge_idx.shape[0]))
-    for start in range(0, dev.shape[0], step):
-        rows = dev[start:start + step]
+    for start in range(0, total, step):
+        t = np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = blocks[t // v]
+        rows += (t % v)[:, None]
+        rows %= v
         srt = np.sort(rows, axis=1)
         dup = srt[:, 1:] == srt[:, :-1]
         dup_rows = np.flatnonzero(dup.any(axis=1))

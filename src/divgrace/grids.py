@@ -50,16 +50,20 @@ class GridGraph:
         return (i - 1) * self.ring_len + (j - 1)
 
     def edge_indices(self) -> np.ndarray:
-        """Canonical edge order as a read-only (e, 2) array of vertex indices."""
-        w = self.ring_len
-        j = np.arange(w, dtype=np.int64)
-        base = np.arange(self.m, dtype=np.int64)[:, None] * w
-        ring_u = (base + j).ravel()
-        ring_w = (base + (j + 1) % w).ravel()
-        rung_u = np.arange((self.m - 1) * w, dtype=np.int64)
-        arr = np.stack([np.concatenate([ring_u, rung_u]),
-                        np.concatenate([ring_w, rung_u + w])], axis=1)
-        arr.setflags(write=False)
+        """Canonical edge order as a read-only (e, 2) array of vertex indices,
+        built on the first call and kept on the graph."""
+        arr = self.__dict__.get("_edges")
+        if arr is None:
+            w = self.ring_len
+            j = np.arange(w, dtype=np.int64)
+            base = np.arange(self.m, dtype=np.int64)[:, None] * w
+            ring_u = (base + j).ravel()
+            ring_w = (base + (j + 1) % w).ravel()
+            rung_u = np.arange((self.m - 1) * w, dtype=np.int64)
+            arr = np.stack([np.concatenate([ring_u, rung_u]),
+                            np.concatenate([ring_w, rung_u + w])], axis=1)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_edges", arr)  # not a field: eq and hash ignore it
         return arr
 
 

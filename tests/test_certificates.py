@@ -1,6 +1,9 @@
 """JSON certificate round trips and DOT export."""
 
 import json
+import os
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +11,12 @@ from hypothesis import strategies as st
 
 from divgrace import (F1, Labeling, SimpleGraph, base_blocks, build_grid,
                       check_alpha, construct)
+from divgrace import certificates, cli
 from divgrace.certificates import (CertificateError, decomposition_from_obj,
                                    decomposition_to_obj, dot_export, dumps,
                                    graph_from_obj, graph_to_obj,
                                    labeling_from_obj, labeling_to_obj,
-                                   read_labeling, write_labeling)
+                                   read_json, read_labeling, write_labeling)
 
 
 def test_grid_graph_round_trip():
@@ -168,6 +172,61 @@ def test_unreadable_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(CertificateError):
         read_labeling(bad)
+
+
+def _widest_certificate(size):
+    # a simple graph with `size` vertices and edges, every number 7 digits
+    # wide as the largest labels below MAX_V / 2 are
+    big = 1_999_999 - size
+    return {"graph": {"kind": "simple", "n": big,
+                      "edges": [[big + i, big + i + 1] for i in range(size)]},
+            "d": big, "labels": [big + i for i in range(size)],
+            "alpha": {"low_class": [big + i for i in range(size)], "lambda": big}}
+
+
+def test_read_limit_admits_the_largest_certificate():
+    # a certificate grows by the same bytes per vertex-and-edge pair at
+    # every size, and MAX_V allows at most MAX_V / 2 pairs
+    small, large = (len(dumps(_widest_certificate(size))) for size in (1000, 2000))
+    per_pair = (large - small) // 1000
+    largest = small + per_pair * (cli.MAX_V // 2 - 1000)
+    assert largest <= certificates.MAX_FILE_BYTES < largest + 4096
+
+
+def test_read_refuses_an_oversized_file_unread(tmp_path):
+    path = tmp_path / "big.json"
+    with open(path, "wb") as fh:  # sparse: no disk blocks behind the size
+        fh.truncate(certificates.MAX_FILE_BYTES + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateError, match="file too large"):
+            read_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_read_limit_holds_for_a_pipe(tmp_path, monkeypatch):
+    # a pipe has no size to check first, so the read itself is bounded
+    monkeypatch.setattr(certificates, "MAX_FILE_BYTES", 64)
+    path = tmp_path / "pipe"
+    for payload, fits in ((b"[" + b"1, " * 20 + b"1]", True),
+                          (b"[" + b"1, " * 21 + b"1]", False)):
+        assert (len(payload) <= 64) == fits
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(payload,), daemon=True)
+        writer.start()
+        try:
+            if fits:
+                assert read_json(path) == [1] * 21
+            else:
+                with pytest.raises(CertificateError, match="file too large"):
+                    read_json(path)
+        finally:
+            writer.join(timeout=10)
+            path.unlink()
+        assert not writer.is_alive()
 
 
 def test_dot_export_layout(t8_labeling):

@@ -9,6 +9,7 @@ import reference_checking as ref
 from divgrace import (F1, F2, F4, AlphaCert, InvalidParametersError, Labeling,
                       SimpleGraph, build_grid, check_alpha, check_d_graceful,
                       construct, d_params)
+from divgrace import checking
 
 
 def test_d_params_12_3():
@@ -122,6 +123,24 @@ def test_alpha_t8(t8, t8_labeling):
     assert cert.boundary == 6
     assert {t8_labeling.values[x] for x in cert.low} == {0, 1, 5, 6}
     assert cert.low == {1, 3, 4, 6}
+
+
+def test_alpha_cert_is_kept(t8, t8_labeling, monkeypatch):
+    calls = []
+    original = checking.check_alpha
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(checking, "check_alpha", counted)
+    for values, boundary in ((t8_labeling.values, 6), ((6, 5, 9, 6, 0, 14, 1, 7), None)):
+        lab = Labeling(t8, values)
+        assert lab.alpha_cert == original(lab)
+        assert getattr(lab.alpha_cert, "boundary", None) == boundary
+        assert lab.alpha_cert is lab.alpha_cert
+    # one check per labeling, the failed one included
+    assert len(calls) == 2
 
 
 def test_alpha_single_edge():

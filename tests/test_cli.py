@@ -12,7 +12,7 @@ import pytest
 
 import divgrace
 
-from divgrace import checking, cli
+from divgrace import certificates, checking, cli, decomp
 from divgrace.cli import main
 
 
@@ -180,6 +180,23 @@ def test_readers_refuse_undecodable_files(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
+def test_readers_refuse_oversized_files(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    with open(path, "wb") as fh:  # sparse: no disk blocks behind the size
+        fh.truncate(certificates.MAX_FILE_BYTES + 1)
+    out = tmp_path / "dec.json"
+    for argv, what in ((["verify", str(path)], "certificate"),
+                       (["decompose", "--in", str(path), "--n", "1", "--out", str(out)],
+                        "certificate"),
+                       (["search", "--graph", str(path), "--d", "1"], "graph")):
+        code, stdout, stderr = _run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (f"cannot read {what}: file too large: more than "
+                          f"{certificates.MAX_FILE_BYTES} bytes\n")
+    assert not out.exists()
+
+
 def test_non_bipartite_graph_has_no_alpha_labeling(tmp_path, capsys):
     # the triangle labeled 0, 1, 3 is graceful, but no boundary splits
     # the ends of all three edges
@@ -231,6 +248,28 @@ def test_decompose_full_check(tmp_path, capsys):
     assert len(obj["base_blocks"]) == 2
 
 
+def test_full_checks_never_develop(tmp_path, capsys, monkeypatch):
+    # the exhaustive check builds its translates from the base blocks a
+    # chunk at a time; develop would hold all n * v of them at once
+    def refuse(*args):
+        raise AssertionError("the full check must not materialise the development")
+
+    _rebind(monkeypatch, decomp.develop, refuse)
+    cert = tmp_path / "c.json"
+    _run(capsys, "construct", "--k", "2", "--m", "3", "--family", "f1",
+         "--out", str(cert))
+    for n in ("1", "2", "3"):
+        code, stdout, _ = _run(capsys, "decompose", "--in", str(cert), "--n", n,
+                               "--full-check", "--out", str(tmp_path / "d.json"))
+        assert code == 0
+        assert "edges covered exactly once" in stdout
+    # every cell has v <= 180, under table's exhaustive-check limit
+    code, stdout, _ = _run(capsys, "table", "--kmax", "2", "--mmax", "3", "--n", "2")
+    assert code == 0
+    assert stdout.count(": verified") == 12
+    assert "classes" not in stdout
+
+
 def test_decompose_into_missing_directory(tmp_path, capsys):
     cert = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
@@ -247,7 +286,6 @@ def test_decompose_full_check_rejects_large_v(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the full check must not start above the limit")
 
-    monkeypatch.setattr(cli, "develop", refuse)
     monkeypatch.setattr(cli, "verify_decomposition", refuse)
     cert = tmp_path / "big.json"
     _run(capsys, "construct", "--k", "40", "--m", "10", "--family", "f1",
@@ -270,7 +308,7 @@ def test_oversized_inputs_exit_before_building(tmp_path, capsys, monkeypatch):
     cert = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
          "--out", str(cert))
-    for name in ("construct", "base_blocks", "check_alpha", "develop"):
+    for name in ("construct", "base_blocks", "check_alpha", "verify_decomposition"):
         monkeypatch.setattr(cli, name, refuse)
     big = str(10 ** 9)
     for argv in (["decompose", "--in", str(cert), "--n", big,
@@ -349,12 +387,19 @@ def test_verify_rejects_a_huge_label_without_sizing_by_it(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Replace original under every name that any divgrace module binds it to."""
+    for name, mod in list(sys.modules.items()):
+        if name == "divgrace" or name.startswith("divgrace."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 def _count_checks(monkeypatch):
     """Count check_d_graceful and check_alpha calls under every name that
     any divgrace module binds them to."""
     counts = {"check_d_graceful": 0, "check_alpha": 0}
-    modules = [mod for name, mod in sys.modules.items()
-               if name == "divgrace" or name.startswith("divgrace.")]
     for fname in counts:
         original = getattr(checking, fname)
 
@@ -362,10 +407,7 @@ def _count_checks(monkeypatch):
             counts[_name] += 1
             return _original(*args)
 
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counted)
+        _rebind(monkeypatch, original, counted)
     return counts
 
 
@@ -374,17 +416,17 @@ def test_one_check_per_command(tmp_path, capsys, monkeypatch, family):
     counts = _count_checks(monkeypatch)
     cert, dec = str(tmp_path / "c.json"), str(tmp_path / "d.json")
     # (argv, check_d_graceful calls, check_alpha calls): construct checks
-    # both conditions once, and check_alpha once more builds the alpha
-    # block of the certificate or the base blocks
+    # both conditions once and keeps the alpha certificate for its file or
+    # table's base blocks; decompose checks the labeling it reads
     calls = [
-        (["construct", "--k", "3", "--m", "5", "--family", family, "--out", cert], 1, 2),
+        (["construct", "--k", "3", "--m", "5", "--family", family, "--out", cert], 1, 1),
         (["verify", cert, "--alpha"], 1, 1),
         (["decompose", "--in", cert, "--n", "2", "--out", dec], 1, 1),
         (["decompose", "--in", cert, "--n", "2", "--full-check", "--out", dec], 1, 1),
-        (["construct", "--k", "2", "--m", "2", "--family", family, "--out", cert], 1, 2),
+        (["construct", "--k", "2", "--m", "2", "--family", family, "--out", cert], 1, 1),
         (["decompose", "--in", cert, "--n", "1", "--out", dec], 1, 1),
         # one construct per cell: 2 rows of 3 cells
-        (["table", "--kmax", "1", "--mmax", "3", "--n", "2"], 6, 12),
+        (["table", "--kmax", "1", "--mmax", "3", "--n", "2"], 6, 6),
     ]
     for argv, graceful, alpha in calls:
         before = dict(counts)

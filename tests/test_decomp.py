@@ -74,17 +74,21 @@ def test_develop_rows_are_translates(t8, t8_labeling):
 @pytest.mark.parametrize("n,expect_edges", [(1, 360), (2, 1440)])
 def test_verify_counts_every_edge_once(t8, t8_labeling, n, expect_edges):
     cert = check_alpha(t8_labeling)
-    dec = develop(base_blocks(t8_labeling, cert, 3, n))
+    dec = base_blocks(t8_labeling, cert, 3, n)
     assert dec.spec.edge_count == expect_edges
     assert dec.spec.edge_count == t8.num_edges * n * dec.spec.v
     report = verify_decomposition(dec)
     assert report.ok, report.describe()
 
 
-def test_verify_needs_development(t8, t8_labeling):
+def test_verify_needs_no_development(t8, t8_labeling):
+    # the translates are built from the base blocks; a development, even a
+    # wrong one, is never read
     dec = base_blocks(t8_labeling, None, 3, 1)
-    with pytest.raises(ValueError):
-        verify_decomposition(dec)
+    assert dec.development is None
+    assert verify_decomposition(dec).ok
+    wrong = np.zeros((dec.spec.v, t8.num_vertices), dtype=np.int64)
+    assert verify_decomposition(replace(dec, development=wrong)).ok
 
 
 def _tampered(dec, vertex, new_label):
@@ -95,21 +99,21 @@ def _tampered(dec, vertex, new_label):
 
 def test_verify_catches_label_collision(t8, t8_labeling):
     dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 5)
-    report = verify_decomposition(develop(dec))
+    report = verify_decomposition(dec)
     assert report.reason == "block-not-injective"
 
 
 def test_verify_catches_within_part_edge(t8, t8_labeling):
     # 10 = 5 mod 5, so the first ring edge lands inside a part
     dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 10)
-    report = verify_decomposition(develop(dec))
+    report = verify_decomposition(dec)
     assert report.reason == "illegal-edge"
 
 
 def test_verify_catches_double_cover(t8, t8_labeling):
     # 8 keeps the block injective and its edges legal but repeats class 3
     dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 8)
-    report = verify_decomposition(develop(dec))
+    report = verify_decomposition(dec)
     assert report.reason == "duplicate-edge"
 
 
@@ -128,14 +132,15 @@ def test_difference_classes_catch_tampering(t8, t8_labeling):
 
 
 def test_verify_catches_uncovered_edge(t8, t8_labeling):
-    cert = check_alpha(t8_labeling)
-    dec = develop(base_blocks(t8_labeling, cert, 3, 2))
-    report = verify_decomposition(replace(dec, development=dec.development[:-1]))
+    dec = base_blocks(t8_labeling, check_alpha(t8_labeling), 3, 2)
+    report = verify_decomposition(replace(dec, blocks=dec.blocks[:-1]))
     assert report.reason == "uncovered-edge"
-    # the dropped translate's edges are the uncovered ones; the first in
-    # row-major order of the (x, y), x < y, bitmap is the smallest pair
-    dropped = dec.development[-1].tolist()
-    pairs = [tuple(sorted((dropped[u], dropped[w]))) for u, w in t8.edge_indices().tolist()]
+    # the dropped block's translates hold the uncovered edges; the first in
+    # row-major order of the (x, y), x < y, count matrix is the smallest pair
+    v = dec.spec.v
+    dropped = dec.blocks[-1].tolist()
+    pairs = [tuple(sorted(((dropped[u] + t) % v, (dropped[w] + t) % v)))
+             for t in range(v) for u, w in t8.edge_indices().tolist()]
     assert report.witness == (min(pairs),)
 
 
@@ -172,7 +177,8 @@ def _grid_decomposition(k, m, family, n):
 @st.composite
 def tampered_decompositions(draw):
     """Base blocks of C_{4k} x P_m with one label set, two swapped, one
-    block shifted by a constant or one block dropped (or none changed)."""
+    block shifted by a constant, replaced by a shifted copy of another
+    block or dropped (or none changed)."""
     n = draw(st.integers(1, 3))
     dec = _grid_decomposition(draw(st.integers(1, 3)), draw(st.integers(2, 4)),
                               draw(st.sampled_from([F1, F2, F4])), n)
@@ -181,7 +187,7 @@ def tampered_decompositions(draw):
     blocks = dec.blocks.tolist()
     j = draw(st.integers(0, n - 1))
     block = blocks[j]
-    kind = draw(st.sampled_from(["set", "swap", "shift", "drop", "none"]))
+    kind = draw(st.sampled_from(["set", "swap", "shift", "copy", "drop", "none"]))
     if kind == "set":
         # an existing label plus a multiple of v makes zero differences likely
         label = draw(st.one_of(st.integers(-v, 2 * v),
@@ -194,6 +200,10 @@ def tampered_decompositions(draw):
     elif kind == "shift":
         c = draw(st.integers(-v, v))
         blocks[j] = [x + c for x in block]
+    elif kind == "copy":
+        # at n > 1 every edge of the copied block is then covered twice
+        c = draw(st.integers(-v, v))
+        blocks[j] = [x + c for x in blocks[draw(st.integers(0, n - 1))]]
     elif kind == "drop":
         del blocks[j]
     labels = np.array(blocks, dtype=np.int64).reshape(len(blocks), dec.graph.num_vertices)
@@ -209,21 +219,6 @@ def test_difference_classes_agree_with_reference(dec):
     assert got.describe() == want.describe()
 
 
-@st.composite
-def developed_decompositions(draw):
-    """Developed tampered base blocks, with up to five trailing translates
-    dropped, or replaced by copies of other translates, so that edges are
-    left uncovered or covered twice, not only at vertex 0."""
-    dec = develop(draw(tampered_decompositions()))
-    total = dec.development.shape[0]
-    keep = total - draw(st.integers(0, min(5, total)))
-    rows = list(range(keep))
-    if keep and draw(st.booleans()):
-        copies = st.integers(0, keep - 1)
-        rows += draw(st.lists(copies, min_size=total - keep, max_size=total - keep))
-    return replace(dec, development=dec.development[rows])
-
-
 # 1 checks one translate and compares one row at a time; 251 cuts chunks
 # of 2 to 20 translates, which split blocks, and compares several rows at
 # once at small v; the default takes most test developments whole.
@@ -232,12 +227,13 @@ BUDGETS = [1, 251, decomp.PAIR_BUDGET]
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @settings(max_examples=120, deadline=None)
-@given(developed_decompositions())
+@given(tampered_decompositions())
 def test_verify_agrees_with_dense_reference(budget, dec):
+    # a dropped block leaves edges uncovered, a copied one covers some twice
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomp, "PAIR_BUDGET", budget)
         got = verify_decomposition(dec)
-    want = ref.verify_decomposition(dec)
+    want = ref.verify_decomposition(develop(dec))
     assert (got.ok, got.reason, got.witness) == (want.ok, want.reason, want.witness)
 
 
@@ -250,28 +246,43 @@ def test_a_later_non_injective_block_beats_an_earlier_illegal_edge(
     blocks = dec.blocks.copy()
     blocks[0, 0] = 10
     blocks[1, 0] = blocks[1, 1]
-    dec = develop(replace(dec, blocks=blocks))
+    dec = replace(dec, blocks=blocks)
     monkeypatch.setattr(decomp, "PAIR_BUDGET", budget)
     report = verify_decomposition(dec)
     assert report.reason == "block-not-injective"
     assert report.witness[0] == dec.spec.v
-    assert report == ref.verify_decomposition(dec)
+    assert report == ref.verify_decomposition(develop(dec))
+
+
+def _traced_peak(verify, dec):
+    tracemalloc.start()
+    try:
+        assert verify(dec).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_verify_peaks_under_half_the_dense_reference():
-    # v = 1620: the dense reference peaks near 83 MiB, 33 bytes per v^2,
-    # and the streaming check near 22 MiB, most of it the count matrix
-    dec = develop(_grid_decomposition(2, 14, F2, 3))
+    # v = 1620: the dense reference peaks near 83 MiB, 33 bytes per v^2
+    # beside the development it is given, and the streaming check near
+    # 23 MiB, most of it the count matrix
+    dec = _grid_decomposition(2, 14, F2, 3)
     assert dec.spec.v == 1620
-    peaks = []
-    for verify in (verify_decomposition, ref.verify_decomposition):
-        tracemalloc.start()
-        try:
-            assert verify(dec).ok
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < peaks[1] / 2
+    dense = develop(dec)
+    assert _traced_peak(verify_decomposition, dec) < \
+        _traced_peak(ref.verify_decomposition, dense) / 2
+
+
+def test_verify_peaks_at_its_count_matrix():
+    # beside the 8 * v^2 bytes of counts, a chunk holds a few int64 arrays
+    # of PAIR_BUDGET translated edges (about 42 bytes per edge measured);
+    # the whole development of 3 * 1620 translates of 112 labels would be
+    # 4.4 MB more, and twice that while its translates are reduced mod v
+    dec = _grid_decomposition(2, 14, F2, 3)
+    v = dec.spec.v
+    assert v == 1620
+    assert _traced_peak(verify_decomposition, dec) < 8 * v * v + 64 * decomp.PAIR_BUDGET
 
 
 @pytest.mark.parametrize("grid,budget", [((1, 2, F1, 2), 1), ((1, 2, F1, 2), 251),
@@ -288,7 +299,7 @@ def test_count_pairs_sees_every_translated_edge_once(monkeypatch, grid, budget):
 
     monkeypatch.setattr(_kernels, "count_pairs", counted)
     monkeypatch.setattr(decomp, "PAIR_BUDGET", budget)
-    dec = develop(_grid_decomposition(*grid))
+    dec = _grid_decomposition(*grid)
     assert verify_decomposition(dec).ok
     assert len(sizes) > 1
     assert sum(sizes) == dec.n * dec.spec.v * dec.graph.num_edges == dec.spec.edge_count
@@ -300,7 +311,7 @@ def test_certificate_agrees_with_exhaustive_verify(t8, t8_labeling):
     for n in (1, 2):
         dec = base_blocks(t8_labeling, cert, 3, n)
         assert check_difference_classes(dec).ok
-        assert verify_decomposition(develop(dec)).ok
+        assert verify_decomposition(dec).ok
 
 
 def test_n2_requires_alpha_cert(t8, t8_labeling):
@@ -385,7 +396,7 @@ def test_table_rows_verify_end_to_end(family):
     lab = construct(1, 2, family)
     cert = check_alpha(lab)
     d = family.divisor(2)
-    dec = develop(base_blocks(lab, cert, d, 1))
+    dec = base_blocks(lab, cert, d, 1)
     row = proposition_table(1, 2, 1)[[F1, F2, F4].index(family)]
     assert dec.spec == row.spec
     assert verify_decomposition(dec).ok
@@ -395,6 +406,6 @@ def test_table_rows_verify_end_to_end(family):
 def test_further_rows_verify(family, m, n):
     lab = construct(1, m, family)
     cert = check_alpha(lab)
-    dec = develop(base_blocks(lab, cert, family.divisor(m), n))
+    dec = base_blocks(lab, cert, family.divisor(m), n)
     assert verify_decomposition(dec).ok
     assert check_difference_classes(dec).ok

@@ -74,6 +74,16 @@ def test_edge_array_matches_coordinates(k, m):
     assert not idx.flags.writeable
 
 
+def test_edge_array_is_built_once_per_graph():
+    g = build_grid(2, 3)
+    first = g.edge_indices()
+    assert g.edge_indices() is first
+    assert not first.flags.writeable
+    # the kept array is no field: equality and hashing ignore it
+    assert g == build_grid(2, 3) and hash(g) == hash(build_grid(2, 3))
+    assert np.array_equal(build_grid(2, 3).edge_indices(), first)
+
+
 def test_edge_array_counts():
     idx = build_grid(1, 3).edge_indices()
     assert idx.shape == (20, 2)
