@@ -3,10 +3,11 @@
 Subcommands: construct, verify, decompose, search, table.  Exit codes:
 0 success, 1 verification failure, 2 usage or format error.  Each
 command verifies what it writes once: construct through construct's own
-check, whose alpha certificate the labeling keeps (construct and table
-reuse it), decompose and table through check_d_graceful, whose pass
-base_blocks then reuses.  verify is the independent re-check of a
-labeling from its file; it and decompose refuse a misstated alpha block.
+check, decompose and table through check_d_graceful, whose pass
+base_blocks then reuses; all read the alpha certificate a labeling
+keeps (Labeling.alpha_cert).  verify is the independent re-check of a
+labeling from its file; it and decompose refuse a stated alpha block
+other than the labeling's own.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import sys
 from .certificates import (CertificateError, decomposition_to_obj, dot_export,
                            graph_from_obj, labeling_to_obj, read_json,
                            read_labeling, write_json, write_labeling)
-from .checking import InvalidParametersError, check_alpha, check_d_graceful
+from .checking import InvalidParametersError, check_d_graceful
 from .constructions import FAMILIES, ConstructionError, construct
-from .decomp import (base_blocks, check_difference_classes, proposition_table,
-                     verify_decomposition)
+from .decomp import (MultipartiteSpec, base_blocks, check_difference_classes,
+                     proposition_table, verify_decomposition)
 from .grids import GridGraph, build_grid
 from .oracle import SearchConfig, search
-
-FULL_CHECK_MAX_V = 600
 
 # Largest host graph that construct, decompose and table take on, in
 # vertices v = 2dn(q+1) of K_{(q+1) x 2dn} (n = 1 for construct).  It
@@ -37,14 +36,15 @@ FULL_CHECK_MAX_V = 600
 # the inputs the benchmark and the tests use stay below v = 70000.
 MAX_V = 4_000_000
 
-# Largest v that `decompose --full-check` accepts.  verify_decomposition
-# builds its translates from the base blocks a chunk at a time, so its
-# one v x v int64 count matrix (8 bytes per v^2) is nearly all it holds:
-# a process peaks at about 31 MiB plus 8.0 bytes per v^2, 100 MiB
-# measured at v = 3006, 222 at 4998, 404 at 6990 and 500 at 7830 (m = 2,
-# n = 1), and 495 at v = 7794 (m = 2, n = 3) and 501 at 7848 (m = 5,
-# n = 2).  So 7800 keeps one check under about 500 MiB.  Above it the
-# difference-class check, O(n*e), is the certificate to use.
+# Largest v that `decompose --full-check` accepts and that table checks
+# exhaustively.  verify_decomposition builds its translates from the base
+# blocks a chunk at a time, so its one v x v int64 count matrix (8 bytes
+# per v^2) is nearly all it holds: a process peaks at about 31 MiB plus
+# 8.0 bytes per v^2, 100 MiB measured at v = 3006, 222 at 4998, 404 at
+# 6990 and 500 at 7830 (m = 2, n = 1), and 495 at v = 7794 (m = 2, n = 3)
+# and 501 at 7848 (m = 5, n = 2).  So 7800 keeps one check under about
+# 500 MiB.  Above it the difference-class check, O(n*e), is the
+# certificate to use.
 DECOMPOSE_FULL_CHECK_MAX_V = 7800
 
 
@@ -69,7 +69,7 @@ def _parse_grid_arg(text: str) -> GridGraph:
 def cmd_construct(args) -> int:
     family = FAMILIES[args.family]
     d = family.divisor(args.m)
-    v = 2 * (4 * args.k * (2 * args.m - 1) + d)  # 2d(q+1), q = e/d
+    v = MultipartiteSpec.host(4 * args.k * (2 * args.m - 1), d, 1).v
     if v > MAX_V:
         return _too_large(v)
     try:
@@ -112,16 +112,15 @@ def cmd_verify(args) -> int:
         print(f"INVALID ({report.describe()})")
         return 1
     print("labeling: valid")
-    need_alpha = args.alpha or alpha is not None
-    if need_alpha:
-        fresh = check_alpha(labeling)
-        if fresh is None:
+    if args.alpha or alpha is not None:
+        own = labeling.alpha_cert
+        if own is None:
             print("INVALID (alpha-boundary-violation)")
             return 1
-        if alpha is not None and alpha != fresh:
+        if alpha is not None and alpha != own:
             print(f"INVALID (alpha-block-mismatch: stated boundary {alpha.boundary})")
             return 1
-        print(f"alpha: valid, boundary {fresh.boundary}")
+        print(f"alpha: valid, boundary {own.boundary}")
     return 0
 
 
@@ -139,16 +138,15 @@ def cmd_decompose(args) -> int:
         return _fail(2, f"invalid parameters: {exc}")
     if not report:
         return _fail(1, f"labeling does not verify: {report.describe()}")
-    v = 2 * d * args.n * (g.num_edges // d + 1)
+    v = MultipartiteSpec.host(g.num_edges, d, args.n).v
     if v > MAX_V:
         return _too_large(v)
-    cert = check_alpha(labeling)
-    if alpha is not None and alpha != cert:
+    if alpha is not None and alpha != labeling.alpha_cert:
         return _fail(1, f"stated alpha block does not verify (alpha-block-mismatch: "
                         f"stated boundary {alpha.boundary})")
-    if args.n > 1 and cert is None:
+    if args.n > 1 and labeling.alpha_cert is None:
         return _fail(1, "alpha condition fails, cannot decompose with n > 1")
-    dec = base_blocks(labeling, cert, d, args.n)
+    dec = base_blocks(labeling, d, args.n)
     if args.full_check:
         if dec.spec.v > DECOMPOSE_FULL_CHECK_MAX_V:
             return _fail(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
@@ -196,7 +194,7 @@ def cmd_search(args) -> int:
         print(result.count)
         return 0
     for labeling in result.labelings:
-        alpha = check_alpha(labeling) if args.alpha else None
+        alpha = labeling.alpha_cert if args.alpha else None
         print(json.dumps(labeling_to_obj(labeling, args.d, alpha),
                          separators=(",", ":")))
     if result.count > len(result.labelings):
@@ -219,8 +217,8 @@ def cmd_table(args) -> int:
             for target in proposition_table(k, m, args.n):
                 try:
                     labeling = construct(k, m, target.family)
-                    dec = base_blocks(labeling, labeling.alpha_cert, target.d, args.n)
-                    if dec.spec.v <= FULL_CHECK_MAX_V:
+                    dec = base_blocks(labeling, target.d, args.n)
+                    if dec.spec.v <= DECOMPOSE_FULL_CHECK_MAX_V:
                         status = "verified" if verify_decomposition(dec) else "FAILED"
                     else:
                         status = "verified (classes)" if check_difference_classes(dec) \

@@ -8,11 +8,11 @@ shifts the high class up by j * d * (q+1); the n base blocks together
 meet every difference class in [1, dn(q+1)] that is not a multiple of
 q + 1 exactly once, so their v translates partition the edge set.  One
 block (n = 1) needs no class split, so a plain labeling suffices there;
-for n > 1 the shift argument leans on the alpha boundary.  The n base
-blocks are one read-only (n, |V|) int64 label array, row j block j,
-built in one numpy expression from a 0/1 mask of the high class (the
-complement of the certificate's low class); a block's edges are its
-labels gathered at the graph's edge indices.
+for n > 1 the shift argument leans on the alpha boundary lambda of the
+labeling's own certificate.  The n base blocks are one read-only
+(n, |V|) int64 label array, row j block j, built in one numpy
+expression from the mask of the high class, the labels above lambda;
+a block's edges are its labels gathered at the graph's edge indices.
 
 verify_decomposition ignores all of that and simply counts every edge of
 every translated block into a v x v int64 count matrix, which is the
@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .checking import (AlphaCert, CheckReport, InvalidParametersError, Labeling,
-                       _first_repeat, check_d_graceful, d_params)
+from .checking import (CheckReport, InvalidParametersError, Labeling, _first_repeat,
+                       check_d_graceful)
 from .constructions import F1, F2, F4, Family
 from .grids import Graph
 
@@ -57,6 +57,12 @@ class MultipartiteSpec:
 
     parts: int
     part_size: int
+
+    @classmethod
+    def host(cls, e: int, d: int, n: int) -> MultipartiteSpec:
+        """K_{(q+1) x 2dn}, v = 2n(e + d): the host of n base blocks of a
+        d-divisible labeling on e = dq edges."""
+        return cls(parts=e // d + 1, part_size=2 * d * n)
 
     @property
     def v(self) -> int:
@@ -81,12 +87,13 @@ class Decomposition:
     development: np.ndarray | None = None  # set only by develop
 
 
-def base_blocks(f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decomposition:
+def base_blocks(f: Labeling, d: int, n: int) -> Decomposition:
     """The n base blocks induced by a verified labeling, on f.graph.
 
     The labeling is checked here unless check_d_graceful has already
-    passed it for this d (f.passed_d); n > 1 additionally requires an
-    alpha certificate because the higher blocks shift one whole class.
+    passed it for this d (f.passed_d); n > 1 additionally requires its
+    alpha certificate (f.alpha_cert) because blocks j > 0 shift the
+    whole high class, the labels above the boundary, up by j * d(q+1).
     """
     if n < 1:
         raise InvalidParametersError(f"n must be >= 1, got {n}")
@@ -94,24 +101,16 @@ def base_blocks(f: Labeling, cert: AlphaCert | None, d: int, n: int) -> Decompos
         report = check_d_graceful(f, d)
         if not report:
             raise ValueError(f"labeling rejected: {report.describe()}")
-    params = d_params(f.graph.num_edges, d)
-    values = f.array
-    # 1 on the class that blocks j > 0 shift up, 0 on the low class
-    high = np.ones_like(values)
+    spec = MultipartiteSpec.host(f.graph.num_edges, d, n)
+    shift = np.arange(n, dtype=np.int64)[:, None] * (d * spec.parts)  # j * d(q+1)
     if n > 1:
-        if cert is None:
+        if f.alpha_cert is None:
             raise ValueError("an alpha certificate is required for n > 1")
-        low = list(cert.low)
-        high[low] = 0
-        max_low = values[low].max()
-        if max_low >= values[high == 1].min() or max_low != cert.boundary:
-            raise ValueError("alpha certificate does not match the labeling")
-    span = d * (params.q + 1)
-    labels = values + np.arange(n, dtype=np.int64)[:, None] * span * high
-    spec = MultipartiteSpec(parts=params.q + 1, part_size=2 * d * n)
-    assert spec.v == 2 * n * span
+        shift = shift * (f.array > f.alpha_cert.boundary)
+    labels = f.array + shift
     labels.setflags(write=False)
-    return Decomposition(spec=spec, graph=f.graph, d=d, n=n, q=params.q, blocks=labels)
+    return Decomposition(spec=spec, graph=f.graph, d=d, n=n, q=spec.parts - 1,
+                         blocks=labels)
 
 
 # Unused by the package; kept because perfbench/tracing.py traces it by name
@@ -254,7 +253,6 @@ def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
     rows = []
     for family in (F1, F2, F4):
         d = family.divisor(m)
-        q = 4 * k // family.multiplier
-        spec = MultipartiteSpec(parts=q + 1, part_size=2 * d * n)
-        rows.append(DecompositionTarget(family=family, d=d, q=q, spec=spec))
+        spec = MultipartiteSpec.host(4 * k * (2 * m - 1), d, n)
+        rows.append(DecompositionTarget(family=family, d=d, q=spec.parts - 1, spec=spec))
     return rows

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling,
-                       check_alpha, check_d_graceful, d_params)
+                       check_d_graceful, d_params)
 from .grids import Graph, adjacency_lists
 
 
@@ -315,7 +315,7 @@ def cross_validate(f: Labeling, cfg: SearchConfig) -> CheckReport:
     """
     checker_ok = bool(check_d_graceful(f, cfg.d))
     if checker_ok and cfg.alpha_only:
-        checker_ok = check_alpha(f) is not None
+        checker_ok = f.alpha_cert is not None
     engine_ok = engine_accepts(f, cfg)
     if checker_ok == engine_ok:
         return CheckReport(True, "agree-accept" if checker_ok else "agree-reject")

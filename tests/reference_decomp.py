@@ -1,5 +1,11 @@
-"""Loop version of the difference-class certificate, and the dense
-exhaustive verifier.
+"""Loop versions of the base blocks and the difference-class
+certificate, and the dense exhaustive verifier.
+
+base_blocks builds the blocks the way divgrace.base_blocks once did,
+from a certificate passed beside the labeling: block j keeps every
+vertex of cert.low and shifts every other one up by j * d(q+1).  The
+package instead shifts the labels above the boundary of the labeling's
+own certificate; the two must give the same blocks.
 
 check_difference_classes walks the blocks and their edges one at a time
 through a set, in the order the clauses are stated, so it serves as the
@@ -17,6 +23,12 @@ witness, and peak at well under its memory.
 import numpy as np
 
 from divgrace import CheckReport, _kernels
+
+
+def base_blocks(f, cert, d, n):
+    span = d * (f.graph.num_edges // d + 1)
+    return [[x if u in cert.low else x + j * span for u, x in enumerate(f.values)]
+            for j in range(n)]
 
 
 def check_difference_classes(dec):

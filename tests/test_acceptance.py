@@ -111,8 +111,7 @@ def test_criterion_4_decomposition_edge_counts(capsys):
     with _criterion(4, capsys, budget=10.0):
         for (k, m, family, n), parts, size, edges in cases:
             lab = construct(k, m, family)
-            cert = check_alpha(lab)
-            dec = develop(base_blocks(lab, cert, family.divisor(m), n))
+            dec = develop(base_blocks(lab, family.divisor(m), n))
             assert (dec.spec.parts, dec.spec.part_size) == (parts, size)
             assert dec.spec.edge_count == edges
             v = parts * size

@@ -69,8 +69,7 @@ def test_alpha_block_optional(t8_labeling):
 
 
 def test_decomposition_round_trip(t8, t8_labeling):
-    cert = check_alpha(t8_labeling)
-    dec = base_blocks(t8_labeling, cert, 3, 2)
+    dec = base_blocks(t8_labeling, 3, 2)
     obj = decomposition_to_obj(dec)
     assert list(obj) == ["q", "d", "n", "v", "base_blocks"]
     record = decomposition_from_obj(json.loads(dumps(obj)))

@@ -219,6 +219,26 @@ def test_non_bipartite_graph_has_no_alpha_labeling(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n,flags,line", [
+    ("2", [], "K_{1x8}: 0 difference classes verified"),
+    ("2", ["--full-check"], "K_{1x8}: 0/0 edges covered exactly once"),
+    ("3", [], "K_{1x12}: 0 difference classes verified"),
+    ("3", ["--full-check"], "K_{1x12}: 0/0 edges covered exactly once"),
+])
+def test_decompose_an_edgeless_graph(tmp_path, capsys, n, flags, line):
+    # without edges every vertex is low, so no block shifts a label and
+    # the host, a single part, has no edge to cover
+    cert = tmp_path / "k2bar.json"
+    out = tmp_path / "dec.json"
+    cert.write_text(json.dumps({"graph": {"kind": "simple", "n": 2, "edges": []},
+                                "d": 2, "labels": [0, 1]}))
+    code, stdout, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", n,
+                                *flags, "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert stdout == f"{line}\nwrote {out}\n"
+    assert json.loads(out.read_text())["base_blocks"] == [[0, 1]] * int(n)
+
+
 def test_decompose_difference_classes(tmp_path, capsys):
     cert = tmp_path / "t8.json"
     out = tmp_path / "dec.json"
@@ -308,8 +328,10 @@ def test_oversized_inputs_exit_before_building(tmp_path, capsys, monkeypatch):
     cert = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
          "--out", str(cert))
-    for name in ("construct", "base_blocks", "check_alpha", "verify_decomposition"):
+    for name in ("construct", "base_blocks", "verify_decomposition"):
         monkeypatch.setattr(cli, name, refuse)
+    # the alpha certificate is found on first use of Labeling.alpha_cert
+    _rebind(monkeypatch, checking.check_alpha, refuse)
     big = str(10 ** 9)
     for argv in (["decompose", "--in", str(cert), "--n", big,
                   "--out", str(tmp_path / "d.json")],
@@ -527,6 +549,16 @@ def test_table_small_range(capsys):
     assert "k=1 m=2" in stdout
     for cell in ("K_{5x6}: verified", "K_{3x12}: verified", "K_{2x24}: verified"):
         assert cell in stdout
+
+
+def test_table_checks_by_classes_above_the_full_check_limit(capsys, monkeypatch):
+    # cells at v = 30 and 36 are checked edge by edge, the one at 48 by
+    # difference classes
+    monkeypatch.setattr(cli, "DECOMPOSE_FULL_CHECK_MAX_V", 36)
+    code, stdout, _ = _run(capsys, "table", "--kmax", "1", "--mmax", "2", "--n", "1")
+    assert code == 0
+    assert stdout == ("k=1 m=2  K_{5x6}: verified  K_{3x12}: verified  "
+                      "K_{2x24}: verified (classes)\n")
 
 
 def test_table_rejects_bad_range(capsys):

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_checking as ref_checking
 import reference_decomp as ref
 from divgrace import _kernels, decomp
 from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
-                      MultipartiteSpec, base_blocks, check_alpha,
-                      check_difference_classes, construct, develop,
-                      proposition_table, verify_decomposition)
+                      MultipartiteSpec, SearchConfig, SimpleGraph, base_blocks,
+                      check_alpha, check_d_graceful, check_difference_classes,
+                      construct, develop, proposition_table, search,
+                      verify_decomposition)
 
 
 def _multipartite_edges(parts, size):
@@ -33,7 +35,7 @@ def test_spec_edge_count(parts, size):
 
 
 def test_block_zero_is_the_labeling(t8, t8_labeling):
-    dec = base_blocks(t8_labeling, None, 3, 1)
+    dec = base_blocks(t8_labeling, 3, 1)
     assert dec.blocks.shape == (1, t8.num_vertices)
     assert dec.blocks.dtype == np.int64
     assert not dec.blocks.flags.writeable
@@ -47,7 +49,7 @@ def test_block_zero_is_the_labeling(t8, t8_labeling):
 
 def test_second_block_shifts_the_high_class(t8, t8_labeling):
     cert = check_alpha(t8_labeling)
-    dec = base_blocks(t8_labeling, cert, 3, 2)
+    dec = base_blocks(t8_labeling, 3, 2)
     span = 3 * 5
     for x in range(t8.num_vertices):
         base = t8_labeling.values[x]
@@ -59,8 +61,7 @@ def test_second_block_shifts_the_high_class(t8, t8_labeling):
 
 
 def test_develop_rows_are_translates(t8, t8_labeling):
-    cert = check_alpha(t8_labeling)
-    dec = develop(base_blocks(t8_labeling, cert, 3, 2))
+    dec = develop(base_blocks(t8_labeling, 3, 2))
     v = dec.spec.v
     assert dec.development.shape == (2 * v, t8.num_vertices)
     assert not dec.development.flags.writeable
@@ -73,8 +74,7 @@ def test_develop_rows_are_translates(t8, t8_labeling):
 
 @pytest.mark.parametrize("n,expect_edges", [(1, 360), (2, 1440)])
 def test_verify_counts_every_edge_once(t8, t8_labeling, n, expect_edges):
-    cert = check_alpha(t8_labeling)
-    dec = base_blocks(t8_labeling, cert, 3, n)
+    dec = base_blocks(t8_labeling, 3, n)
     assert dec.spec.edge_count == expect_edges
     assert dec.spec.edge_count == t8.num_edges * n * dec.spec.v
     report = verify_decomposition(dec)
@@ -84,7 +84,7 @@ def test_verify_counts_every_edge_once(t8, t8_labeling, n, expect_edges):
 def test_verify_needs_no_development(t8, t8_labeling):
     # the translates are built from the base blocks; a development, even a
     # wrong one, is never read
-    dec = base_blocks(t8_labeling, None, 3, 1)
+    dec = base_blocks(t8_labeling, 3, 1)
     assert dec.development is None
     assert verify_decomposition(dec).ok
     wrong = np.zeros((dec.spec.v, t8.num_vertices), dtype=np.int64)
@@ -98,41 +98,40 @@ def _tampered(dec, vertex, new_label):
 
 
 def test_verify_catches_label_collision(t8, t8_labeling):
-    dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 5)
+    dec = _tampered(base_blocks(t8_labeling, 3, 1), 0, 5)
     report = verify_decomposition(dec)
     assert report.reason == "block-not-injective"
 
 
 def test_verify_catches_within_part_edge(t8, t8_labeling):
     # 10 = 5 mod 5, so the first ring edge lands inside a part
-    dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 10)
+    dec = _tampered(base_blocks(t8_labeling, 3, 1), 0, 10)
     report = verify_decomposition(dec)
     assert report.reason == "illegal-edge"
 
 
 def test_verify_catches_double_cover(t8, t8_labeling):
     # 8 keeps the block injective and its edges legal but repeats class 3
-    dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 8)
+    dec = _tampered(base_blocks(t8_labeling, 3, 1), 0, 8)
     report = verify_decomposition(dec)
     assert report.reason == "duplicate-edge"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_difference_classes_certificate(t8, t8_labeling, n):
-    cert = check_alpha(t8_labeling)
-    dec = base_blocks(t8_labeling, cert, 3, n)
+    dec = base_blocks(t8_labeling, 3, n)
     report = check_difference_classes(dec)
     assert report.ok, report.describe()
 
 
 def test_difference_classes_catch_tampering(t8, t8_labeling):
-    dec = _tampered(base_blocks(t8_labeling, None, 3, 1), 0, 8)
+    dec = _tampered(base_blocks(t8_labeling, 3, 1), 0, 8)
     report = check_difference_classes(dec)
     assert report.reason == "duplicate-difference-class"
 
 
 def test_verify_catches_uncovered_edge(t8, t8_labeling):
-    dec = base_blocks(t8_labeling, check_alpha(t8_labeling), 3, 2)
+    dec = base_blocks(t8_labeling, 3, 2)
     report = verify_decomposition(replace(dec, blocks=dec.blocks[:-1]))
     assert report.reason == "uncovered-edge"
     # the dropped block's translates hold the uncovered edges; the first in
@@ -158,7 +157,7 @@ REASON_CASES = [
 
 @pytest.mark.parametrize("tamper,reason", REASON_CASES)
 def test_difference_classes_match_reference(t8, t8_labeling, tamper, reason):
-    dec = base_blocks(t8_labeling, None, 3, 1)
+    dec = base_blocks(t8_labeling, 3, 1)
     if tamper == "drop":
         dec = replace(dec, blocks=dec.blocks[:-1])
     elif tamper is not None:
@@ -171,7 +170,7 @@ def test_difference_classes_match_reference(t8, t8_labeling, tamper, reason):
 @lru_cache(maxsize=None)
 def _grid_decomposition(k, m, family, n):
     lab = construct(k, m, family)
-    return base_blocks(lab, check_alpha(lab), family.divisor(m), n)
+    return base_blocks(lab, family.divisor(m), n)
 
 
 @st.composite
@@ -242,7 +241,7 @@ def test_a_later_non_injective_block_beats_an_earlier_illegal_edge(
         t8, t8_labeling, monkeypatch, budget):
     # block 0 gets an edge inside a part (10 and 5 are both 0 mod 5),
     # block 1 repeats a label; the dense order reports block 1
-    dec = base_blocks(t8_labeling, check_alpha(t8_labeling), 3, 2)
+    dec = base_blocks(t8_labeling, 3, 2)
     blocks = dec.blocks.copy()
     blocks[0, 0] = 10
     blocks[1, 0] = blocks[1, 1]
@@ -307,42 +306,54 @@ def test_count_pairs_sees_every_translated_edge_once(monkeypatch, grid, budget):
 
 def test_certificate_agrees_with_exhaustive_verify(t8, t8_labeling):
     # same verdict on the same evidence, by entirely different accounting
-    cert = check_alpha(t8_labeling)
     for n in (1, 2):
-        dec = base_blocks(t8_labeling, cert, 3, n)
+        dec = base_blocks(t8_labeling, 3, n)
         assert check_difference_classes(dec).ok
         assert verify_decomposition(dec).ok
 
 
-def test_n2_requires_alpha_cert(t8, t8_labeling):
-    with pytest.raises(ValueError):
-        base_blocks(t8_labeling, None, 3, 2)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", [F1, F2, F4], ids=["f1", "f2", "f4"])
+@pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (2, 2), (3, 5)])
+def test_high_class_matches_the_low_class_scatter(family, k, m, n):
+    # the mask of labels above lambda against a scatter over the low class
+    # of the loop reference's certificate
+    lab = construct(k, m, family)
+    d = family.divisor(m)
+    want = ref.base_blocks(lab, ref_checking.check_alpha(lab), d, n)
+    assert base_blocks(lab, d, n).blocks.tolist() == want
 
 
-def test_mismatched_cert_rejected(t8, t8_labeling):
-    cert = check_alpha(t8_labeling)
-    wrong = replace(cert, boundary=cert.boundary + 1)
-    with pytest.raises(ValueError):
-        base_blocks(t8_labeling, wrong, 3, 2)
+def test_high_class_matches_the_scatter_on_a_disconnected_graph():
+    # P_4 + P_3 at d = 5 has 128 alpha-labelings; in 64 of them the two
+    # components put opposite color classes low, so no one color class is
+    # the high class
+    g = SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
+    rows = search(g, SearchConfig(d=5, alpha_only=True)).labelings
+    assert len(rows) == 128
+    for lab in rows:
+        want = ref.base_blocks(lab, ref_checking.check_alpha(lab), 5, 3)
+        assert base_blocks(lab, 5, 3).blocks.tolist() == want
 
 
-@pytest.mark.parametrize("wrong", ["boundary-1", "boundary+1", "classes-swapped"])
-def test_mismatched_cert_rejected_n3(t8, t8_labeling, wrong):
-    cert = check_alpha(t8_labeling)
-    if wrong == "classes-swapped":
-        cert = replace(cert, low=frozenset(range(t8.num_vertices)) - cert.low)
-    else:
-        cert = replace(cert, boundary=cert.boundary + (1 if wrong == "boundary+1" else -1))
-    with pytest.raises(ValueError):
-        base_blocks(t8_labeling, cert, 3, 3)
+def test_n2_requires_alpha_cert(t8):
+    # a plain row that search lists for the prism at d = 3: edge (0, 1) carries
+    # labels 0 and 1, edge (1, 2) labels 1 and 9, so no lambda has
+    # 0 <= lambda < 1 and 1 <= lambda
+    plain = Labeling(t8, (0, 1, 9, 13, 14, 8, 11, 2))
+    assert check_d_graceful(plain, 3).ok
+    assert check_alpha(plain) is None
+    assert base_blocks(plain, 3, 1).blocks.tolist() == [list(plain.values)]
+    with pytest.raises(ValueError, match="alpha certificate is required"):
+        base_blocks(plain, 3, 2)
 
 
 def test_bad_labeling_rejected(t8):
     clash = Labeling(t8, (7, 5, 9, 6, 0, 14, 1, 7))
     with pytest.raises(ValueError):
-        base_blocks(clash, None, 3, 1)
+        base_blocks(clash, 3, 1)
     with pytest.raises(InvalidParametersError):
-        base_blocks(clash, None, 3, 0)
+        base_blocks(clash, 3, 0)
 
 
 def test_base_blocks_checks_a_labeling_once(t8, t8_labeling, monkeypatch):
@@ -355,10 +366,10 @@ def test_base_blocks_checks_a_labeling_once(t8, t8_labeling, monkeypatch):
 
     monkeypatch.setattr(decomp, "check_d_graceful", counted)
     lab = Labeling(t8, t8_labeling.values)
-    base_blocks(lab, None, 3, 1)
+    base_blocks(lab, 3, 1)
     assert len(calls) == 1
     # the first call's pass is recorded on the labeling, so no second check
-    dec = base_blocks(lab, check_alpha(lab), 3, 2)
+    dec = base_blocks(lab, 3, 2)
     assert len(calls) == 1
     assert tuple(dec.blocks[0].tolist()) == t8_labeling.values
 
@@ -394,9 +405,8 @@ def test_proposition_table_validation():
 @pytest.mark.parametrize("family", [F1, F2, F4])
 def test_table_rows_verify_end_to_end(family):
     lab = construct(1, 2, family)
-    cert = check_alpha(lab)
     d = family.divisor(2)
-    dec = base_blocks(lab, cert, d, 1)
+    dec = base_blocks(lab, d, 1)
     row = proposition_table(1, 2, 1)[[F1, F2, F4].index(family)]
     assert dec.spec == row.spec
     assert verify_decomposition(dec).ok
@@ -405,7 +415,6 @@ def test_table_rows_verify_end_to_end(family):
 @pytest.mark.parametrize("family,m,n", [(F1, 3, 1), (F1, 2, 3), (F2, 2, 2)])
 def test_further_rows_verify(family, m, n):
     lab = construct(1, m, family)
-    cert = check_alpha(lab)
-    dec = base_blocks(lab, cert, family.divisor(m), n)
+    dec = base_blocks(lab, family.divisor(m), n)
     assert verify_decomposition(dec).ok
     assert check_difference_classes(dec).ok

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divgrace import SearchConfig, _kernels, base_blocks, check_alpha, develop, search
+from divgrace import SearchConfig, _kernels, base_blocks, develop, search
 from divgrace.certificates import dumps, write_json
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,13 +43,13 @@ def test_tracer_target_resolves(module, attr, name):
 
 def _develop(lab, tmp_path):
     # n = 2 blocks of v = 60 translates of the 8 prism labels, 8 bytes each
-    dec = base_blocks(lab, check_alpha(lab), 3, 2)
+    dec = base_blocks(lab, 3, 2)
     return (dec,), develop(dec), 2 * 60 * 8 * 8
 
 
 def _count_pairs(lab, tmp_path):
     # every edge of every translate: 2 blocks x 60 translates x 12 edges
-    dec = develop(base_blocks(lab, check_alpha(lab), 3, 2))
+    dec = develop(base_blocks(lab, 3, 2))
     edges = lab.graph.edge_indices()
     args = (dec.development[:, edges[:, 0]].ravel(),
             dec.development[:, edges[:, 1]].ravel(),
