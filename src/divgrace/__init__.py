@@ -1,9 +1,11 @@
 """Divisible graceful alpha-labelings of cylinder grids C_{4k} x P_m.
 
-The package constructs 3-, 6- and 12-divisible graceful alpha-labelings
-of prisms in closed form, extends them layer by layer to arbitrary grid
-depth, derives cyclic decompositions of complete multipartite graphs
-from any verified labeling, and carries an exhaustive search oracle that
+The package builds (2m-1)-, 2(2m-1)- and 4(2m-1)-divisible graceful
+alpha-labelings of C_{4k} x P_m, the prism's 3-, 6- and 12-divisible
+ones included, from one closed-form layer rule (construct), which
+equals the paper's prism labelings extended layer by layer (extend).
+It derives cyclic decompositions of complete multipartite graphs from
+any verified labeling, and carries an exhaustive search oracle that
 double-checks everything by brute force on small instances.
 """
 

@@ -69,13 +69,15 @@ def _parse_grid_arg(text: str) -> GridGraph:
 def cmd_construct(args) -> int:
     family = FAMILIES[args.family]
     d = family.divisor(args.m)
-    v = MultipartiteSpec.host(4 * args.k * (2 * args.m - 1), d, 1).v
+    try:
+        e = build_grid(args.k, args.m).num_edges
+    except ValueError as exc:
+        return _fail(2, f"invalid parameters: {exc}")
+    v = MultipartiteSpec.host(e, d, 1).v
     if v > MAX_V:
         return _too_large(v)
     try:
         labeling = construct(args.k, args.m, family)
-    except ValueError as exc:
-        return _fail(2, f"invalid parameters: {exc}")
     except ConstructionError as exc:
         return _fail(1, f"construction failed verification: {exc}")
     # construct has verified the labeling and kept its alpha certificate
@@ -85,7 +87,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         return _fail(2, f"cannot write certificate: {exc}")
     print(f"wrote {args.out}: C_{{{4 * args.k}}}xP_{args.m}, d={d}, "
-          f"labels in [0,{d * (labeling.graph.num_edges // d + 1) - 1}]")
+          f"labels in [0,{d * (e // d + 1) - 1}]")
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

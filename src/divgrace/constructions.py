@@ -1,24 +1,29 @@
-"""Closed-form prism labelings and their extension to deeper grids.
+"""Closed-form labelings of C_{4k} x P_m and the inductive step behind them.
 
-prism_labeling produces 3-, 6- and 12-divisible graceful alpha-labelings
-of the prism C_{4k} x P_2 from piecewise assignments.  extend is the
-inductive step: it shifts an existing labeling up by a constant and
-writes a fresh interleaved low/high pattern onto the new top layer,
-anchored at the position where the shifted maximum sits.  Each family
-fixes the shift s (4k + 1, 4k + 2, 4k + 4), the divisor multiplier
-(1, 2, 4) and the pattern's skip rules; the 12-divisible rules split on
-the parity of k.
+Each family fixes the shift s (4k + 1, 4k + 2, 4k + 4), the divisor
+multiplier (1, 2, 4) and the skip rules of layer_pattern, the
+interleaved low/high sequence a layer carries; the 12-divisible rules
+split on the parity of k.  extend is the paper's inductive step: it
+shifts an existing labeling up by s and writes the pattern with ceiling
+(2m + 1) s onto the new top layer, anchored at the position where the
+shifted maximum sits.
 
-construct unrolls the induction into one expression.  Layer L >= 3 is
-the pattern with ceiling (2L - 1) s, shifted by (m - L) s: the layer-3
-pattern plus 2(L - 3) s on its highs, the odd positions.  Its 0 sits
-under the previous layer's t = 1 high, which follows that layer's 0, so
-the anchor moves one place per layer from where the prism's largest
-label sits; one index array gathers all m - 2 rolled layers at once.
-The prism rows are shifted by (m - 2) s.  The result is verified once
-before it is returned (d-graceful, the alpha boundary in Rosa's edge
-form, the top-layer seed), so a formula or bookkeeping error fails fast
-instead of propagating.
+construct builds every layer, the prism's two included, from one rule:
+layer L is the pattern with ceiling (2L - 1) s, rolled |L - 2| places
+and shifted up by (m - L) s.  That is the ceiling-s pattern plus
+2(L - 1) s on its highs, the odd positions, so one index array gathers
+all m layers.  Why it holds: layer L >= 3 is the layer extend writes
+when the grid reaches L layers, moved up by s in each of the m - L
+later steps.  extend puts its 0 under the previous top layer's largest
+label, that layer's t = 1 high, which follows its 0, so each layer
+rolls one place further than the one below it.  The paper's prism
+formulas for d = 3, 6 and 12 are the same rule at L = 1, 2: ring 2 is
+the ceiling-3s pattern unrolled, and ring 1 the ceiling-s pattern rolled
+one place, its 0 on the rung to ring 2's t = 1 high, so layer 1 mirrors
+layer 3.  The result is verified once before it is returned
+(d-graceful, the alpha boundary in Rosa's edge form, the top-layer
+seed), so a formula or bookkeeping error fails fast instead of
+propagating.
 """
 
 from __future__ import annotations
@@ -108,90 +113,15 @@ def layer_pattern(family: Family, k: int, ceiling: int) -> tuple[int, ...]:
     return _interleave(lows, highs)
 
 
-def _prism_rows(k: int, variant: int) -> tuple[list[int], list[int]]:
-    # Piecewise assignments for the two rings; positions are 1-based,
-    # list index j-1 holds position j.  Ring 1 odd positions are 2i+1,
-    # even positions 2i.
-    w = 4 * k
-    r1 = [0] * w
-    r2 = [0] * w
-    if variant == 3:
-        r1[0] = 6 * k + 1
-        for i in range(1, 2 * k):
-            r1[2 * i] = 8 * k + 2 - i if i <= k else 8 * k + 1 - i
-        for i in range(1, 2 * k + 1):
-            r1[2 * i - 1] = 4 * k + i
-        for i in range(2 * k):
-            r2[2 * i] = i
-        for i in range(1, 2 * k + 1):
-            r2[2 * i - 1] = 12 * k + 3 - i if i <= k else 12 * k + 2 - i
-    elif variant == 6:
-        r1[0] = 6 * k + 2
-        for i in range(1, 2 * k):
-            r1[2 * i] = 8 * k + 4 - i if i <= k else 8 * k + 2 - i
-        for i in range(1, 2 * k + 1):
-            r1[2 * i - 1] = 4 * k + 1 + i
-        for i in range(2 * k):
-            r2[2 * i] = i
-        for i in range(1, 2 * k + 1):
-            r2[2 * i - 1] = 12 * k + 6 - i if i <= k else 12 * k + 4 - i
-    elif variant == 12 and k % 2 == 0:
-        r1[0] = 6 * k + 5
-        for i in range(1, 2 * k):
-            if i <= k // 2:
-                r1[2 * i] = 8 * k + 8 - i
-            elif i <= k:
-                r1[2 * i] = 8 * k + 7 - i
-            else:
-                r1[2 * i] = 8 * k + 5 - i
-        for i in range(1, 2 * k + 1):
-            r1[2 * i - 1] = 4 * k + 3 + i if i <= 3 * k // 2 else 4 * k + 4 + i
-        for i in range(2 * k):
-            r2[2 * i] = i if i <= 3 * k // 2 - 1 else i + 1
-        for i in range(1, 2 * k + 1):
-            if i <= k // 2:
-                r2[2 * i - 1] = 12 * k + 12 - i
-            elif i <= k:
-                r2[2 * i - 1] = 12 * k + 11 - i
-            else:
-                r2[2 * i - 1] = 12 * k + 9 - i
-    elif variant == 12:
-        r1[0] = 6 * k + 5
-        for i in range(1, 2 * k):
-            if i <= k:
-                r1[2 * i] = 8 * k + 8 - i
-            elif i <= (3 * k - 1) // 2:
-                r1[2 * i] = 8 * k + 6 - i
-            else:
-                r1[2 * i] = 8 * k + 5 - i
-        for i in range(1, 2 * k + 1):
-            r1[2 * i - 1] = 4 * k + 3 + i if i <= (k + 1) // 2 else 4 * k + 4 + i
-        for i in range(2 * k):
-            r2[2 * i] = i if i <= (k - 1) // 2 else i + 1
-        for i in range(1, 2 * k + 1):
-            if i <= k:
-                r2[2 * i - 1] = 12 * k + 12 - i
-            elif i <= (3 * k - 1) // 2:
-                r2[2 * i - 1] = 12 * k + 10 - i
-            else:
-                r2[2 * i - 1] = 12 * k + 9 - i
-    else:
-        raise ValueError(f"variant must be 3, 6 or 12, got {variant}")
-    return r1, r2
-
-
 def prism_labeling(k: int, variant: int) -> Labeling:
-    """A variant-divisible graceful alpha-labeling of the prism C_{4k} x P_2."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if variant not in (3, 6, 12):
+    """A variant-divisible graceful alpha-labeling of the prism C_{4k} x P_2.
+
+    It is construct(k, 2, family) for the family whose prism divisor is variant.
+    """
+    family = next((f for f in FAMILIES.values() if f.prism_divisor == variant), None)
+    if family is None:
         raise ValueError(f"variant must be 3, 6 or 12, got {variant}")
-    grid = build_grid(k, 2)
-    r1, r2 = _prism_rows(k, variant)
-    lab = Labeling(grid, tuple(r1 + r2))
-    family = {3: F1, 6: F2, 12: F4}[variant]
-    _verify(lab, variant, family=family, where=f"prism k={k} variant={variant}")
-    return lab
+    return construct(k, 2, family)
 
 
 def seed_matches(f: Labeling, family: Family) -> int | None:
@@ -254,28 +184,15 @@ def construct(k: int, m: int, family: Family) -> Labeling:
 
     Equal to m - 2 extend steps from the prism, built in one pass.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    grid = build_grid(k, m)
     s = family.shift(k)
-    w = 4 * k
-    r1, r2 = (np.array(r, dtype=np.int64) for r in _prism_rows(k, family.prism_divisor))
-    rows = [r1 + (m - 2) * s, r2 + (m - 2) * s]
-    if m > 2:
-        anchor = np.flatnonzero(r2 == 3 * s - 1)  # the prism's largest label
-        if anchor.size != 1:
-            raise ConstructionError(
-                f"k={k} layer 3 family={family.name}: no unique anchor {3 * s - 1}")
-        # layer L is the layer-3 pattern with 2(L - 3)s more on its highs (the
-        # odd positions), rolled one place further per layer, plus (m - L)s
-        base = np.array(layer_pattern(family, k, 5 * s), dtype=np.int64)
-        high = np.arange(w) % 2
-        layers = np.arange(3, m + 1)[:, None]
-        at = (np.arange(w) - (anchor[0] + layers - 3)) % w
-        rows.append(base[at] + 2 * (layers - 3) * s * high[at] + (m - layers) * s)
-    labels = np.concatenate(rows, axis=None)
-    lab = Labeling(build_grid(k, m), tuple(labels.tolist()))
+    # layer L is the ceiling-s pattern with 2(L - 1)s more on its highs (the
+    # odd positions), rolled |L - 2| places, plus (m - L)s
+    base = np.array(layer_pattern(family, k, s), dtype=np.int64)
+    layers = np.arange(1, m + 1)[:, None]
+    at = (np.arange(grid.ring_len) - np.abs(layers - 2)) % grid.ring_len
+    labels = base[at] + 2 * (layers - 1) * s * (at % 2) + (m - layers) * s
+    lab = Labeling(grid, tuple(labels.ravel().tolist()))
     _verify(lab, family.divisor(m), family=family,
             where=f"construct k={k} m={m} family={family.name}")
     return lab

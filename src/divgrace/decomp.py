@@ -43,7 +43,7 @@ from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling, _first_repeat,
                        check_d_graceful)
 from .constructions import F1, F2, F4, Family
-from .grids import Graph
+from .grids import Graph, build_grid
 
 # Translated edges gathered, checked and counted at once, and count-matrix
 # cells compared at once: this bounds verify_decomposition's working set
@@ -250,9 +250,10 @@ def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
         raise InvalidParametersError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
     if m < 2:
         raise InvalidParametersError(f"m must be >= 2, got {m}")
+    e = build_grid(k, m).num_edges
     rows = []
     for family in (F1, F2, F4):
         d = family.divisor(m)
-        spec = MultipartiteSpec.host(4 * k * (2 * m - 1), d, n)
+        spec = MultipartiteSpec.host(e, d, n)
         rows.append(DecompositionTarget(family=family, d=d, q=spec.parts - 1, spec=spec))
     return rows

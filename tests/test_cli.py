@@ -49,6 +49,15 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys):
                            "--family", "f1", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "invalid parameters" in stderr
+    # the parameters are checked before the host graph is sized, so a grid
+    # that cannot exist is not reported as too large
+    for k, m, why in [("0", "1000000000", "k must be >= 1, got 0"),
+                      ("1000000000", "1", "m must be >= 2, got 1")]:
+        code, _, stderr = _run(capsys, "construct", "--k", k, "--m", m,
+                               "--family", "f1", "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert stderr == f"invalid parameters: {why}\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_construct_into_missing_directory(tmp_path, capsys):

@@ -8,11 +8,17 @@ from divgrace import (F1, F2, F4, ConstructionError, Labeling, SeedMismatchError
                       build_grid, check_alpha, check_d_graceful, construct,
                       extend, layer_pattern, prism_labeling, seed_matches)
 from reference_checking import difference_profile, edge_differences
+from reference_constructions import prism_rows
 from reference_grids import edges
 
 
 def _interval(a, b):
     return set(range(a, b + 1))
+
+
+def _reference_prism(k, variant):
+    r1, r2 = prism_rows(k, variant)
+    return Labeling(build_grid(k, 2), tuple(r1 + r2))
 
 
 def test_prism_d3_k1_frozen():
@@ -39,7 +45,7 @@ def test_prism_d12_k1_frozen():
     assert lab.layer(2) == (0, 23, 2, 19)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 63, 64])
 def test_prism_d3_interval_claims(k):
     lab = prism_labeling(k, 3)
     prof = difference_profile(lab.graph, lab)
@@ -48,7 +54,7 @@ def test_prism_d3_interval_claims(k):
     assert set(prof.layer2) == _interval(8 * k + 3, 12 * k + 2)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 63, 64])
 def test_prism_d6_interval_claims(k):
     lab = prism_labeling(k, 6)
     prof = difference_profile(lab.graph, lab)
@@ -59,7 +65,7 @@ def test_prism_d6_interval_claims(k):
                                 | _interval(10 * k + 6, 12 * k + 5))
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 63, 64])
 def test_prism_d12_interval_claims(k):
     lab = prism_labeling(k, 12)
     prof = difference_profile(lab.graph, lab)
@@ -76,6 +82,14 @@ def test_prisms_verify(k, variant):
     lab = prism_labeling(k, variant)
     assert check_d_graceful(lab, variant).ok
     assert check_alpha(lab) is not None
+
+
+@pytest.mark.parametrize("variant", [3, 6, 12])
+def test_prism_equals_the_paper_formulas(variant):
+    # k = 1..64 covers both parities of the 12-divisible formulas and every
+    # piecewise threshold in them
+    for k in range(1, 65):
+        assert prism_labeling(k, variant).values == _reference_prism(k, variant).values
 
 
 def test_prism_validation():
@@ -185,16 +199,17 @@ def test_construct_labels_frozen_digest():
 @pytest.mark.parametrize("family", [F1, F2, F4])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_construct_equals_extend_chain(family, k):
-    # k = 1..6 covers both parities of f4's rules
-    lab = prism_labeling(k, family.prism_divisor)
+    # k = 1..6 covers both parities of f4's rules; the chain starts from the
+    # paper's prism formulas, so it shares only layer_pattern with construct
+    lab = _reference_prism(k, family.prism_divisor)
     for m in range(2, 13):
         assert construct(k, m, family) == lab
         lab = extend(lab, family)
 
 
 def test_construct_m2_is_the_prism():
-    assert construct(1, 2, F1).values == prism_labeling(1, 3).values
-    assert construct(2, 2, F4).values == prism_labeling(2, 12).values
+    assert construct(1, 2, F1).values == _reference_prism(1, 3).values
+    assert construct(2, 2, F4).values == _reference_prism(2, 12).values
 
 
 def test_construct_validation():
