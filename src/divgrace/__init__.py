@@ -4,6 +4,8 @@ The package builds (2m-1)-, 2(2m-1)- and 4(2m-1)-divisible graceful
 alpha-labelings of C_{4k} x P_m, the prism's 3-, 6- and 12-divisible
 ones included, from one closed-form layer rule (construct), which
 equals the paper's prism labelings extended layer by layer (extend).
+A family is data: its multiplier and a rule that gives, for each k,
+the lows and the subtrahends its layer pattern leaves out.
 It derives cyclic decompositions of complete multipartite graphs from
 any verified labeling, and carries an exhaustive search oracle that
 double-checks everything by brute force on small instances.

@@ -153,7 +153,15 @@ def _first_repeat(values: np.ndarray) -> int:
 
 
 def _has_repeat(values: np.ndarray, bound: int) -> bool:
-    """Whether two entries agree, for values already known to lie in [0, bound)."""
+    """Whether two entries agree, for values already known to lie in [0, bound).
+
+    One bincount over the range when it is small against the entry
+    count, a sort otherwise: the range is at most 2e + 1 wide when the
+    graph has e > 0 edges, but d on an edgeless one, whatever d is.
+    """
+    if bound > 8 * len(values):
+        ordered = np.sort(values)
+        return bool((ordered[1:] == ordered[:-1]).any())
     return int(np.bincount(values, minlength=bound).max()) > 1
 
 
@@ -163,10 +171,10 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
     Clause order: label range and injectivity by vertex index, then the
     difference multiset by canonical edge order.  Witnesses carry
     canonical vertex indices and the offending values.  Repeats are
-    found by one bincount over the checked range, labels in
-    [0, max_label] and differences in [1, d(q+1)]; only a failing input
-    pays for the stable argsort that locates its first witness.  A pass
-    is recorded in f.passed_d.
+    found by one pass over the checked range, labels in [0, max_label]
+    and differences in [1, d(q+1)] (see _has_repeat); only a failing
+    input pays for the stable argsort that locates its first witness.
+    A pass is recorded in f.passed_d.
     """
     params = d_params(f.graph.num_edges, d)
     vals = f.values

@@ -1,12 +1,15 @@
 """Closed-form labelings of C_{4k} x P_m and the inductive step behind them.
 
-Each family fixes the shift s (4k + 1, 4k + 2, 4k + 4), the divisor
-multiplier (1, 2, 4) and the skip rules of layer_pattern, the
-interleaved low/high sequence a layer carries; the 12-divisible rules
-split on the parity of k.  extend is the paper's inductive step: it
-shifts an existing labeling up by s and writes the pattern with ceiling
-(2m + 1) s onto the new top layer, anchored at the position where the
-shifted maximum sits.
+A family is data: its multiplier mu fixes the divisor d = mu(2m - 1) and
+the shift s = 4k + mu, and its rule maps k to the two sets that shape
+layer_pattern, the interleaved low/high sequence a layer carries: the
+lows left out and the subtrahends t skipped.  The paper's families are
+mu = 1, 2 and 4; the 12-divisible rule splits on the parity of k.
+layer_pattern itself has no per-family code, so a new family is one
+Family(...) line.  extend is the paper's inductive step: it shifts an
+existing labeling up by s and writes the pattern with ceiling (2m + 1) s
+onto the new top layer, anchored at the position where the shifted
+maximum sits.
 
 construct builds every layer, the prism's two included, from one rule:
 layer L is the pattern with ceiling (2L - 1) s, rolled |L - 2| places
@@ -21,14 +24,17 @@ formulas for d = 3, 6 and 12 are the same rule at L = 1, 2: ring 2 is
 the ceiling-3s pattern unrolled, and ring 1 the ceiling-s pattern rolled
 one place, its 0 on the rung to ring 2's t = 1 high, so layer 1 mirrors
 layer 3.  The result is verified once before it is returned
-(d-graceful, the alpha boundary in Rosa's edge form, the top-layer
-seed), so a formula or bookkeeping error fails fast instead of
-propagating.
+(d-graceful, and the alpha boundary in Rosa's edge form), so a formula
+or bookkeeping error fails fast instead of propagating.  The top layer
+is the ceiling-(2m - 1)s pattern by construction, so it always carries
+the seed that seed_matches reads and extend needs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,10 +52,16 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Family:
-    """An induction family: divisor multiplier and per-step shift constant."""
+    """An induction family, as data.
+
+    multiplier is mu in d = mu(2m - 1) and s = 4k + mu.  rule(k) gives the
+    two sets layer_pattern reads: the lows left out and the subtrahends t
+    skipped.
+    """
 
     name: str
     multiplier: int
+    rule: Callable[[int], tuple[Collection[int], Collection[int]]]
 
     def divisor(self, m: int) -> int:
         """The divisor d of the labeling of C_{4k} x P_m in this family."""
@@ -58,67 +70,45 @@ class Family:
     def shift(self, k: int) -> int:
         return 4 * k + self.multiplier
 
-    @property
-    def prism_divisor(self) -> int:
-        return 3 * self.multiplier
+
+def _f4_rule(k: int) -> tuple[set[int], set[int]]:
+    if k % 2 == 0:
+        return {3 * k // 2}, {k // 2 + 1, k + 2, k + 3}
+    return {(k + 1) // 2}, {k + 1, k + 2, (3 * k + 5) // 2}
 
 
-F1 = Family("f1", 1)
-F2 = Family("f2", 2)
-F4 = Family("f4", 4)
-FAMILIES = {"f1": F1, "f2": F2, "f4": F4}
-
-
-def _interleave(lows: list[int], highs: list[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for lo, hi in zip(lows, highs):
-        out.append(lo)
-        out.append(hi)
-    return tuple(out)
+F1 = Family("f1", 1, lambda k: ((), {k + 1}))
+F2 = Family("f2", 2, lambda k: ((), {k + 1, k + 2}))
+F4 = Family("f4", 4, _f4_rule)
+FAMILIES = {f.name: f for f in (F1, F2, F4)}
 
 
 def layer_pattern(family: Family, k: int, ceiling: int) -> tuple[int, ...]:
     """The interleaved low/high sequence written onto a fresh layer.
 
-    It has length 4k and starts with 0; the lows sit at the even indices in increasing
-    order, and the highs at the odd ones are ceiling - t for the
-    subtrahends t that survive the family's skip rule.
+    It has length 4k and starts with 0.  The lows, at the even indices,
+    are the first 2k integers from 0 that family.rule(k) does not leave
+    out; the highs, at the odd ones, are ceiling - t for the first 2k
+    values of t from 1 that it does not skip.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if family.name == "f1":
-        lows = list(range(2 * k))
-        t_max = 2 * k + 1
-        skips = {k + 1}
-    elif family.name == "f2":
-        lows = list(range(2 * k))
-        t_max = 2 * k + 2
-        skips = {k + 1, k + 2}
-    elif family.name == "f4":
-        t_max = 2 * k + 3
-        if k % 2 == 0:
-            lows = [x for x in range(2 * k + 1) if x != 3 * k // 2]
-            skips = {k // 2 + 1, k + 2, k + 3}
-        else:
-            lows = [x for x in range(2 * k + 1) if x != (k + 1) // 2]
-            skips = {k + 1, k + 2, (3 * k + 5) // 2}
-    else:
-        raise ValueError(f"unknown family {family.name!r}")
-    subs = [t for t in range(1, t_max + 1) if t not in skips]
-    highs = [ceiling - t for t in subs]
-    if len(lows) != 2 * k or len(highs) != 2 * k:
-        raise ConstructionError("pattern size bookkeeping broke")
+    missing, skips = family.rule(k)
+    # at most len(missing) of the first 2k + len(missing) integers are left
+    # out, so the first 2k kept ones lie among them; likewise for t
+    lows = [x for x in range(2 * k + len(missing)) if x not in missing][:2 * k]
+    highs = [ceiling - t for t in range(1, 2 * k + len(skips) + 1) if t not in skips][:2 * k]
     if min(highs) <= max(lows):
         raise ValueError(f"ceiling {ceiling} too small for k={k}")
-    return _interleave(lows, highs)
+    return tuple(chain.from_iterable(zip(lows, highs)))
 
 
 def prism_labeling(k: int, variant: int) -> Labeling:
     """A variant-divisible graceful alpha-labeling of the prism C_{4k} x P_2.
 
-    It is construct(k, 2, family) for the family whose prism divisor is variant.
+    It is construct(k, 2, family) for the family with divisor(2) == variant.
     """
-    family = next((f for f in FAMILIES.values() if f.prism_divisor == variant), None)
+    family = next((f for f in FAMILIES.values() if f.divisor(2) == variant), None)
     if family is None:
         raise ValueError(f"variant must be 3, 6 or 12, got {variant}")
     return construct(k, 2, family)
@@ -174,8 +164,7 @@ def extend(f: Labeling, family: Family) -> Labeling:
     for t, value in enumerate(pattern):
         fresh[(j_star - 1 + t) % w] = value
     out = Labeling(build_grid(k, m + 1), tuple(shifted + fresh))
-    _verify(out, family.divisor(m + 1), family=family,
-            where=f"extend k={k} to m={m + 1} family={family.name}")
+    _verify(out, family.divisor(m + 1), f"extend k={k} to m={m + 1} family={family.name}")
     return out
 
 
@@ -193,17 +182,14 @@ def construct(k: int, m: int, family: Family) -> Labeling:
     at = (np.arange(grid.ring_len) - np.abs(layers - 2)) % grid.ring_len
     labels = base[at] + 2 * (layers - 1) * s * (at % 2) + (m - layers) * s
     lab = Labeling(grid, tuple(labels.ravel().tolist()))
-    _verify(lab, family.divisor(m), family=family,
-            where=f"construct k={k} m={m} family={family.name}")
+    _verify(lab, family.divisor(m), f"construct k={k} m={m} family={family.name}")
     return lab
 
 
-def _verify(lab: Labeling, d: int, family: Family, where: str) -> None:
+def _verify(lab: Labeling, d: int, where: str) -> None:
     # Fail-fast guard: a returned labeling always satisfies its own contract.
     report = check_d_graceful(lab, d)
     if not report:
         raise ConstructionError(f"{where}: {report.describe()}")
     if lab.alpha_cert is None:
         raise ConstructionError(f"{where}: alpha boundary violated")
-    if seed_matches(lab, family) is None:
-        raise ConstructionError(f"{where}: top layer lost the {family.name} pattern")

@@ -237,6 +237,12 @@ class _Walker:
 
     def __init__(self, g: Graph, cfg: SearchConfig) -> None:
         params = d_params(g.num_edges, cfg.d)
+        # the label and difference masks are e + d wide; within the edge
+        # cap d <= e, so this bounds only d on a graph without edges
+        if params.e + params.d > 2 * SEARCH_MAX_EDGES:
+            raise InvalidParametersError(
+                f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
+                f"got e = {params.e} and d = {params.d}")
         self.n_labels = params.d * (params.q + 1)
         self.allowed = np.zeros(self.n_labels + 1, dtype=np.bool_)
         self.allowed[list(params.allowed)] = True

@@ -418,6 +418,22 @@ def test_verify_rejects_a_huge_label_without_sizing_by_it(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+def test_edgeless_graph_with_a_huge_divisor(tmp_path, capsys):
+    # with no edge the label range is [0, d - 1]; a bincount over it would
+    # need 7 PB
+    cert = tmp_path / "edgeless.json"
+    cert.write_text(json.dumps({"graph": {"kind": "simple", "n": 2, "edges": []},
+                                "d": 10 ** 15, "labels": [0, 1]}))
+    code, stdout, _ = _run(capsys, "verify", str(cert))
+    assert code == 0
+    assert "labeling: valid" in stdout
+    code, stdout, stderr = _run(capsys, "decompose", "--in", str(cert), "--n", "1",
+                                "--out", str(tmp_path / "d.json"))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("too large: the host graph would have v = 2000000000000000 ")
+    assert not (tmp_path / "d.json").exists()
+
+
 def _rebind(monkeypatch, original, replacement):
     """Replace original under every name that any divgrace module binds it to."""
     for name, mod in list(sys.modules.items()):
@@ -543,6 +559,24 @@ def test_search_rejects_oversized_graph(tmp_path, capsys, monkeypatch):
             assert code == 2
             assert stdout == ""
             assert "search is limited to 1024 vertices and 1024 edges" in stderr
+
+
+@pytest.mark.parametrize("d", [4096, 10 ** 15])
+def test_search_rejects_a_huge_divisor_on_an_edgeless_graph(tmp_path, capsys,
+                                                           monkeypatch, d):
+    def refuse(self):
+        raise AssertionError("the size check must come before the allowed set")
+
+    # the edge cap does not bound d when e = 0, and the search builds its
+    # label and difference masks d wide
+    monkeypatch.setattr(checking.DParams, "allowed", property(refuse))
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"kind": "simple", "n": 2, "edges": []}))
+    for extra in (["--count"], ["--limit", "1"]):
+        code, stdout, stderr = _run(capsys, "search", "--graph", str(path),
+                                    "--d", str(d), *extra)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"search is limited to e + d <= 2048, got e = 0 and d = {d}\n"
 
 
 def test_search_rejects_malformed_grid(capsys):

@@ -4,9 +4,9 @@ import hashlib
 
 import pytest
 
-from divgrace import (F1, F2, F4, ConstructionError, Labeling, SeedMismatchError,
-                      build_grid, check_alpha, check_d_graceful, construct,
-                      extend, layer_pattern, prism_labeling, seed_matches)
+from divgrace import (F1, F2, F4, Family, Labeling, SeedMismatchError, base_blocks,
+                      build_grid, check_alpha, check_d_graceful, construct, extend,
+                      layer_pattern, prism_labeling, seed_matches, verify_decomposition)
 from reference_checking import difference_profile, edge_differences
 from reference_constructions import prism_rows
 from reference_grids import edges
@@ -201,10 +201,31 @@ def test_construct_labels_frozen_digest():
 def test_construct_equals_extend_chain(family, k):
     # k = 1..6 covers both parities of f4's rules; the chain starts from the
     # paper's prism formulas, so it shares only layer_pattern with construct
-    lab = _reference_prism(k, family.prism_divisor)
+    lab = _reference_prism(k, family.divisor(2))
     for m in range(2, 13):
         assert construct(k, m, family) == lab
         lab = extend(lab, family)
+
+
+def _mu8_rule(k):
+    # a base pattern for mu = 8 at k = 4, found by search: lows
+    # {0, 1, 2, 3, 4, 6, 8, 10}; no closed form in k is known yet
+    assert k == 4
+    return {5, 7, 9}, {2, 4, 6, 8, 9, 14, 15}
+
+
+def test_a_family_is_data():
+    t8 = Family("t8", 8, _mu8_rule)
+    lab = construct(4, 2, t8)
+    for m in range(2, 13):
+        assert construct(4, m, t8) == lab
+        assert check_d_graceful(lab, t8.divisor(m)).ok
+        assert lab.alpha_cert is not None
+        assert seed_matches(lab, t8) is not None
+        lab = extend(lab, t8)
+    dec = base_blocks(construct(4, 3, t8), 40, 2)
+    assert (dec.spec.parts, dec.spec.part_size, dec.spec.v) == (3, 160, 480)
+    assert verify_decomposition(dec).ok
 
 
 def test_construct_m2_is_the_prism():
@@ -222,4 +243,4 @@ def test_construct_validation():
 def test_family_constants():
     assert (F1.divisor(3), F2.divisor(3), F4.divisor(3)) == (5, 10, 20)
     assert (F1.shift(1), F2.shift(1), F4.shift(1)) == (5, 6, 8)
-    assert (F1.prism_divisor, F2.prism_divisor, F4.prism_divisor) == (3, 6, 12)
+    assert (F1.divisor(2), F2.divisor(2), F4.divisor(2)) == (3, 6, 12)
