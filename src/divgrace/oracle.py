@@ -28,11 +28,31 @@ number is one walk with 0 and D forced on u and w.  The
 automorphisms are found from the edge set alone (_arc_orbits): the
 prism C_4 x P_2 has one orbit of all 24 arcs, any other C_{4k} x P_m
 has m, and a cycle has one.
+
+Each walk then counts only some of its arc's labelings and multiplies
+back, by two exact reductions (_count_walks).  The automorphisms that
+fix u and w map the arc's labelings onto each other, and since labels
+are distinct only the identity fixes one: the group acts freely.  So,
+as in Puget's lex-leader constraints for all-different problems
+("Breaking symmetries in all different problems", IJCAI 2005), the walk
+keeps one labeling per orbit: with O_t the orbit of the t-th vertex
+under the automorphisms that fix the vertices before it, the t-th
+vertex takes the smallest label in O_t, and the count is multiplied by
+the product of the |O_t|.  This holds for any prefix of that chain, so
+_stabilizer_chain may stop early.  Second, when q >= 2, D - 1 is an
+allowed difference, and only the label pairs {0, D - 1} and {1, D}
+give it: every labeling of the arc puts D - 1 on a neighbor of u or 1
+on a neighbor of w, never both.  If an automorphism swaps u and w, the
+complement composed with it maps the two kinds onto each other, so the
+walk bans label 1 on w's neighbors other than u and doubles its count.
+Both reductions leave the other intact: the automorphisms that fix u
+and w keep each kind.  Rows, max_results and cross_validate's replay
+use the unconstrained vertex walk.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +68,9 @@ class SearchConfig:
     """Search parameters.
 
     max_results 0 exhausts the space; the count is then exact and the
-    returned labelings are capped at store_limit (store_limit 0 counts
-    without keeping any).  Neither may be negative.
+    returned labelings are capped at store_limit.  A search stopped by
+    max_results keeps every labeling it finds.  store_limit 0 keeps no
+    labeling, whatever max_results is.  Neither may be negative.
     """
 
     d: int
@@ -71,10 +92,14 @@ class SearchResult:
     level_sizes[p] is the number of partial labelings of the first p + 1
     vertices in search order that survived pruning (a search stopped by
     max_results counts only the part it walked).  A count-only search
-    (max_results and store_limit 0) sums, weighted by orbit size, the
-    level sizes of its forced walks, one per orbit of arcs under the
-    graph's automorphisms and arc reversal (one walk on the prism, m on
-    any other C_{4k} x P_m).  Either way the last entry is count.
+    (max_results and store_limit 0) makes one forced walk per orbit of
+    arcs under the graph's automorphisms and arc reversal (one walk on
+    the prism, m on any other C_{4k} x P_m).  Its level_sizes[p] sums
+    over the walks the partial labelings of the walk's first p + 1
+    vertices that passed its masks and symmetry constraints, times the
+    orbit size and the factors of the constraints that bind at or before
+    p.  No constraint binds at the forced arc, so the first two entries
+    are sums of orbit sizes.  Either way the last entry is count.
     """
 
     labelings: tuple[Labeling, ...]
@@ -95,18 +120,32 @@ def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
     lowest-index vertex not yet reached."""
     seen = [False] * len(adj)
     order: list[int] = []
-    for roots in (first, *((root,) for root in range(len(adj)))):
-        queue = deque(v for v in roots if not seen[v])
-        for v in queue:
+
+    def reach(roots) -> None:
+        head = len(order)  # order[head:] is the queue
+        for v in roots:
             seen[v] = True
-        while queue:
-            v = queue.popleft()
             order.append(v)
-            for u in adj[v]:
+        while head < len(order):
+            for u in adj[order[head]]:
                 if not seen[u]:
                     seen[u] = True
-                    queue.append(u)
+                    order.append(u)
+            head += 1
+
+    reach(first)
+    for root in range(len(adj)):
+        if not seen[root]:
+            reach((root,))
     return order
+
+
+def _positions(order: list[int]) -> list[int]:
+    """pos[v] is v's index in order, a permutation of the vertices."""
+    pos = [0] * len(order)
+    for t, v in enumerate(order):
+        pos[v] = t
+    return pos
 
 
 def _refine(adj: list[list[int]]) -> list[int]:
@@ -124,23 +163,23 @@ def _refine(adj: list[list[int]]) -> list[int]:
         color, classes = new, len(ids)
 
 
-def _automorphism(adj: list[list[int]], color: list[int], arc: tuple[int, int],
-                  target: tuple[int, int]) -> list[int] | None:
-    """A vertex permutation that maps arc onto target, keeps color and
-    maps every edge onto an edge; None if there is none.
+def _automorphism(adj: list[list[int]], color: list[int], order: list[int],
+                  target: list[int] | tuple[int, ...]) -> list[int] | None:
+    """A vertex permutation that maps order[i] to target[i] for every
+    i < len(target), keeps color and maps every edge onto an edge; None
+    if there is none.
 
-    Vertices are individualized one at a time in breadth-first order
-    from the arc.  A vertex with an earlier neighbor z may go to a
-    neighbor of z's image, any other to any vertex of its color; the
-    choice must keep color, and its neighbors already chosen must be
-    exactly the images of the vertex's earlier neighbors.  A dead end
-    undoes the last choice, so the search misses none.
+    Vertices are individualized one at a time along order, a
+    breadth-first order from the vertices that target names.  A vertex
+    with an earlier neighbor z may go to a neighbor of z's image, any
+    other to any vertex of its color; the choice must keep color, and
+    its neighbors already chosen must be exactly the images of the
+    vertex's earlier neighbors.  A dead end undoes the last choice, so
+    the search misses none.  The permutation found is checked against
+    the edge set before it is returned.
     """
     n = len(adj)
-    order = _bfs_order(adj, arc)
-    pos = [0] * n
-    for t, v in enumerate(order):
-        pos[v] = t
+    pos = _positions(order)
     back = [[z for z in adj[v] if pos[z] < t] for t, v in enumerate(order)]
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(color):
@@ -159,7 +198,7 @@ def _automorphism(adj: list[list[int]], color: list[int], arc: tuple[int, int],
                 t += 1
                 if t < n:
                     earlier = back[t]
-                    choices[t] = iter(target[1:] if t == 1 else
+                    choices[t] = iter(target[t:t + 1] if t < len(target) else
                                       adj[image[earlier[0]]] if earlier else
                                       cells[color[order[t]]])
                 break
@@ -168,13 +207,15 @@ def _automorphism(adj: list[list[int]], color: list[int], arc: tuple[int, int],
             if t < 0:
                 return None
             used[image[order[t]]] = False
+    if any({image[z] for z in adj[v]} != set(adj[image[v]]) for v in range(n)):
+        return None
     return image
 
 
-def _arc_orbits(edges: list[list[int]], adj: list[list[int]]
+def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
                 ) -> tuple[list[tuple[tuple[int, int], int]], list[list[int]]]:
     """Orbits of the 2e arcs under reversal u -> w to w -> u and the
-    graph's automorphisms, with those automorphisms.
+    graph's automorphisms, with those automorphisms; color is _refine(adj).
 
     Returns ([(arc, size), ...], [permutation, ...]); each orbit is named
     by its first arc in canonical edge order, forward arcs first.  Arcs
@@ -182,12 +223,10 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]]
     first arc of each orbit is tried against every arc of the same
     colors that is neither in its orbit yet nor in a class already
     shown to lie outside it (by trying the arc and, if its ends share a
-    color, its reverse); each permutation found is checked against the
-    edge set and merges every arc with its image.  Any set of checked
-    automorphisms gives orbits whose arcs have equal counts, so one
-    missed would cost walks, not exactness.
+    color, its reverse); each permutation found merges every arc with
+    its image.  Any set of checked automorphisms gives orbits whose arcs
+    have equal counts, so one missed would cost walks, not exactness.
     """
-    color = _refine(adj)
     arcs = [(u, w) for u, w in edges] + [(w, u) for u, w in edges]
     index = {arc: i for i, arc in enumerate(arcs)}
     by_color: dict[tuple[int, int], list[int]] = {}
@@ -215,13 +254,14 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]]
         if find(i) != i:
             continue  # in the orbit of an earlier arc, which is complete
         outside: set[int] = set()
+        order = _bfs_order(adj, arc)
         for j in by_color[color[arc[0]], color[arc[1]]]:
             if j <= i or find(j) == i or find(j) in outside:
                 continue
-            p = _automorphism(adj, color, arc, arcs[j])
+            p = _automorphism(adj, color, order, arcs[j])
             if p is None and color[arc[0]] == color[arc[1]]:
-                p = _automorphism(adj, color, arc, arcs[j][::-1])
-            if p is None or not all((p[a], p[b]) in index for a, b in edges):
+                p = _automorphism(adj, color, order, arcs[j][::-1])
+            if p is None:
                 outside.add(find(j))
                 continue
             perms.append(p)
@@ -230,6 +270,85 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]]
             outside = {find(r) for r in outside}
     sizes = Counter(find(i) for i in range(len(arcs)))
     return [(arcs[r], size) for r, size in sizes.items()], perms
+
+
+def _stabilizer_chain(adj: list[list[int]], color: list[int],
+                      order: list[int]) -> list[list[int]]:
+    """[O_2, O_3, ...]: O_t is the orbit of order[t] under the
+    automorphisms that fix order[0..t-1], order[t] first.
+
+    Each automorphism that fixes order[0..t-1] keeps color and the
+    neighbors that a vertex has among order[0..t-1], so only the later
+    vertices that agree with order[t] on both are candidates.  A twin of
+    order[t] (the same neighbors apart from each other) is in O_t, since
+    swapping the two is an automorphism; any other candidate is tested
+    by one _automorphism call that fixes order[0..t-1] and maps order[t]
+    onto it.  Every O_t returned is complete.  The chain stops at the
+    first failed test, where the cell is coarser than the orbits: a
+    shorter chain is still exact, and a failed test must exhaust its
+    backtracking.
+    """
+    n = len(order)
+    pos = _positions(order)
+    chain = []
+    for t in range(2, n):
+        x = order[t]
+        back = [z for z in adj[x] if pos[z] < t]
+        orbit = [x]
+        for y in adj[back[0]] if back else order[t + 1:]:
+            if (pos[y] > t and color[y] == color[x]
+                    and {z for z in adj[y] if pos[z] < t} == set(back)):
+                if (set(adj[x]) - {y} != set(adj[y]) - {x}
+                        and _automorphism(adj, color, order, order[:t] + [y]) is None):
+                    return chain
+                orbit.append(y)
+        chain.append(orbit)
+    return chain
+
+
+def _count_walks(edges: list[list[int]], adj: list[list[int]], q: int
+                 ) -> list[tuple[tuple[int, int], int, np.ndarray, np.ndarray, list[int]]]:
+    """The forced walks of a count, one per orbit of arcs: (arc, orbit
+    size, smaller, banned, factor).
+
+    smaller and banned are dfs_search's symmetry constraints for the
+    walk along the breadth-first order from the arc, and factor[p] is
+    the product of the factors of the constraints that bind at positions
+    0..p, so factor[-1] times the walk's count is the arc's count.  The
+    stabilizer chain asks f(order[t]) < f(y) for every other y in O_t,
+    at y's position and from the last t whose orbit holds y (the earlier
+    ones follow), for a factor |O_t|.  The split needs q >= 2, which
+    makes D - 1 an allowed difference, and an automorphism that swaps
+    the arc's ends u and w; it bans label 1 on w's neighbors other than
+    u, for a factor 2.
+    """
+    color = _refine(adj)
+    walks = []
+    for arc, size in _arc_orbits(edges, adj, color)[0]:
+        order = _bfs_order(adj, arc)
+        n = len(order)
+        pos = _positions(order)
+        smaller = np.full(n, -1, dtype=np.int64)
+        banned = np.full(n, -1, dtype=np.int64)
+        binds: list[tuple[int, int]] = []  # (position, factor)
+        for t, orbit in enumerate(_stabilizer_chain(adj, color, order), start=2):
+            if len(orbit) > 1:
+                at = [pos[y] for y in orbit[1:]]
+                smaller[at] = t
+                binds.append((min(at), len(orbit)))
+        if (q >= 2 and color[arc[0]] == color[arc[1]]
+                and _automorphism(adj, color, order, arc[::-1]) is not None):
+            u, w = arc
+            at = [pos[y] for y in adj[w] if y != u]
+            banned[at] = 1
+            # with no such neighbor no labeling puts D - 1 on an edge
+            binds.append((min(at, default=n - 1), 2))
+        # Python ints: the factors of a star alone pass 2**63 at 22 leaves
+        factor = [1] * n
+        for at, k in binds:
+            factor[at:] = [f * k for f in factor[at:]]
+        walks.append((arc, size, smaller, banned, factor))
+    return walks
 
 
 class _Walker:
@@ -243,6 +362,7 @@ class _Walker:
             raise InvalidParametersError(
                 f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
                 f"got e = {params.e} and d = {params.d}")
+        self.q = params.q
         self.n_labels = params.d * (params.q + 1)
         self.allowed = np.zeros(self.n_labels + 1, dtype=np.bool_)
         self.allowed[list(params.allowed)] = True
@@ -263,12 +383,14 @@ class _Walker:
                 np.array(order, dtype=np.int64), self.allowed, self.alpha)
 
     def walk(self, first: tuple[int, ...], labels: tuple[int, ...], max_results: int,
-             store_cap: int):
+             store_cap: int, smaller: np.ndarray | None = None,
+             banned: np.ndarray | None = None):
         """dfs_search along the order from first, with labels forced on
-        first's vertices; returns (total, rows, level_sizes)."""
+        first's vertices and the symmetry constraints smaller and banned;
+        returns (total, rows, level_sizes)."""
         return _kernels.dfs_search(*self.kernel_args(first),
                                    np.array(labels, dtype=np.int64), max_results,
-                                   store_cap)
+                                   store_cap, smaller, banned)
 
 
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -284,15 +406,18 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
             f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
     walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
-        total, level_sizes = 0, 0
-        orbits, _ = _arc_orbits(g.edge_indices().tolist(), walker.adj)
-        for arc, size in orbits:
-            count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0)
-            total += size * count
-            level_sizes = level_sizes + size * levels
+        total, level_sizes = 0, [0] * g.num_vertices
+        for arc, size, smaller, banned, factor in _count_walks(
+                g.edge_indices().tolist(), walker.adj, walker.q):
+            count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0,
+                                           smaller, banned)
+            total += size * factor[-1] * count
+            level_sizes = [a + size * f * x
+                           for a, f, x in zip(level_sizes, factor, levels.tolist())]
         return SearchResult(labelings=(), count=total, exhaustive=True,
-                            level_sizes=tuple(level_sizes.tolist()))
-    store_cap = cfg.max_results if cfg.max_results > 0 else cfg.store_limit
+                            level_sizes=tuple(level_sizes))
+    store_cap = (0 if cfg.store_limit == 0 else
+                 cfg.max_results if cfg.max_results > 0 else cfg.store_limit)
     total, rows, level_sizes = walker.walk((), (), cfg.max_results, store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())

@@ -1,19 +1,27 @@
 """The numpy frontier search must match the plain-Python reference DFS."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
                       check_alpha, check_d_graceful, cross_validate, search)
 from divgrace.grids import adjacency_lists
-from divgrace.oracle import _arc_orbits, _Walker
+from divgrace.oracle import (_arc_orbits, _bfs_order, _count_walks, _refine,
+                             _stabilizer_chain, _Walker)
 from reference_dfs import dfs_search_py
 
 STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
+
+# Its only non-trivial automorphism swaps 0 and 1, 2 and 3, and 4 and 5.
+# With 0 and 1 fixed, 2 and 3 still agree in color and in their fixed
+# neighbors, but no automorphism maps one onto the other.
+SWAPPED_PAIRS = SimpleGraph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5),
+                                (2, 4), (3, 5)))
 
 # The first 20 labelings of C_4 x P_3 at d = 5 that the reference DFS
 # finds, in its order.  The reference takes over a minute to reach them,
@@ -160,7 +168,8 @@ def test_arc_orbit_walks_agree_on_random_graphs(case):
     assume(g.num_edges > 0)
     edges = [tuple(e) for e in g.edge_indices().tolist()]
     arcs = edges + [(w, u) for u, w in edges]
-    orbits, perms = _arc_orbits(edges, adjacency_lists(g))
+    adj = adjacency_lists(g)
+    orbits, perms = _arc_orbits(edges, adj, _refine(adj))
     orbit_of = _closure(arcs, perms)
     assert set(orbit_of) == set(arcs)
     assert orbits == list(Counter(orbit_of.values()).items())
@@ -181,8 +190,84 @@ def test_arc_orbits_are_those_of_the_full_group(case):
     arcs = edges + [(w, u) for u, w in edges]
     group = [p for p in itertools.permutations(range(n))
              if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
-    orbits, _ = _arc_orbits(edges, adjacency_lists(g))
+    adj = adjacency_lists(g)
+    orbits, _ = _arc_orbits(edges, adj, _refine(adj))
     assert orbits == list(Counter(_closure(arcs, group).values()).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+@example((SimpleGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), SearchConfig(d=1), []))
+@example((SimpleGraph(6, tuple((i, j) for i in range(3) for j in range(3, 6))),
+          SearchConfig(d=3), []))
+@example((SimpleGraph(6, tuple((i, (i + 1) % 6) for i in range(6))), SearchConfig(d=2), []))
+@example((SimpleGraph(5, ((0, 1), (1, 2))), SearchConfig(d=1), []))
+@example((SWAPPED_PAIRS, SearchConfig(d=3), []))
+def test_stabilizer_chain_and_split_match_the_full_group(case):
+    # each O_t is the orbit of order[t] under every permutation that keeps
+    # the edge set and fixes order[0..t-1], the chain stops only where a
+    # cell is coarser than the orbits, and the split applies exactly when
+    # q >= 2 and a permutation reverses the arc
+    g, cfg, _ = case
+    assume(g.num_edges > 0)
+    n = g.num_vertices
+    edges = [tuple(e) for e in g.edge_indices().tolist()]
+    edge_set = {frozenset(e) for e in edges}
+    group = [p for p in itertools.permutations(range(n))
+             if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
+    adj = adjacency_lists(g)
+    color = _refine(adj)
+    q = g.num_edges // cfg.d
+    for (u, w), _, smaller, banned, factor in _count_walks(edges, adj, q):
+        order = _bfs_order(adj, (u, w))
+        pos = {v: t for t, v in enumerate(order)}
+        chain = _stabilizer_chain(adj, color, order)
+
+        def orbit(t):
+            return {p[order[t]] for p in group if all(p[v] == v for v in order[:t])}
+
+        for t, found in enumerate(chain, start=2):
+            assert found[0] == order[t] and len(set(found)) == len(found)
+            assert set(found) == orbit(t)
+        t = 2 + len(chain)
+        if t < n:
+            def fixed_neighbors(v):
+                return {z for z in adj[v] if pos[z] < t}
+
+            cell = {y for y in order[t:] if color[y] == color[order[t]]
+                    and fixed_neighbors(y) == fixed_neighbors(order[t])}
+            assert cell - orbit(t)
+        want = [max((t for t, found in enumerate(chain, start=2) if v in found[1:]),
+                    default=-1) for v in order]
+        assert smaller.tolist() == want
+        split = q >= 2 and any(p[u] == w and p[w] == u for p in group)
+        assert banned.tolist() == [1 if split and w in adj[v] and v != u else -1
+                                   for v in order]
+        assert factor[-1] == math.prod(map(len, chain)) * (2 if split else 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases(), st.data())
+def test_symmetry_constraints_drop_exactly_the_labelings_that_break_them(case, data):
+    g, cfg, prefix = case
+    args = _Walker(g, cfg).kernel_args(())
+    order = args[2].tolist()
+    n, n_labels = len(order), args[3].shape[0] - 1
+    smaller = np.array([data.draw(st.integers(-1, p - 1)) for p in range(n)], dtype=np.int64)
+    banned = np.array([data.draw(st.integers(-1, n_labels)) for _ in range(n)],
+                      dtype=np.int64)
+    prefix = np.array(prefix, dtype=np.int64)
+    _, every = _reference(*args, prefix, 0, 10 ** 6)[:2]
+    want = [row for row in every.tolist()
+            if all(row[order[p]] != banned[p] and
+                   (smaller[p] < 0 or row[order[p]] > row[order[smaller[p]]])
+                   for p in range(n))]
+    if cfg.max_results:
+        want = want[:cfg.max_results]
+    total, rows, level_sizes = _kernels.dfs_search(*args, prefix, cfg.max_results, 10 ** 6,
+                                                   smaller, banned)
+    assert total == level_sizes[-1] == len(want)
+    assert rows.tolist() == want
 
 
 @settings(max_examples=200, deadline=None)

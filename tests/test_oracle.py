@@ -14,7 +14,7 @@ from divgrace import (GridGraph, InvalidParametersError, Labeling, SearchConfig,
                       SimpleGraph, build_grid, check_alpha, check_d_graceful,
                       cross_validate, engine_accepts, oracle, search)
 from divgrace.grids import adjacency_lists
-from divgrace.oracle import _arc_orbits, _Walker
+from divgrace.oracle import _arc_orbits, _refine, _Walker
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
@@ -29,7 +29,8 @@ PETERSEN = SimpleGraph(10, tuple([(i, (i + 1) % 5) for i in range(5)]
 
 def _orbits(g):
     """_arc_orbits on g's edge set."""
-    return _arc_orbits(g.edge_indices().tolist(), adjacency_lists(g))
+    adj = adjacency_lists(g)
+    return _arc_orbits(g.edge_indices().tolist(), adj, _refine(adj))
 
 
 def _maps_edges_onto_edges(g, p):
@@ -108,6 +109,14 @@ def test_store_limit_zero_counts_only():
     res = search(C4, SearchConfig(d=1, store_limit=0))
     assert res.count == 16
     assert res.labelings == ()
+
+
+def test_store_limit_zero_keeps_no_row_under_max_results(t8):
+    kept = search(t8, SearchConfig(d=3, max_results=5))
+    bare = search(t8, SearchConfig(d=3, max_results=5, store_limit=0))
+    assert bare.count == kept.count == 5
+    assert bare.labelings == () and len(kept.labelings) == 5
+    assert bare.level_sizes == kept.level_sizes
 
 
 def test_t8_alpha_count(t8):
@@ -282,6 +291,56 @@ def test_c4p3_alpha_count_d5():
     # 5152 is what the vertex-order walk counts in about a minute
     res = search(build_grid(1, 3), SearchConfig(d=5, alpha_only=True, store_limit=0))
     assert res.count == 5152
+
+
+def _cycle(n):
+    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def _complete_bipartite(a, b):
+    return SimpleGraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+# Graphs whose arcs have large stabilizers or reverse under an
+# automorphism, so that a count uses the stabilizer chain, the D - 1
+# split or both, at every divisor d of e.
+SYMMETRIC = {**{f"C{n}": _cycle(n) for n in range(3, 9)},
+             "K14": _complete_bipartite(1, 4), "K23": _complete_bipartite(2, 3),
+             "K33": _complete_bipartite(3, 3),
+             "P2xP3": SimpleGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5),
+                                      (0, 3), (1, 4), (2, 5))),
+             "P4+P3": SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6))),
+             "P3+2K1": SimpleGraph(5, ((0, 1), (1, 2))),
+             # 0 <-> 1, 2 <-> 3, 4 <-> 5 is its only non-trivial
+             # automorphism; with 0 and 1 fixed, 2 and 3 share a color
+             # cell but not an orbit
+             "swapped-pairs": SimpleGraph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
+                                              (1, 3), (1, 5), (2, 4), (3, 5)))}
+SYMMETRIC_CASES = [(name, d) for name, g in SYMMETRIC.items()
+                   for d in range(1, g.num_edges + 1) if g.num_edges % d == 0]
+
+
+@pytest.mark.parametrize("name,d", SYMMETRIC_CASES + [("prism", 12)],
+                         ids=[f"{name}-d{d}" for name, d in SYMMETRIC_CASES + [("prism", 12)]])
+def test_count_by_symmetry_matches_vertex_walk(name, d):
+    # the prism at d = 12 has q = 1, where D - 1 is not allowed and the
+    # split must not apply
+    g = build_grid(1, 2) if name == "prism" else SYMMETRIC[name]
+    for alpha in (False, True):
+        walk = search(g, SearchConfig(d=d, alpha_only=alpha, store_limit=1))
+        count = search(g, SearchConfig(d=d, alpha_only=alpha, store_limit=0))
+        assert count.count == walk.count
+        assert count.level_sizes[-1] == count.count
+
+
+def test_star_count_passes_int64():
+    # K_{1,22} at d = 22 has q = 1 and the odd differences 1, 3, ..., 43:
+    # the center takes 0 with the odd labels on the leaves, or 43 with the
+    # even ones, so there are 2 * 22! labelings.  The stabilizer chain of
+    # an arc from the center has the factor 21!, past 2**63.
+    star = SimpleGraph(23, tuple((0, leaf) for leaf in range(1, 23)))
+    res = search(star, SearchConfig(d=22, store_limit=0))
+    assert res.count == res.level_sizes[-1] == 2 * math.factorial(22)
 
 
 @pytest.mark.parametrize("g,d,want", [(SimpleGraph(1, ()), 1, 1),
