@@ -279,11 +279,9 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
 
     Each automorphism that fixes order[0..t-1] keeps color and the
     neighbors that a vertex has among order[0..t-1], so only the later
-    vertices that agree with order[t] on both are candidates.  A twin of
-    order[t] (the same neighbors apart from each other) is in O_t, since
-    swapping the two is an automorphism; any other candidate is tested
-    by one _automorphism call that fixes order[0..t-1] and maps order[t]
-    onto it.  Every O_t returned is complete.  The chain stops at the
+    vertices that agree with order[t] on both are candidates.  Each is
+    tested by one _automorphism call that fixes order[0..t-1] and maps
+    order[t] onto it.  Every O_t returned is complete.  The chain stops at the
     first failed test, where the cell is coarser than the orbits: a
     shorter chain is still exact, and a failed test must exhaust its
     backtracking.
@@ -298,8 +296,7 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
         for y in adj[back[0]] if back else order[t + 1:]:
             if (pos[y] > t and color[y] == color[x]
                     and {z for z in adj[y] if pos[z] < t} == set(back)):
-                if (set(adj[x]) - {y} != set(adj[y]) - {x}
-                        and _automorphism(adj, color, order, order[:t] + [y]) is None):
+                if _automorphism(adj, color, order, order[:t] + [y]) is None:
                     return chain
                 orbit.append(y)
         chain.append(orbit)
@@ -307,12 +304,13 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
 
 
 def _count_walks(edges: list[list[int]], adj: list[list[int]], q: int
-                 ) -> list[tuple[tuple[int, int], int, np.ndarray, np.ndarray, list[int]]]:
-    """The forced walks of a count, one per orbit of arcs: (arc, orbit
-    size, smaller, banned, factor).
+                 ) -> list[tuple[int, list[int], np.ndarray, np.ndarray, list[int]]]:
+    """The forced walks of a count, one per orbit of arcs: (orbit size,
+    order, smaller, banned, factor).
 
-    smaller and banned are dfs_search's symmetry constraints for the
-    walk along the breadth-first order from the arc, and factor[p] is
+    order is the breadth-first order from the orbit's first arc, smaller
+    and banned are dfs_search's symmetry constraints for the walk along
+    it, and factor[p] is
     the product of the factors of the constraints that bind at positions
     0..p, so factor[-1] times the walk's count is the arc's count.  The
     stabilizer chain asks f(order[t]) < f(y) for every other y in O_t,
@@ -347,7 +345,7 @@ def _count_walks(edges: list[list[int]], adj: list[list[int]], q: int
         factor = [1] * n
         for at, k in binds:
             factor[at:] = [f * k for f in factor[at:]]
-        walks.append((arc, size, smaller, banned, factor))
+        walks.append((size, order, smaller, banned, factor))
     return walks
 
 
@@ -369,10 +367,9 @@ class _Walker:
         self.adj = adjacency_lists(g)
         self.alpha = cfg.alpha_only
 
-    def kernel_args(self, first: tuple[int, ...]) -> tuple:
-        """dfs_search's arguments before prefix, for the breadth-first
-        order from the vertices in first."""
-        order = _bfs_order(self.adj, first)
+    def kernel_args(self, order: list[int]) -> tuple:
+        """dfs_search's arguments before prefix, for the walk along
+        order, a breadth-first order of the vertices."""
         pos_of = {v: p for p, v in enumerate(order)}
         flat: list[int] = []
         off = [0]
@@ -382,13 +379,13 @@ class _Walker:
         return (np.array(flat, dtype=np.int64), np.array(off, dtype=np.int64),
                 np.array(order, dtype=np.int64), self.allowed, self.alpha)
 
-    def walk(self, first: tuple[int, ...], labels: tuple[int, ...], max_results: int,
+    def walk(self, order: list[int], labels: tuple[int, ...], max_results: int,
              store_cap: int, smaller: np.ndarray | None = None,
              banned: np.ndarray | None = None):
-        """dfs_search along the order from first, with labels forced on
-        first's vertices and the symmetry constraints smaller and banned;
+        """dfs_search along order, with labels forced on its leading
+        vertices and the symmetry constraints smaller and banned;
         returns (total, rows, level_sizes)."""
-        return _kernels.dfs_search(*self.kernel_args(first),
+        return _kernels.dfs_search(*self.kernel_args(order),
                                    np.array(labels, dtype=np.int64), max_results,
                                    store_cap, smaller, banned)
 
@@ -407,9 +404,9 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         total, level_sizes = 0, [0] * g.num_vertices
-        for arc, size, smaller, banned, factor in _count_walks(
+        for size, order, smaller, banned, factor in _count_walks(
                 g.edge_indices().tolist(), walker.adj, walker.q):
-            count, _, levels = walker.walk(arc, (0, walker.n_labels - 1), 0, 0,
+            count, _, levels = walker.walk(order, (0, walker.n_labels - 1), 0, 0,
                                            smaller, banned)
             total += size * factor[-1] * count
             level_sizes = [a + size * f * x
@@ -418,7 +415,8 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
                             level_sizes=tuple(level_sizes))
     store_cap = (0 if cfg.store_limit == 0 else
                  cfg.max_results if cfg.max_results > 0 else cfg.store_limit)
-    total, rows, level_sizes = walker.walk((), (), cfg.max_results, store_cap)
+    total, rows, level_sizes = walker.walk(_bfs_order(walker.adj), (), cfg.max_results,
+                                           store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
@@ -434,7 +432,7 @@ def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     walker = _Walker(f.graph, cfg)
     if max(f.values) >= walker.n_labels:  # may not even fit an int64
         return False
-    total, _, _ = walker.walk(tuple(range(f.graph.num_vertices)), f.values, 0, 0)
+    total, _, _ = walker.walk(list(range(f.graph.num_vertices)), f.values, 0, 0)
     return total == 1
 
 

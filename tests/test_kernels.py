@@ -13,15 +13,10 @@ from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
 from divgrace.grids import adjacency_lists
 from divgrace.oracle import (_arc_orbits, _bfs_order, _count_walks, _refine,
                              _stabilizer_chain, _Walker)
+from example_graphs import SWAPPED_PAIRS
 from reference_dfs import dfs_search_py
 
 STAR_40 = SimpleGraph(41, tuple((0, leaf) for leaf in range(1, 41)))
-
-# Its only non-trivial automorphism swaps 0 and 1, 2 and 3, and 4 and 5.
-# With 0 and 1 fixed, 2 and 3 still agree in color and in their fixed
-# neighbors, but no automorphism maps one onto the other.
-SWAPPED_PAIRS = SimpleGraph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5),
-                                (2, 4), (3, 5)))
 
 # The first 20 labelings of C_4 x P_3 at d = 5 that the reference DFS
 # finds, in its order.  The reference takes over a minute to reach them,
@@ -63,10 +58,16 @@ def _run(kernel, args, cfg, prefix, cap=2000):
     return int(total), rows
 
 
+def _walk_args(g, cfg):
+    """dfs_search's arguments before prefix, for the search's vertex walk."""
+    walker = _Walker(g, cfg)
+    return walker.kernel_args(_bfs_order(walker.adj))
+
+
 def _agree(g, cfg, prefix=()):
     """Run the kernel and the reference on the arguments of the search's
     vertex walk, with prefix forced on its leading positions; both must match."""
-    args = _Walker(g, cfg).kernel_args(())
+    args = _walk_args(g, cfg)
     total, rows = _run(_kernels.dfs_search, args, cfg, prefix)
     ref_total, ref_rows = _run(_reference, args, cfg, prefix)
     assert total == ref_total
@@ -99,7 +100,7 @@ def test_frontier_matches_frozen_reference_c4p3():
     g = build_grid(1, 3)
     for limit in (1, 20):
         cfg = SearchConfig(d=5, max_results=limit)
-        total, rows = _run(_kernels.dfs_search, _Walker(g, cfg).kernel_args(()), cfg, ())
+        total, rows = _run(_kernels.dfs_search, _walk_args(g, cfg), cfg, ())
         assert total == limit
         assert [tuple(int(x) for x in row) for row in rows] == C4P3_D5_FIRST_20[:limit]
 
@@ -175,7 +176,8 @@ def test_arc_orbit_walks_agree_on_random_graphs(case):
     assert orbits == list(Counter(orbit_of.values()).items())
     for alpha in (False, True):
         walker = _Walker(g, SearchConfig(d=cfg.d, alpha_only=alpha))
-        counts = {arc: walker.walk(arc, (0, walker.n_labels - 1), 0, 0)[0] for arc in arcs}
+        counts = {arc: walker.walk(_bfs_order(adj, arc), (0, walker.n_labels - 1), 0, 0)[0]
+                  for arc in arcs}
         assert all(counts[arc] == counts[orbit_of[arc]] for arc in arcs)
 
 
@@ -218,8 +220,8 @@ def test_stabilizer_chain_and_split_match_the_full_group(case):
     adj = adjacency_lists(g)
     color = _refine(adj)
     q = g.num_edges // cfg.d
-    for (u, w), _, smaller, banned, factor in _count_walks(edges, adj, q):
-        order = _bfs_order(adj, (u, w))
+    for _, order, smaller, banned, factor in _count_walks(edges, adj, q):
+        u, w = order[:2]
         pos = {v: t for t, v in enumerate(order)}
         chain = _stabilizer_chain(adj, color, order)
 
@@ -250,7 +252,7 @@ def test_stabilizer_chain_and_split_match_the_full_group(case):
 @given(search_cases(), st.data())
 def test_symmetry_constraints_drop_exactly_the_labelings_that_break_them(case, data):
     g, cfg, prefix = case
-    args = _Walker(g, cfg).kernel_args(())
+    args = _walk_args(g, cfg)
     order = args[2].tolist()
     n, n_labels = len(order), args[3].shape[0] - 1
     smaller = np.array([data.draw(st.integers(-1, p - 1)) for p in range(n)], dtype=np.int64)
@@ -300,7 +302,7 @@ def test_cross_validate_agrees_on_random_graphs(case, data):
 def test_run_kernel_uses_selected_path(t8):
     cfg = SearchConfig(d=3, alpha_only=True)
     total, rows, level_sizes = _kernels.dfs_search(
-        *_Walker(t8, cfg).kernel_args(()), np.empty(0, dtype=np.int64), 0, 600)
+        *_walk_args(t8, cfg), np.empty(0, dtype=np.int64), 0, 600)
     assert total == 576
     assert rows.shape == (576, 8) and rows.dtype == np.int64
     assert level_sizes[-1] == 576

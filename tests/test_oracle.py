@@ -14,7 +14,8 @@ from divgrace import (GridGraph, InvalidParametersError, Labeling, SearchConfig,
                       SimpleGraph, build_grid, check_alpha, check_d_graceful,
                       cross_validate, engine_accepts, oracle, search)
 from divgrace.grids import adjacency_lists
-from divgrace.oracle import _arc_orbits, _refine, _Walker
+from divgrace.oracle import _arc_orbits, _bfs_order, _refine
+from example_graphs import SWAPPED_PAIRS
 
 EDGE = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(3, ((0, 1), (1, 2)))
@@ -172,7 +173,7 @@ def test_engine_rejects_repeated_difference(t8):
 
 def _prefix_counts(g, cfg):
     # consistent partial labelings of each length, by raw enumeration
-    order = _Walker(g, cfg).kernel_args(())[2].tolist()
+    order = _bfs_order(adjacency_lists(g))
     e = g.num_edges
     q = e // cfg.d
     n_labels = cfg.d * (q + 1)
@@ -311,11 +312,7 @@ SYMMETRIC = {**{f"C{n}": _cycle(n) for n in range(3, 9)},
                                       (0, 3), (1, 4), (2, 5))),
              "P4+P3": SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6))),
              "P3+2K1": SimpleGraph(5, ((0, 1), (1, 2))),
-             # 0 <-> 1, 2 <-> 3, 4 <-> 5 is its only non-trivial
-             # automorphism; with 0 and 1 fixed, 2 and 3 share a color
-             # cell but not an orbit
-             "swapped-pairs": SimpleGraph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
-                                              (1, 3), (1, 5), (2, 4), (3, 5)))}
+             "swapped-pairs": SWAPPED_PAIRS}
 SYMMETRIC_CASES = [(name, d) for name, g in SYMMETRIC.items()
                    for d in range(1, g.num_edges + 1) if g.num_edges % d == 0]
 
