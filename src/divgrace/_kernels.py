@@ -16,16 +16,13 @@ cells, which bounds memory and lets max_results stop the walk early.
 An alpha search tests Rosa's condition edge by edge: a row dies once the
 largest lower end of its edges is not below their smallest upper end.
 
-A count may pass two symmetry constraints per position, which the
+A count may pass one symmetry constraint per position, which the
 oracle derives: a label that must exceed the one at an earlier position
 (Puget's lex-leader constraints for all-different problems, IJCAI 2005:
 the automorphisms that fix the forced arc act freely on labelings with
 distinct labels, so the vertex that takes the smallest label of its
-orbit picks one labeling per orbit) and a banned label (D - 1 comes
-only from the label pairs {0, D - 1} and {1, D}, so banning 1 next to
-the vertex labeled D keeps exactly half of a walk whose arc an
-automorphism reverses).  Both are masks like the others and keep the
-depth-first order.
+orbit picks one labeling per orbit).  It is a mask like the others and
+keeps the depth-first order.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ CELL_BUDGET = 1 << 13
 
 
 def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
-               store_cap, smaller=None, banned=None):
+               store_cap, smaller=None):
     """Enumerate injective labelings in depth-first order with masked pruning.
 
     Parameters
@@ -64,10 +61,10 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
         Stop after this many labelings; 0 means exhaust the space.
     store_cap : int
         Keep at most this many labelings, the first ones found.
-    smaller, banned : int64 arrays or None
+    smaller : int64 array or None
         Symmetry constraints, one entry per position, -1 for none: the
         label at p must exceed the label at the earlier position
-        smaller[p], and must not be banned[p].
+        smaller[p].
 
     Returns
     -------
@@ -87,7 +84,6 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
     for p, lab in enumerate(prefix):
         ranges[p] = (int(lab), int(lab) + 1)
     smaller = [-1] * n if smaller is None else smaller.tolist()
-    banned = [-1] * n if banned is None else banned.tolist()
 
     def survivors(p, state):
         """Rows, labels and new differences of the candidates at p that
@@ -99,8 +95,6 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
         ok = ~used_label[:, lo:hi]
         if smaller[p] >= 0:
             ok &= cand > assign[:, smaller[p], None]
-        if lo <= banned[p] < hi:
-            ok[:, banned[p] - lo] = False
         row_base = np.arange(0, blocked_diff.size, L + 1)[:, None]
         nbrs = nbr_flat[nbr_off[p]:nbr_off[p + 1]]
         deltas = []

@@ -30,24 +30,17 @@ prism C_4 x P_2 has one orbit of all 24 arcs, any other C_{4k} x P_m
 has m, and a cycle has one.
 
 Each walk then counts only some of its arc's labelings and multiplies
-back, by two exact reductions (_count_walks).  The automorphisms that
-fix u and w map the arc's labelings onto each other, and since labels
-are distinct only the identity fixes one: the group acts freely.  So,
-as in Puget's lex-leader constraints for all-different problems
-("Breaking symmetries in all different problems", IJCAI 2005), the walk
-keeps one labeling per orbit: with O_t the orbit of the t-th vertex
-under the automorphisms that fix the vertices before it, the t-th
-vertex takes the smallest label in O_t, and the count is multiplied by
-the product of the |O_t|.  This holds for any prefix of that chain, so
-_stabilizer_chain may stop early.  Second, when q >= 2, D - 1 is an
-allowed difference, and only the label pairs {0, D - 1} and {1, D}
-give it: every labeling of the arc puts D - 1 on a neighbor of u or 1
-on a neighbor of w, never both.  If an automorphism swaps u and w, the
-complement composed with it maps the two kinds onto each other, so the
-walk bans label 1 on w's neighbors other than u and doubles its count.
-Both reductions leave the other intact: the automorphisms that fix u
-and w keep each kind.  Rows, max_results and cross_validate's replay
-use the unconstrained vertex walk.
+back (_count_walks).  The automorphisms that fix u and w map the arc's
+labelings onto each other, and since labels are distinct only the
+identity fixes one: the group acts freely.  So, as in Puget's
+lex-leader constraints for all-different problems ("Breaking
+symmetries in all different problems", IJCAI 2005), the walk keeps one
+labeling per orbit: with O_t the orbit of the t-th vertex under the
+automorphisms that fix the vertices before it, the t-th vertex takes
+the smallest label in O_t, and the count is multiplied by the product
+of the |O_t|.  This holds for any prefix of that chain, so
+_stabilizer_chain may stop early.  Rows, max_results and
+cross_validate's replay use the unconstrained vertex walk.
 """
 
 from __future__ import annotations
@@ -303,22 +296,18 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
     return chain
 
 
-def _count_walks(edges: list[list[int]], adj: list[list[int]], q: int
-                 ) -> list[tuple[int, list[int], np.ndarray, np.ndarray, list[int]]]:
+def _count_walks(edges: list[list[int]], adj: list[list[int]]
+                 ) -> list[tuple[int, list[int], np.ndarray, list[int]]]:
     """The forced walks of a count, one per orbit of arcs: (orbit size,
-    order, smaller, banned, factor).
+    order, smaller, factor).
 
     order is the breadth-first order from the orbit's first arc, smaller
-    and banned are dfs_search's symmetry constraints for the walk along
-    it, and factor[p] is
-    the product of the factors of the constraints that bind at positions
-    0..p, so factor[-1] times the walk's count is the arc's count.  The
-    stabilizer chain asks f(order[t]) < f(y) for every other y in O_t,
-    at y's position and from the last t whose orbit holds y (the earlier
-    ones follow), for a factor |O_t|.  The split needs q >= 2, which
-    makes D - 1 an allowed difference, and an automorphism that swaps
-    the arc's ends u and w; it bans label 1 on w's neighbors other than
-    u, for a factor 2.
+    is dfs_search's symmetry constraint for the walk along it, and
+    factor[p] is the product of the factors of the constraints that bind
+    at positions 0..p, so factor[-1] times the walk's count is the arc's
+    count.  The stabilizer chain asks f(order[t]) < f(y) for every other
+    y in O_t, at y's position and from the last t whose orbit holds y
+    (the earlier ones follow), for a factor |O_t|.
     """
     color = _refine(adj)
     walks = []
@@ -327,25 +316,17 @@ def _count_walks(edges: list[list[int]], adj: list[list[int]], q: int
         n = len(order)
         pos = _positions(order)
         smaller = np.full(n, -1, dtype=np.int64)
-        banned = np.full(n, -1, dtype=np.int64)
         binds: list[tuple[int, int]] = []  # (position, factor)
         for t, orbit in enumerate(_stabilizer_chain(adj, color, order), start=2):
             if len(orbit) > 1:
                 at = [pos[y] for y in orbit[1:]]
                 smaller[at] = t
                 binds.append((min(at), len(orbit)))
-        if (q >= 2 and color[arc[0]] == color[arc[1]]
-                and _automorphism(adj, color, order, arc[::-1]) is not None):
-            u, w = arc
-            at = [pos[y] for y in adj[w] if y != u]
-            banned[at] = 1
-            # with no such neighbor no labeling puts D - 1 on an edge
-            binds.append((min(at, default=n - 1), 2))
         # Python ints: the factors of a star alone pass 2**63 at 22 leaves
         factor = [1] * n
         for at, k in binds:
             factor[at:] = [f * k for f in factor[at:]]
-        walks.append((size, order, smaller, banned, factor))
+        walks.append((size, order, smaller, factor))
     return walks
 
 
@@ -360,7 +341,6 @@ class _Walker:
             raise InvalidParametersError(
                 f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
                 f"got e = {params.e} and d = {params.d}")
-        self.q = params.q
         self.n_labels = params.d * (params.q + 1)
         self.allowed = np.zeros(self.n_labels + 1, dtype=np.bool_)
         self.allowed[list(params.allowed)] = True
@@ -380,14 +360,13 @@ class _Walker:
                 np.array(order, dtype=np.int64), self.allowed, self.alpha)
 
     def walk(self, order: list[int], labels: tuple[int, ...], max_results: int,
-             store_cap: int, smaller: np.ndarray | None = None,
-             banned: np.ndarray | None = None):
+             store_cap: int, smaller: np.ndarray | None = None):
         """dfs_search along order, with labels forced on its leading
-        vertices and the symmetry constraints smaller and banned;
-        returns (total, rows, level_sizes)."""
+        vertices and the symmetry constraint smaller; returns (total,
+        rows, level_sizes)."""
         return _kernels.dfs_search(*self.kernel_args(order),
                                    np.array(labels, dtype=np.int64), max_results,
-                                   store_cap, smaller, banned)
+                                   store_cap, smaller)
 
 
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -404,10 +383,9 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     walker = _Walker(g, cfg)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         total, level_sizes = 0, [0] * g.num_vertices
-        for size, order, smaller, banned, factor in _count_walks(
-                g.edge_indices().tolist(), walker.adj, walker.q):
-            count, _, levels = walker.walk(order, (0, walker.n_labels - 1), 0, 0,
-                                           smaller, banned)
+        for size, order, smaller, factor in _count_walks(g.edge_indices().tolist(),
+                                                         walker.adj):
+            count, _, levels = walker.walk(order, (0, walker.n_labels - 1), 0, 0, smaller)
             total += size * factor[-1] * count
             level_sizes = [a + size * f * x
                            for a, f, x in zip(level_sizes, factor, levels.tolist())]

@@ -205,12 +205,11 @@ def test_arc_orbits_are_those_of_the_full_group(case):
 @example((SimpleGraph(6, tuple((i, (i + 1) % 6) for i in range(6))), SearchConfig(d=2), []))
 @example((SimpleGraph(5, ((0, 1), (1, 2))), SearchConfig(d=1), []))
 @example((SWAPPED_PAIRS, SearchConfig(d=3), []))
-def test_stabilizer_chain_and_split_match_the_full_group(case):
+def test_stabilizer_chain_matches_the_full_group(case):
     # each O_t is the orbit of order[t] under every permutation that keeps
-    # the edge set and fixes order[0..t-1], the chain stops only where a
-    # cell is coarser than the orbits, and the split applies exactly when
-    # q >= 2 and a permutation reverses the arc
-    g, cfg, _ = case
+    # the edge set and fixes order[0..t-1], and the chain stops only where
+    # a cell is coarser than the orbits
+    g, _, _ = case
     assume(g.num_edges > 0)
     n = g.num_vertices
     edges = [tuple(e) for e in g.edge_indices().tolist()]
@@ -219,9 +218,7 @@ def test_stabilizer_chain_and_split_match_the_full_group(case):
              if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
     adj = adjacency_lists(g)
     color = _refine(adj)
-    q = g.num_edges // cfg.d
-    for _, order, smaller, banned, factor in _count_walks(edges, adj, q):
-        u, w = order[:2]
+    for _, order, smaller, factor in _count_walks(edges, adj):
         pos = {v: t for t, v in enumerate(order)}
         chain = _stabilizer_chain(adj, color, order)
 
@@ -242,10 +239,7 @@ def test_stabilizer_chain_and_split_match_the_full_group(case):
         want = [max((t for t, found in enumerate(chain, start=2) if v in found[1:]),
                     default=-1) for v in order]
         assert smaller.tolist() == want
-        split = q >= 2 and any(p[u] == w and p[w] == u for p in group)
-        assert banned.tolist() == [1 if split and w in adj[v] and v != u else -1
-                                   for v in order]
-        assert factor[-1] == math.prod(map(len, chain)) * (2 if split else 1)
+        assert factor[-1] == math.prod(map(len, chain))
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,20 +248,17 @@ def test_symmetry_constraints_drop_exactly_the_labelings_that_break_them(case, d
     g, cfg, prefix = case
     args = _walk_args(g, cfg)
     order = args[2].tolist()
-    n, n_labels = len(order), args[3].shape[0] - 1
+    n = len(order)
     smaller = np.array([data.draw(st.integers(-1, p - 1)) for p in range(n)], dtype=np.int64)
-    banned = np.array([data.draw(st.integers(-1, n_labels)) for _ in range(n)],
-                      dtype=np.int64)
     prefix = np.array(prefix, dtype=np.int64)
     _, every = _reference(*args, prefix, 0, 10 ** 6)[:2]
     want = [row for row in every.tolist()
-            if all(row[order[p]] != banned[p] and
-                   (smaller[p] < 0 or row[order[p]] > row[order[smaller[p]]])
+            if all(smaller[p] < 0 or row[order[p]] > row[order[smaller[p]]]
                    for p in range(n))]
     if cfg.max_results:
         want = want[:cfg.max_results]
     total, rows, level_sizes = _kernels.dfs_search(*args, prefix, cfg.max_results, 10 ** 6,
-                                                   smaller, banned)
+                                                   smaller)
     assert total == level_sizes[-1] == len(want)
     assert rows.tolist() == want
 
