@@ -163,7 +163,7 @@ def _automorphism(adj: list[list[int]], color: list[int], order: list[int],
     if there is none.
 
     Vertices are individualized one at a time along order, a
-    breadth-first order from the vertices that target names.  A vertex
+    breadth-first order from its first two vertices.  A vertex
     with an earlier neighbor z may go to a neighbor of z's image, any
     other to any vertex of its color; the choice must keep color, and
     its neighbors already chosen must be exactly the images of the
@@ -274,9 +274,9 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
     neighbors that a vertex has among order[0..t-1], so only the later
     vertices that agree with order[t] on both are candidates.  Each is
     tested by one _automorphism call that fixes order[0..t-1] and maps
-    order[t] onto it.  Every O_t returned is complete.  The chain stops at the
-    first failed test, where the cell is coarser than the orbits: a
-    shorter chain is still exact, and a failed test must exhaust its
+    order[t] onto it.  Every O_t returned is complete.  The chain stops
+    at the first failed test, where the cell is coarser than the orbits:
+    a shorter chain is still exact, and a failed test must exhaust its
     backtracking.
     """
     n = len(order)
@@ -349,7 +349,7 @@ class _Walker:
 
     def kernel_args(self, order: list[int]) -> tuple:
         """dfs_search's arguments before prefix, for the walk along
-        order, a breadth-first order of the vertices."""
+        order, a permutation of the vertices."""
         pos_of = {v: p for p, v in enumerate(order)}
         flat: list[int] = []
         off = [0]
