@@ -2,19 +2,28 @@
 
 Two kernels dominate the package's runtime: the labeling search behind
 the oracle and the edge-pair accumulation behind decomposition
-verification.  Both are numpy over plain int64/bool arrays.
+verification.
 
-The search walks a frontier of partial labelings depth first.  At
-position p it takes a slice of partial labelings, rows in lexicographic
-order, and builds one rows x candidates mask of the labels that may
-come next.  np.nonzero reads that mask in row-major order, which is the
-order a depth-first search discovers the children in, so descending
-into slices of the survivors one after another yields the labelings in
-lexicographic order of positions.  Slices are cut to CELL_BUDGET mask
-cells, which bounds memory and lets max_results stop the walk early.
+The search walks a frontier of partial labelings depth first.  A row
+of the frontier is one partial labeling: its labels by position, as
+int16, and one bool "taken" row whose first L cells mark the labels used
+and whose cell L + delta marks the difference delta used or not
+allowed; an alpha search also keeps, per row, the largest lower end and
+the smallest upper end of its edges (Rosa's condition holds while the
+first is below the second).
 
-An alpha search tests Rosa's condition edge by edge: a row dies once the
-largest lower end of its edges is not below their smallest upper end.
+Forced labels come first: the prefix is replayed label by label on the
+frontier's one row, in plain Python, with the same tests as the masks
+below, so a count walk's forced arc and cross_validate's full labeling
+build no mask.  From there, at position p the walk takes a slice of
+partial labelings, rows in lexicographic order, and builds one rows x L
+mask of the labels that may come next.  np.nonzero reads that mask in
+row-major order, which is the order a depth-first search discovers the
+children in, so descending into slices of the survivors one after
+another yields the labelings in lexicographic order of positions.
+Slices are cut to CELL_BUDGET mask cells, which bounds memory and lets
+max_results stop the walk early.  At the last position a walk that
+keeps no more rows only counts the mask's cells.
 
 A count may pass one symmetry constraint per position, which the
 oracle derives: a label that must exceed the one at an earlier position
@@ -31,7 +40,7 @@ import numpy as np
 
 # Mask cells (rows x candidate labels) built at once.  The walk holds at
 # most one slice per position, so this also bounds its working set.
-CELL_BUDGET = 1 << 13
+CELL_BUDGET = 1 << 14
 
 
 def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
@@ -53,10 +62,11 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
         no boundary lambda with min f(u) <= lambda < max f(u) on each
         edge uw (Rosa's alpha condition).
     prefix : int64 array
-        Forced labels for the leading positions; an inconsistent prefix
-        or one with a label outside [0, n_labels) yields no labeling.  A
-        full-length prefix replays one labeling through the masks and
-        accepts or rejects it.
+        Forced labels for the leading positions, replayed one at a time
+        with the masks' tests.  The replay stops at the first label that
+        fails them or lies outside [0, n_labels), and the search then
+        yields no labeling.  A full-length prefix accepts or rejects one
+        labeling.
     max_results : int
         Stop after this many labelings; 0 means exhaust the space.
     store_cap : int
@@ -71,88 +81,125 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
     (total, rows, level_sizes) : found labelings overall, the kept ones
     as an int64 array of shape (kept, n) in vertex order, and for each
     position p the number of partial labelings of positions 0..p that
-    passed its masks.  The walk stops taking complete labelings at
-    max_results, so the last entry is total.
+    passed its tests: 1 for each forced position up to the first one
+    that fails, 0 from there on.  The walk stops taking complete
+    labelings at max_results, so the last entry is total.
     """
     n = order.shape[0]
     L = allowed.shape[0] - 1
     level_sizes = np.zeros(n, dtype=np.int64)
-    if np.any((prefix < 0) | (prefix >= L)):
-        return 0, np.empty((0, n), dtype=np.int64), level_sizes
-    # Candidate labels of each position, as a range [lo, hi).
-    ranges = [(0, L)] * n
-    for p, lab in enumerate(prefix):
-        ranges[p] = (int(lab), int(lab) + 1)
+    nbrs = [nbr_flat[nbr_off[p]:nbr_off[p + 1]].tolist() for p in range(n)]
     smaller = [-1] * n if smaller is None else smaller.tolist()
 
-    def survivors(p, state):
-        """Rows, labels and new differences of the candidates at p that
-        pass, and for an alpha search each row's largest and smallest
-        label on p's earlier neighbors."""
-        assign, used_label, blocked_diff, low, high = state
-        lo, hi = ranges[p]
-        cand = np.arange(lo, hi)
-        ok = ~used_label[:, lo:hi]
-        if smaller[p] >= 0:
-            ok &= cand > assign[:, smaller[p], None]
-        row_base = np.arange(0, blocked_diff.size, L + 1)[:, None]
-        nbrs = nbr_flat[nbr_off[p]:nbr_off[p + 1]]
-        deltas = []
-        for t in nbrs:
-            delta = np.abs(assign[:, t, None] - cand)
-            ok &= ~blocked_diff.ravel()[row_base + delta]
-            for earlier in deltas:
-                ok &= delta != earlier
-            deltas.append(delta)
-        ends = None
+    # The forced prefix, one scalar test per mask.  taken[lab] marks a
+    # label used, taken[L + delta] a difference used or not allowed.
+    assign = [0] * n
+    taken = [False] * L + (~allowed).tolist()
+    low, high = -1, L
+    for p, lab in enumerate(prefix.tolist()):
+        deltas = [abs(assign[t] - lab) for t in nbrs[p]]
         if use_alpha:
-            # c's edges to its earlier neighbors have largest lower end
-            # min(emax, c) and smallest upper end max(emin, c)
-            ends = emax, emin = (assign[:, nbrs].max(axis=1, initial=-1),
-                                 assign[:, nbrs].min(axis=1, initial=L))
-            ok &= (np.maximum(low[:, None], np.minimum(emax[:, None], cand))
-                   < np.minimum(high[:, None], np.maximum(emin[:, None], cand)))
-        rows, cols = np.nonzero(ok)
-        return rows, cand[cols], [delta[rows, cols] for delta in deltas], ends
+            low = max([low] + [min(assign[t], lab) for t in nbrs[p]])
+            high = min([high] + [max(assign[t], lab) for t in nbrs[p]])
+        if (not 0 <= lab < L or taken[lab] or 0 <= smaller[p] and lab <= assign[smaller[p]]
+                or any(taken[L + delta] for delta in deltas)
+                or len(set(deltas)) < len(deltas) or low >= high):
+            return 0, np.empty((0, n), dtype=np.int64), level_sizes
+        assign[p] = lab
+        taken[lab] = True
+        for delta in deltas:
+            taken[L + delta] = True
+        level_sizes[p] = 1
+    if len(prefix) == n:
+        keep = min(1, store_cap)
+        rows = np.empty((keep, n), dtype=np.int64)
+        rows[:, order] = assign
+        return 1, rows, level_sizes
+
+    cand = np.arange(L, dtype=np.int16)
+
+    def blocked(p, state):
+        """The rows x L mask of the labels that may not come at p."""
+        assign, taken = state[:2]
+        bad = taken[:, :L].copy()
+        if smaller[p] >= 0:
+            bad |= cand <= assign[:, smaller[p], None]
+        if not nbrs[p]:
+            return bad
+        diff = taken.ravel()
+        base = np.arange(L, diff.size, taken.shape[1])[:, None]
+        deltas = []
+        for t in nbrs[p]:
+            delta = np.abs(assign[:, t, None] - cand)
+            bad |= diff[base + delta]
+            for earlier in deltas:
+                bad |= delta == earlier
+            deltas.append(delta)
+        if use_alpha:
+            # a label c below every neighbor's keeps Rosa's condition when
+            # c and low are below min(high, emin); one above every
+            # neighbor's when c and high are above max(low, emax); any
+            # other c fails
+            low, high = state[2:]
+            below, above = high, low
+            for t in nbrs[p]:
+                below = np.minimum(below, assign[:, t])
+                above = np.maximum(above, assign[:, t])
+            below = np.where(low < below, below, 0)
+            above = np.where(above < high, above, L)
+            bad |= (cand >= below[:, None]) & (cand <= above[:, None])
+        return bad
+
+    def survivors(bad):
+        """Rows and labels of the cells that bad leaves free, in row-major
+        order; np.nonzero costs less on the flat mask than on two axes."""
+        cells = np.nonzero(~bad.ravel())[0]
+        rows = cells // L
+        return rows, cells - rows * L
 
     def children(p, state):
         """Yield the survivors at p as states, one slice of the budget at a time."""
-        rows, labs, deltas, ends = survivors(p, state)
+        rows, labs = survivors(blocked(p, state))
         level_sizes[p] += rows.shape[0]
-        lo, hi = ranges[p + 1]
-        step = max(1, CELL_BUDGET // (hi - lo))
+        step = max(1, CELL_BUDGET // L)
         for start in range(0, rows.shape[0], step):
-            part = slice(start, start + step)
-            lab = labs[part]
-            assign, used_label, blocked_diff, low, high = (a[rows[part]] for a in state)
-            k = np.arange(lab.shape[0])
+            part = rows[start:start + step]
+            lab = labs[start:start + step]
+            assign, taken = state[0][part], state[1][part]
             assign[:, p] = lab
-            used_label[k, lab] = True
-            for delta in deltas:
-                blocked_diff[k, delta[part]] = True
-            if ends is not None:
-                emax, emin = (x[rows[part]] for x in ends)
-                low = np.maximum(low, np.minimum(emax, lab))
-                high = np.minimum(high, np.maximum(emin, lab))
-            yield assign, used_label, blocked_diff, low, high
+            k = np.arange(lab.shape[0])
+            taken[k, lab] = True
+            ends = assign[:, nbrs[p]]
+            taken[k[:, None], L + np.abs(ends - lab[:, None])] = True
+            if not use_alpha:
+                yield assign, taken
+                continue
+            low, high = state[2][part], state[3][part]
+            for t in nbrs[p]:
+                low = np.maximum(low, np.minimum(assign[:, t], lab))
+                high = np.minimum(high, np.maximum(assign[:, t], lab))
+            yield assign, taken, low, high
 
-    # A state holds, per row: the labels so far, the labels used, the
-    # differences forbidden or used, and the largest lower end and the
-    # smallest upper end of its edges.  stack[p] yields the states whose
-    # positions 0..p are set.
-    state = (np.zeros((1, n), dtype=np.int64), np.zeros((1, L), dtype=np.bool_),
-             ~allowed[None, :], np.full(1, -1, dtype=np.int64),
-             np.full(1, L, dtype=np.int64))
+    # Labels are held as int16: oracle._Walker caps e + d, which is the
+    # label count d(q + 1), at 2048.  stack[i] yields the states whose
+    # positions up to len(prefix) + i are set.
+    state = (np.array([assign], dtype=np.int16), np.array([taken]))
+    if use_alpha:
+        state += (np.array([low]), np.array([high]))
     total = stored = 0
     found = []  # kept labelings in position order, one array per slice
     stack = []
     while True:
-        p = len(stack)
+        p = len(prefix) + len(stack)
         if p < n - 1:
             stack.append(children(p, state))
         else:
-            rows, labs, _, _ = survivors(p, state)
-            take = rows.shape[0]
+            bad = blocked(p, state)
+            if stored < store_cap:
+                rows, labs = survivors(bad)
+                take = rows.shape[0]
+            else:
+                take = bad.size - int(np.count_nonzero(bad))
             if max_results > 0:
                 take = min(take, max_results - total)
             level_sizes[p] += take

@@ -113,9 +113,9 @@ def build_grid(k: int, m: int) -> GridGraph:
 
 def adjacency_lists(g: Graph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for u, w in g.edge_indices():
-        adj[int(u)].append(int(w))
-        adj[int(w)].append(int(u))
+    for u, w in g.edge_indices().tolist():
+        adj[u].append(w)
+        adj[w].append(u)
     return [sorted(nb) for nb in adj]
 
 

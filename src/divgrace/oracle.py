@@ -45,7 +45,7 @@ cross_validate's replay use the unconstrained vertex walk.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +156,16 @@ def _refine(adj: list[list[int]]) -> list[int]:
         color, classes = new, len(ids)
 
 
-def _automorphism(adj: list[list[int]], color: list[int], order: list[int],
-                  target: list[int] | tuple[int, ...]) -> list[int] | None:
-    """A vertex permutation that maps order[i] to target[i] for every
-    i < len(target), keeps color and maps every edge onto an edge; None
-    if there is none.
+# _automorphism's test: a target for the leading vertices of its order
+# -> a permutation, or None
+_Test = Callable[[Sequence[int]], list[int] | None]
+
+
+def _automorphism(adj: list[list[int]], color: list[int], order: list[int]) -> _Test:
+    """A test for the automorphisms along order: test(target) returns a
+    vertex permutation that maps order[i] to target[i] for every
+    i < len(target), keeps color and maps every edge onto an edge, or
+    None if there is none.
 
     Vertices are individualized one at a time along order, a
     breadth-first order from its first two vertices.  A vertex
@@ -169,114 +174,134 @@ def _automorphism(adj: list[list[int]], color: list[int], order: list[int],
     its neighbors already chosen must be exactly the images of the
     vertex's earlier neighbors.  A dead end undoes the last choice, so
     the search misses none.  The permutation found is checked against
-    the edge set before it is returned.
+    the edge set before it is returned.  The tables that depend only on
+    order (each vertex's earlier neighbors and the color cells) are built
+    once, by the first test, and shared by every later one; an order
+    that is never tested builds none.
     """
     n = len(adj)
-    pos = _positions(order)
-    back = [[z for z in adj[v] if pos[z] < t] for t, v in enumerate(order)]
+    back: list[list[int]] = []  # back[t]: order[t]'s neighbors before it
     cells: dict[int, list[int]] = {}
-    for v, c in enumerate(color):
-        cells.setdefault(c, []).append(v)
-    image = [-1] * n
-    used = [False] * n
-    choices = [iter(target[:1])] + [iter(())] * (n - 1)
-    t = 0
-    while t < n:
-        x = order[t]
-        for y in choices[t]:
-            if (not used[y] and color[y] == color[x]
-                    and {z for z in adj[y] if used[z]} == {image[z] for z in back[t]}):
-                image[x] = y
-                used[y] = True
-                t += 1
-                if t < n:
-                    earlier = back[t]
-                    choices[t] = iter(target[t:t + 1] if t < len(target) else
-                                      adj[image[earlier[0]]] if earlier else
-                                      cells[color[order[t]]])
-                break
-        else:
-            t -= 1
-            if t < 0:
-                return None
-            used[image[order[t]]] = False
-    if any({image[z] for z in adj[v]} != set(adj[image[v]]) for v in range(n)):
-        return None
-    return image
+
+    def test(target: Sequence[int]) -> list[int] | None:
+        if not back:
+            pos = _positions(order)
+            back.extend([z for z in adj[v] if pos[z] < t] for t, v in enumerate(order))
+            for v, c in enumerate(color):
+                cells.setdefault(c, []).append(v)
+        image = [-1] * n
+        used = [False] * n
+        choices = [iter(target[:1])] + [iter(())] * (n - 1)
+        t = 0
+        while t < n:
+            x = order[t]
+            for y in choices[t]:
+                if (not used[y] and color[y] == color[x]
+                        and {z for z in adj[y] if used[z]} == {image[z] for z in back[t]}):
+                    image[x] = y
+                    used[y] = True
+                    t += 1
+                    if t < n:
+                        earlier = back[t]
+                        choices[t] = iter(target[t:t + 1] if t < len(target) else
+                                          adj[image[earlier[0]]] if earlier else
+                                          cells[color[order[t]]])
+                    break
+            else:
+                t -= 1
+                if t < 0:
+                    return None
+                used[image[order[t]]] = False
+        if any({image[z] for z in adj[v]} != set(adj[image[v]]) for v in range(n)):
+            return None
+        return image
+
+    return test
 
 
 def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
-                ) -> tuple[list[tuple[tuple[int, int], int]], list[list[int]]]:
+                ) -> tuple[list[tuple[tuple[int, int], int, list[int], _Test]],
+                           list[list[int]]]:
     """Orbits of the 2e arcs under reversal u -> w to w -> u and the
     graph's automorphisms, with those automorphisms; color is _refine(adj).
 
-    Returns ([(arc, size), ...], [permutation, ...]); each orbit is named
-    by its first arc in canonical edge order, forward arcs first.  Arcs
-    whose ends differ in refined color lie in different orbits.  The
-    first arc of each orbit is tried against every arc of the same
-    colors that is neither in its orbit yet nor in a class already
-    shown to lie outside it (by trying the arc and, if its ends share a
-    color, its reverse); each permutation found merges every arc with
-    its image.  Any set of checked automorphisms gives orbits whose arcs
-    have equal counts, so one missed would cost walks, not exactness.
+    Returns ([(arc, size, order, test), ...], [permutation, ...]); each
+    orbit is named by its first arc in canonical edge order, forward
+    arcs first, and comes with the breadth-first order from that arc and
+    the _automorphism test along it, which the orbit's walk reuses.
+    Arcs whose ends differ in refined color lie in different orbits.
+    The first arc of each orbit is tried against every arc of the same
+    colors that is neither in its orbit yet nor in a class already shown
+    to lie outside it (by trying the arc and, if its ends share a color,
+    its reverse); each permutation found merges every arc with its image.
+    Any set of checked automorphisms gives orbits whose arcs have equal
+    counts, so one missed would cost walks, not exactness.
     """
     arcs = [(u, w) for u, w in edges] + [(w, u) for u, w in edges]
     index = {arc: i for i, arc in enumerate(arcs)}
     by_color: dict[tuple[int, int], list[int]] = {}
     for i, (u, w) in enumerate(arcs):
         by_color.setdefault((color[u], color[w]), []).append(i)
-    root = list(range(len(arcs)))  # union-find; a class's root is its first arc
+    # the arcs merged so far fall into classes: label[i] names arc i's
+    # class and members[c] lists class c; a merge relabels the smaller
+    # one.  An arc and its reverse start out merged.
+    e = len(edges)
+    label = list(range(e)) * 2
+    members = [[i, i + e] for i in range(e)] + [[] for _ in range(e)]
 
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
+    def merge(a: int, b: int) -> None:
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for k in members[b]:
+            label[k] = a
+        members[a] += members[b]
+        members[b] = []
 
-    def merge(i: int, j: int) -> None:
-        i, j = find(i), find(j)
-        if i < j:
-            root[j] = i
-        else:
-            root[i] = j
-
-    for i in range(len(edges)):
-        merge(i, i + len(edges))
+    orbits = []
     perms: list[list[int]] = []
+    complete: set[int] = set()  # the labels of the orbits found; no merge reaches them
     for i, arc in enumerate(arcs):
-        if find(i) != i:
-            continue  # in the orbit of an earlier arc, which is complete
-        outside: set[int] = set()
+        if label[i] in complete:
+            continue
         order = _bfs_order(adj, arc)
+        test = _automorphism(adj, color, order)
+        outside: list[int] = []  # an arc of each class shown to lie outside
+        outside_labels: set[int] = set()
         for j in by_color[color[arc[0]], color[arc[1]]]:
-            if j <= i or find(j) == i or find(j) in outside:
+            if j <= i or label[j] == label[i] or label[j] in outside_labels:
                 continue
-            p = _automorphism(adj, color, order, arcs[j])
+            p = test(arcs[j])
             if p is None and color[arc[0]] == color[arc[1]]:
-                p = _automorphism(adj, color, order, arcs[j][::-1])
+                p = test(arcs[j][::-1])
             if p is None:
-                outside.add(find(j))
+                outside.append(j)
+                outside_labels.add(label[j])
                 continue
             perms.append(p)
-            for k, (a, b) in enumerate(arcs):
-                merge(k, index[p[a], p[b]])
-            outside = {find(r) for r in outside}
-    sizes = Counter(find(i) for i in range(len(arcs)))
-    return [(arcs[r], size) for r, size in sizes.items()], perms
+            # an arc's reverse is in its class, and maps onto its image's
+            for k, (a, b) in enumerate(edges):
+                x, y = label[k], label[index[p[a], p[b]]]
+                if x != y:
+                    merge(x, y)
+            outside_labels = {label[r] for r in outside}
+        complete.add(label[i])
+        orbits.append((arc, len(members[label[i]]), order, test))
+    return orbits, perms
 
 
-def _stabilizer_chain(adj: list[list[int]], color: list[int],
-                      order: list[int]) -> list[list[int]]:
+def _stabilizer_chain(adj: list[list[int]], color: list[int], order: list[int],
+                      test: _Test) -> list[list[int]]:
     """[O_2, O_3, ...]: O_t is the orbit of order[t] under the
-    automorphisms that fix order[0..t-1], order[t] first.
+    automorphisms that fix order[0..t-1], order[t] first; test is
+    _automorphism(adj, color, order).
 
     Each automorphism that fixes order[0..t-1] keeps color and the
     neighbors that a vertex has among order[0..t-1], so only the later
     vertices that agree with order[t] on both are candidates.  Each is
-    tested by one _automorphism call that fixes order[0..t-1] and maps
-    order[t] onto it.  Every O_t returned is complete.  The chain stops
-    at the first failed test, where the cell is coarser than the orbits:
-    a shorter chain is still exact, and a failed test must exhaust its
+    tested by one test call that fixes order[0..t-1] and maps order[t]
+    onto it.  Every O_t returned is complete.  The chain stops at the
+    first failed test, where the cell is coarser than the orbits: a
+    shorter chain is still exact, and a failed test must exhaust its
     backtracking.
     """
     n = len(order)
@@ -289,7 +314,7 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int],
         for y in adj[back[0]] if back else order[t + 1:]:
             if (pos[y] > t and color[y] == color[x]
                     and {z for z in adj[y] if pos[z] < t} == set(back)):
-                if _automorphism(adj, color, order, order[:t] + [y]) is None:
+                if test(order[:t] + [y]) is None:
                     return chain
                 orbit.append(y)
         chain.append(orbit)
@@ -311,13 +336,12 @@ def _count_walks(edges: list[list[int]], adj: list[list[int]]
     """
     color = _refine(adj)
     walks = []
-    for arc, size in _arc_orbits(edges, adj, color)[0]:
-        order = _bfs_order(adj, arc)
+    for arc, size, order, test in _arc_orbits(edges, adj, color)[0]:
         n = len(order)
         pos = _positions(order)
         smaller = np.full(n, -1, dtype=np.int64)
         binds: list[tuple[int, int]] = []  # (position, factor)
-        for t, orbit in enumerate(_stabilizer_chain(adj, color, order), start=2):
+        for t, orbit in enumerate(_stabilizer_chain(adj, color, order, test), start=2):
             if len(orbit) > 1:
                 at = [pos[y] for y in orbit[1:]]
                 smaller[at] = t
@@ -335,8 +359,9 @@ class _Walker:
 
     def __init__(self, g: Graph, cfg: SearchConfig) -> None:
         params = d_params(g.num_edges, cfg.d)
-        # the label and difference masks are e + d wide; within the edge
-        # cap d <= e, so this bounds only d on a graph without edges
+        # the label and difference masks are e + d wide, and the kernel
+        # holds labels as int16; within the edge cap d <= e, so this
+        # bounds only d on a graph without edges
         if params.e + params.d > 2 * SEARCH_MAX_EDGES:
             raise InvalidParametersError(
                 f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
@@ -404,8 +429,9 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
 def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     """Replay a complete labeling through the search's constraint engine.
 
-    Every vertex is forced, in index order, so the labeling is a one-row
-    frontier; it passes when it survives the masks at every position.
+    Every vertex is forced, in index order, so the kernel replays the
+    labeling label by label with the scalar form of its masks' tests; it
+    passes when every position passes them.
     """
     walker = _Walker(f.graph, cfg)
     if max(f.values) >= walker.n_labels:  # may not even fit an int64

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
                       check_alpha, check_d_graceful, cross_validate, search)
 from divgrace.grids import adjacency_lists
-from divgrace.oracle import (_arc_orbits, _bfs_order, _count_walks, _refine,
-                             _stabilizer_chain, _Walker)
+from divgrace.oracle import (_arc_orbits, _automorphism, _bfs_order, _count_walks,
+                             _refine, _stabilizer_chain, _Walker)
 from example_graphs import SWAPPED_PAIRS
 from reference_dfs import dfs_search_py
 
@@ -173,7 +173,7 @@ def test_arc_orbit_walks_agree_on_random_graphs(case):
     orbits, perms = _arc_orbits(edges, adj, _refine(adj))
     orbit_of = _closure(arcs, perms)
     assert set(orbit_of) == set(arcs)
-    assert orbits == list(Counter(orbit_of.values()).items())
+    assert [(arc, size) for arc, size, _, _ in orbits] == list(Counter(orbit_of.values()).items())
     for alpha in (False, True):
         walker = _Walker(g, SearchConfig(d=cfg.d, alpha_only=alpha))
         counts = {arc: walker.walk(_bfs_order(adj, arc), (0, walker.n_labels - 1), 0, 0)[0]
@@ -194,7 +194,8 @@ def test_arc_orbits_are_those_of_the_full_group(case):
              if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
     adj = adjacency_lists(g)
     orbits, _ = _arc_orbits(edges, adj, _refine(adj))
-    assert orbits == list(Counter(_closure(arcs, group).values()).items())
+    assert ([(arc, size) for arc, size, _, _ in orbits]
+            == list(Counter(_closure(arcs, group).values()).items()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,7 +221,7 @@ def test_stabilizer_chain_matches_the_full_group(case):
     color = _refine(adj)
     for _, order, smaller, factor in _count_walks(edges, adj):
         pos = {v: t for t, v in enumerate(order)}
-        chain = _stabilizer_chain(adj, color, order)
+        chain = _stabilizer_chain(adj, color, order, _automorphism(adj, color, order))
 
         def orbit(t):
             return {p[order[t]] for p in group if all(p[v] == v for v in order[:t])}
@@ -261,6 +262,45 @@ def test_symmetry_constraints_drop_exactly_the_labelings_that_break_them(case, d
                                                    smaller)
     assert total == level_sizes[-1] == len(want)
     assert rows.tolist() == want
+
+
+def _prefix_holds(g, order, cfg, labels, smaller):
+    """Whether labels, forced on order's leading vertices, pass every test
+    that involves only them, by plain enumeration of the placed edges."""
+    e = g.num_edges
+    n_labels = cfg.d * (e // cfg.d + 1)
+    allowed = {x for x in range(1, n_labels + 1) if x % (e // cfg.d + 1) != 0}
+    lab = dict(zip(order, labels))
+    inner = [(u, w) for u, w in g.edges if u in lab and w in lab]
+    diffs = [abs(lab[u] - lab[w]) for u, w in inner]
+    return (all(0 <= x < n_labels for x in labels) and len(set(labels)) == len(labels)
+            and len(set(diffs)) == len(diffs) and set(diffs) <= allowed
+            and all(smaller[p] < 0 or labels[p] > labels[smaller[p]]
+                    for p in range(len(labels)))
+            and (not cfg.alpha_only or any(
+                all(min(lab[u], lab[w]) <= boundary < max(lab[u], lab[w]) for u, w in inner)
+                for boundary in range(-1, n_labels))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases(), st.data())
+def test_forced_prefix_level_sizes(case, data):
+    # each forced position counts 1 while the prefix up to it holds and
+    # 0 from the first one that fails; a failed prefix yields nothing
+    g, cfg, prefix = case
+    args = _walk_args(g, cfg)
+    order = args[2].tolist()
+    n = len(order)
+    smaller = [data.draw(st.integers(-1, p - 1)) for p in range(n)]
+    total, _, level_sizes = _kernels.dfs_search(
+        *args, np.array(prefix, dtype=np.int64), cfg.max_results, 0,
+        np.array(smaller, dtype=np.int64))
+    holds = [_prefix_holds(g, order, cfg, prefix[:p + 1], smaller)
+             for p in range(len(prefix))]
+    assert level_sizes[:len(prefix)].tolist() == [int(x) for x in holds]
+    assert holds == sorted(holds, reverse=True)
+    if not all(holds):
+        assert total == 0 and not level_sizes[len(prefix):].any()
 
 
 @settings(max_examples=200, deadline=None)

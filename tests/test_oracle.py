@@ -29,9 +29,10 @@ PETERSEN = SimpleGraph(10, tuple([(i, (i + 1) % 5) for i in range(5)]
 
 
 def _orbits(g):
-    """_arc_orbits on g's edge set."""
+    """_arc_orbits on g's edge set: ([(arc, size), ...], permutations)."""
     adj = adjacency_lists(g)
-    return _arc_orbits(g.edge_indices().tolist(), adj, _refine(adj))
+    orbits, perms = _arc_orbits(g.edge_indices().tolist(), adj, _refine(adj))
+    return [(arc, size) for arc, size, _, _ in orbits], perms
 
 
 def _maps_edges_onto_edges(g, p):
@@ -337,6 +338,22 @@ def test_star_count_passes_int64():
     assert res.count == res.level_sizes[-1] == 2 * math.factorial(22)
 
 
+def test_labels_at_the_size_caps():
+    # K_{1,1023} at d = 1023 has q = 1, 2046 labels and the odd
+    # differences 1, 3, ..., 2045: e + d = 2046 and 1024 vertices, under
+    # both caps, so the kernel's int16 labels must hold every label
+    star = SimpleGraph(1024, tuple((0, leaf) for leaf in range(1, 1024)))
+    res = search(star, SearchConfig(d=1023, max_results=1))
+    assert res.count == 1
+    first = res.labelings[0]
+    assert first.values == (0,) + tuple(range(1, 2046, 2))
+    moved = Labeling(star, first.values[:-1] + (2044,))
+    for alpha in (False, True):
+        cfg = SearchConfig(d=1023, alpha_only=alpha)
+        assert cross_validate(first, cfg).reason == "agree-accept"
+        assert cross_validate(moved, cfg).reason == "agree-reject"
+
+
 @pytest.mark.parametrize("g,d,want", [(SimpleGraph(1, ()), 1, 1),
                                       (SimpleGraph(2, ()), 2, 2)],
                          ids=["one-vertex", "two-vertices"])
@@ -473,8 +490,10 @@ def test_search_size_cap_raises_before_building(monkeypatch):
 
 
 def test_search_sets_up_once(monkeypatch):
-    # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks
-    calls = {"adjacency_lists": 0, "dfs_search": 0}
+    # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks,
+    # and builds each orbit's breadth-first order and the automorphism
+    # tables along it once, for the orbit and its stabilizer chain alike
+    calls = {"adjacency_lists": 0, "dfs_search": 0, "_bfs_order": 0, "_automorphism": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -486,11 +505,13 @@ def test_search_sets_up_once(monkeypatch):
 
     g = build_grid(1, 3)
     assert len(_orbits(g)[0]) == 3
-    counting(oracle, "adjacency_lists")
+    for name in ("adjacency_lists", "_bfs_order", "_automorphism"):
+        counting(oracle, name)
     counting(oracle._kernels, "dfs_search")
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
-    assert calls == {"adjacency_lists": 1, "dfs_search": 3}
+    assert calls == {"adjacency_lists": 1, "dfs_search": 3, "_bfs_order": 3,
+                     "_automorphism": 3}
 
 
 def test_search_size_cap_admits_the_limit():
