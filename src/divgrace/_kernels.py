@@ -43,25 +43,25 @@ import numpy as np
 CELL_BUDGET = 1 << 14
 
 
-def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
-               store_cap, smaller=None):
+def dfs_search(back, order, allowed, use_alpha, prefix, max_results, store_cap,
+               smaller=None):
     """Enumerate injective labelings in depth-first order with masked pruning.
 
     Parameters
     ----------
-    nbr_flat, nbr_off : int64 arrays
-        For assignment position p, nbr_flat[nbr_off[p]:nbr_off[p+1]] lists
-        the earlier positions adjacent to p's vertex.
-    order : int64 array
+    back : list of lists of int
+        back[p] lists, ascending, the earlier positions adjacent to the
+        vertex at position p.
+    order : list of int
         Position -> canonical vertex index; rows come back by vertex.
-    allowed : bool array of length n_labels + 1
+    allowed : list of bool, of length n_labels + 1
         allowed[delta] says the edge difference delta may appear (once);
         labels run over [0, n_labels - 1].
     use_alpha : bool
         When use_alpha, prune partial labelings whose edges already admit
         no boundary lambda with min f(u) <= lambda < max f(u) on each
         edge uw (Rosa's alpha condition).
-    prefix : int64 array
+    prefix : sequence of int
         Forced labels for the leading positions, replayed one at a time
         with the masks' tests.  The replay stops at the first label that
         fails them or lies outside [0, n_labels), and the search then
@@ -71,7 +71,7 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
         Stop after this many labelings; 0 means exhaust the space.
     store_cap : int
         Keep at most this many labelings, the first ones found.
-    smaller : int64 array or None
+    smaller : list of int or None
         Symmetry constraints, one entry per position, -1 for none: the
         label at p must exceed the label at the earlier position
         smaller[p].
@@ -79,28 +79,27 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
     Returns
     -------
     (total, rows, level_sizes) : found labelings overall, the kept ones
-    as an int64 array of shape (kept, n) in vertex order, and for each
-    position p the number of partial labelings of positions 0..p that
-    passed its tests: 1 for each forced position up to the first one
-    that fails, 0 from there on.  The walk stops taking complete
-    labelings at max_results, so the last entry is total.
+    as an int64 array of shape (kept, n) in vertex order, and a list
+    that holds for each position p the number of partial labelings of
+    positions 0..p that passed its tests: 1 for each forced position up
+    to the first one that fails, 0 from there on.  The walk stops taking
+    complete labelings at max_results, so the last entry is total.
     """
-    n = order.shape[0]
-    L = allowed.shape[0] - 1
-    level_sizes = np.zeros(n, dtype=np.int64)
-    nbrs = [nbr_flat[nbr_off[p]:nbr_off[p + 1]].tolist() for p in range(n)]
-    smaller = [-1] * n if smaller is None else smaller.tolist()
+    n = len(order)
+    L = len(allowed) - 1
+    level_sizes = [0] * n
+    smaller = [-1] * n if smaller is None else smaller
 
     # The forced prefix, one scalar test per mask.  taken[lab] marks a
     # label used, taken[L + delta] a difference used or not allowed.
     assign = [0] * n
-    taken = [False] * L + (~allowed).tolist()
+    taken = [False] * L + [not ok for ok in allowed]
     low, high = -1, L
-    for p, lab in enumerate(prefix.tolist()):
-        deltas = [abs(assign[t] - lab) for t in nbrs[p]]
+    for p, lab in enumerate(prefix):
+        deltas = [abs(assign[t] - lab) for t in back[p]]
         if use_alpha:
-            low = max([low] + [min(assign[t], lab) for t in nbrs[p]])
-            high = min([high] + [max(assign[t], lab) for t in nbrs[p]])
+            low = max([low] + [min(assign[t], lab) for t in back[p]])
+            high = min([high] + [max(assign[t], lab) for t in back[p]])
         if (not 0 <= lab < L or taken[lab] or 0 <= smaller[p] and lab <= assign[smaller[p]]
                 or any(taken[L + delta] for delta in deltas)
                 or len(set(deltas)) < len(deltas) or low >= high):
@@ -124,12 +123,12 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
         bad = taken[:, :L].copy()
         if smaller[p] >= 0:
             bad |= cand <= assign[:, smaller[p], None]
-        if not nbrs[p]:
+        if not back[p]:
             return bad
         diff = taken.ravel()
         base = np.arange(L, diff.size, taken.shape[1])[:, None]
         deltas = []
-        for t in nbrs[p]:
+        for t in back[p]:
             delta = np.abs(assign[:, t, None] - cand)
             bad |= diff[base + delta]
             for earlier in deltas:
@@ -142,7 +141,7 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
             # other c fails
             low, high = state[2:]
             below, above = high, low
-            for t in nbrs[p]:
+            for t in back[p]:
                 below = np.minimum(below, assign[:, t])
                 above = np.maximum(above, assign[:, t])
             below = np.where(low < below, below, 0)
@@ -169,18 +168,18 @@ def dfs_search(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results
             assign[:, p] = lab
             k = np.arange(lab.shape[0])
             taken[k, lab] = True
-            ends = assign[:, nbrs[p]]
+            ends = assign[:, back[p]]
             taken[k[:, None], L + np.abs(ends - lab[:, None])] = True
             if not use_alpha:
                 yield assign, taken
                 continue
             low, high = state[2][part], state[3][part]
-            for t in nbrs[p]:
+            for t in back[p]:
                 low = np.maximum(low, np.minimum(assign[:, t], lab))
                 high = np.minimum(high, np.maximum(assign[:, t], lab))
             yield assign, taken, low, high
 
-    # Labels are held as int16: oracle._Walker caps e + d, which is the
+    # Labels are held as int16: oracle._allowed caps e + d, which is the
     # label count d(q + 1), at 2048.  stack[i] yields the states whose
     # positions up to len(prefix) + i are set.
     state = (np.array([assign], dtype=np.int16), np.array([taken]))

@@ -202,9 +202,11 @@ def read_json(path: str | Path):
             too_large = len(data) > MAX_FILE_BYTES
     if too_large:
         raise CertificateError(f"file too large: more than {MAX_FILE_BYTES} bytes")
+    # a bad encoding, bad JSON and a number past Python's int-string
+    # digit limit all raise ValueError
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
 
 

@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling,
@@ -133,12 +132,25 @@ def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
     return order
 
 
-def _positions(order: list[int]) -> list[int]:
-    """pos[v] is v's index in order, a permutation of the vertices."""
+class _Walk(NamedTuple):
+    """A vertex order and its tables: pos[v] is v's position in order,
+    and back[p] lists the positions of order[p]'s neighbors before p,
+    ascending."""
+
+    order: list[int]
+    pos: list[int]
+    back: list[list[int]]
+
+
+def _walk_tables(adj: list[list[int]], order: list[int]) -> _Walk:
+    """The tables of the walk along order, a permutation of the
+    vertices; the automorphism test, the stabilizer chain, the count's
+    constraints and the kernel all read them."""
     pos = [0] * len(order)
-    for t, v in enumerate(order):
-        pos[v] = t
-    return pos
+    for p, v in enumerate(order):
+        pos[v] = p
+    return _Walk(order, pos,
+                 [sorted(pos[z] for z in adj[v] if pos[z] < p) for p, v in enumerate(order)])
 
 
 def _refine(adj: list[list[int]]) -> list[int]:
@@ -161,35 +173,32 @@ def _refine(adj: list[list[int]]) -> list[int]:
 _Test = Callable[[Sequence[int]], list[int] | None]
 
 
-def _automorphism(adj: list[list[int]], color: list[int], order: list[int]) -> _Test:
-    """A test for the automorphisms along order: test(target) returns a
-    vertex permutation that maps order[i] to target[i] for every
-    i < len(target), keeps color and maps every edge onto an edge, or
-    None if there is none.
+def _automorphism(adj: list[list[int]], color: list[int], walk: _Walk) -> _Test:
+    """A test for the automorphisms along walk.order: test(target)
+    returns a vertex permutation that maps order[i] to target[i] for
+    every i < len(target), keeps color and maps every edge onto an edge,
+    or None if there is none.
 
     Vertices are individualized one at a time along order, a
     breadth-first order from its first two vertices.  A vertex
     with an earlier neighbor z may go to a neighbor of z's image, any
     other to any vertex of its color; the choice must keep color, and
     its neighbors already chosen must be exactly the images of the
-    vertex's earlier neighbors.  A dead end undoes the last choice, so
-    the search misses none.  The permutation found is checked against
-    the edge set before it is returned.  The tables that depend only on
-    order (each vertex's earlier neighbors and the color cells) are built
-    once, by the first test, and shared by every later one; an order
-    that is never tested builds none.
+    vertex's earlier neighbors (walk.back).  A dead end undoes the last
+    choice, so the search misses none.  The permutation found is checked
+    against the edge set before it is returned.  The color cells are
+    built once, by the first test, and shared by every later one; an
+    order that is never tested builds none.
     """
+    order, pos, back = walk
     n = len(adj)
-    back: list[list[int]] = []  # back[t]: order[t]'s neighbors before it
     cells: dict[int, list[int]] = {}
 
     def test(target: Sequence[int]) -> list[int] | None:
-        if not back:
-            pos = _positions(order)
-            back.extend([z for z in adj[v] if pos[z] < t] for t, v in enumerate(order))
+        if not cells:
             for v, c in enumerate(color):
                 cells.setdefault(c, []).append(v)
-        image = [-1] * n
+        image = [-1] * n  # image[t]: where order[t] goes
         used = [False] * n
         choices = [iter(target[:1])] + [iter(())] * (n - 1)
         t = 0
@@ -197,38 +206,39 @@ def _automorphism(adj: list[list[int]], color: list[int], order: list[int]) -> _
             x = order[t]
             for y in choices[t]:
                 if (not used[y] and color[y] == color[x]
-                        and {z for z in adj[y] if used[z]} == {image[z] for z in back[t]}):
-                    image[x] = y
+                        and {z for z in adj[y] if used[z]} == {image[s] for s in back[t]}):
+                    image[t] = y
                     used[y] = True
                     t += 1
                     if t < n:
-                        earlier = back[t]
                         choices[t] = iter(target[t:t + 1] if t < len(target) else
-                                          adj[image[earlier[0]]] if earlier else
+                                          adj[image[back[t][0]]] if back[t] else
                                           cells[color[order[t]]])
                     break
             else:
                 t -= 1
                 if t < 0:
                     return None
-                used[image[order[t]]] = False
-        if any({image[z] for z in adj[v]} != set(adj[image[v]]) for v in range(n)):
+                used[image[t]] = False
+        perm = [image[p] for p in pos]
+        if any({perm[z] for z in adj[v]} != set(adj[perm[v]]) for v in range(n)):
             return None
-        return image
+        return perm
 
     return test
 
 
 def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
-                ) -> tuple[list[tuple[tuple[int, int], int, list[int], _Test]],
+                ) -> tuple[list[tuple[tuple[int, int], int, _Walk, _Test]],
                            list[list[int]]]:
     """Orbits of the 2e arcs under reversal u -> w to w -> u and the
     graph's automorphisms, with those automorphisms; color is _refine(adj).
 
-    Returns ([(arc, size, order, test), ...], [permutation, ...]); each
+    Returns ([(arc, size, walk, test), ...], [permutation, ...]); each
     orbit is named by its first arc in canonical edge order, forward
-    arcs first, and comes with the breadth-first order from that arc and
-    the _automorphism test along it, which the orbit's walk reuses.
+    arcs first, and comes with the tables of the breadth-first walk from
+    that arc and the _automorphism test along it, which the orbit's walk
+    reuses.
     Arcs whose ends differ in refined color lie in different orbits.
     The first arc of each orbit is tried against every arc of the same
     colors that is neither in its orbit yet nor in a class already shown
@@ -263,8 +273,8 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
     for i, arc in enumerate(arcs):
         if label[i] in complete:
             continue
-        order = _bfs_order(adj, arc)
-        test = _automorphism(adj, color, order)
+        walk = _walk_tables(adj, _bfs_order(adj, arc))
+        test = _automorphism(adj, color, walk)
         outside: list[int] = []  # an arc of each class shown to lie outside
         outside_labels: set[int] = set()
         for j in by_color[color[arc[0]], color[arc[1]]]:
@@ -285,15 +295,15 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
                     merge(x, y)
             outside_labels = {label[r] for r in outside}
         complete.add(label[i])
-        orbits.append((arc, len(members[label[i]]), order, test))
+        orbits.append((arc, len(members[label[i]]), walk, test))
     return orbits, perms
 
 
-def _stabilizer_chain(adj: list[list[int]], color: list[int], order: list[int],
+def _stabilizer_chain(adj: list[list[int]], color: list[int], walk: _Walk,
                       test: _Test) -> list[list[int]]:
     """[O_2, O_3, ...]: O_t is the orbit of order[t] under the
-    automorphisms that fix order[0..t-1], order[t] first; test is
-    _automorphism(adj, color, order).
+    automorphisms that fix order[0..t-1], order[t] first; order is
+    walk.order and test is _automorphism(adj, color, walk).
 
     Each automorphism that fixes order[0..t-1] keeps color and the
     neighbors that a vertex has among order[0..t-1], so only the later
@@ -304,16 +314,14 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int], order: list[int],
     shorter chain is still exact, and a failed test must exhaust its
     backtracking.
     """
-    n = len(order)
-    pos = _positions(order)
+    order, pos, back = walk
     chain = []
-    for t in range(2, n):
+    for t in range(2, len(order)):
         x = order[t]
-        back = [z for z in adj[x] if pos[z] < t]
         orbit = [x]
-        for y in adj[back[0]] if back else order[t + 1:]:
+        for y in adj[order[back[t][0]]] if back[t] else order[t + 1:]:
             if (pos[y] > t and color[y] == color[x]
-                    and {z for z in adj[y] if pos[z] < t} == set(back)):
+                    and sorted(pos[z] for z in adj[y] if pos[z] < t) == back[t]):
                 if test(order[:t] + [y]) is None:
                     return chain
                 orbit.append(y)
@@ -322,76 +330,52 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int], order: list[int],
 
 
 def _count_walks(edges: list[list[int]], adj: list[list[int]]
-                 ) -> list[tuple[int, list[int], np.ndarray, list[int]]]:
+                 ) -> list[tuple[int, _Walk, list[int], list[int]]]:
     """The forced walks of a count, one per orbit of arcs: (orbit size,
-    order, smaller, factor).
+    walk, smaller, factor).
 
-    order is the breadth-first order from the orbit's first arc, smaller
-    is dfs_search's symmetry constraint for the walk along it, and
-    factor[p] is the product of the factors of the constraints that bind
-    at positions 0..p, so factor[-1] times the walk's count is the arc's
-    count.  The stabilizer chain asks f(order[t]) < f(y) for every other
-    y in O_t, at y's position and from the last t whose orbit holds y
-    (the earlier ones follow), for a factor |O_t|.
+    walk holds the breadth-first order from the orbit's first arc,
+    smaller is dfs_search's symmetry constraint for the walk along it,
+    and factor[p] is the product of the factors of the constraints that
+    bind at positions 0..p, so factor[-1] times the walk's count is the
+    arc's count.  The stabilizer chain asks f(order[t]) < f(y) for every
+    other y in O_t, at y's position and from the last t whose orbit
+    holds y (the earlier ones follow), for a factor |O_t|.
     """
     color = _refine(adj)
     walks = []
-    for arc, size, order, test in _arc_orbits(edges, adj, color)[0]:
-        n = len(order)
-        pos = _positions(order)
-        smaller = np.full(n, -1, dtype=np.int64)
+    for arc, size, walk, test in _arc_orbits(edges, adj, color)[0]:
+        n = len(walk.order)
+        smaller = [-1] * n
         binds: list[tuple[int, int]] = []  # (position, factor)
-        for t, orbit in enumerate(_stabilizer_chain(adj, color, order, test), start=2):
+        for t, orbit in enumerate(_stabilizer_chain(adj, color, walk, test), start=2):
             if len(orbit) > 1:
-                at = [pos[y] for y in orbit[1:]]
-                smaller[at] = t
+                at = [walk.pos[y] for y in orbit[1:]]
+                for p in at:
+                    smaller[p] = t
                 binds.append((min(at), len(orbit)))
         # Python ints: the factors of a star alone pass 2**63 at 22 leaves
         factor = [1] * n
         for at, k in binds:
             factor[at:] = [f * k for f in factor[at:]]
-        walks.append((size, order, smaller, factor))
+        walks.append((size, walk, smaller, factor))
     return walks
 
 
-class _Walker:
-    """What every walk of one search shares, built once per search."""
-
-    def __init__(self, g: Graph, cfg: SearchConfig) -> None:
-        params = d_params(g.num_edges, cfg.d)
-        # the label and difference masks are e + d wide, and the kernel
-        # holds labels as int16; within the edge cap d <= e, so this
-        # bounds only d on a graph without edges
-        if params.e + params.d > 2 * SEARCH_MAX_EDGES:
-            raise InvalidParametersError(
-                f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
-                f"got e = {params.e} and d = {params.d}")
-        self.n_labels = params.d * (params.q + 1)
-        self.allowed = np.zeros(self.n_labels + 1, dtype=np.bool_)
-        self.allowed[list(params.allowed)] = True
-        self.adj = adjacency_lists(g)
-        self.alpha = cfg.alpha_only
-
-    def kernel_args(self, order: list[int]) -> tuple:
-        """dfs_search's arguments before prefix, for the walk along
-        order, a permutation of the vertices."""
-        pos_of = {v: p for p, v in enumerate(order)}
-        flat: list[int] = []
-        off = [0]
-        for p, v in enumerate(order):
-            flat.extend(sorted(pos_of[u] for u in self.adj[v] if pos_of[u] < p))
-            off.append(len(flat))
-        return (np.array(flat, dtype=np.int64), np.array(off, dtype=np.int64),
-                np.array(order, dtype=np.int64), self.allowed, self.alpha)
-
-    def walk(self, order: list[int], labels: tuple[int, ...], max_results: int,
-             store_cap: int, smaller: np.ndarray | None = None):
-        """dfs_search along order, with labels forced on its leading
-        vertices and the symmetry constraint smaller; returns (total,
-        rows, level_sizes)."""
-        return _kernels.dfs_search(*self.kernel_args(order),
-                                   np.array(labels, dtype=np.int64), max_results,
-                                   store_cap, smaller)
+def _allowed(g: Graph, cfg: SearchConfig) -> list[bool]:
+    """dfs_search's allowed for a search of g under cfg: allowed[delta]
+    says the edge difference delta may appear, for delta up to the label
+    count d(q + 1)."""
+    params = d_params(g.num_edges, cfg.d)
+    # the label and difference masks are e + d wide, and the kernel
+    # holds labels as int16; within the edge cap d <= e, so this
+    # bounds only d on a graph without edges
+    if params.e + params.d > 2 * SEARCH_MAX_EDGES:
+        raise InvalidParametersError(
+            f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
+            f"got e = {params.e} and d = {params.d}")
+    allowed = params.allowed
+    return [delta in allowed for delta in range(params.d * (params.q + 1) + 1)]
 
 
 def search(g: Graph, cfg: SearchConfig) -> SearchResult:
@@ -405,25 +389,28 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
         raise InvalidParametersError(
             f"search is limited to {SEARCH_MAX_VERTICES} vertices and "
             f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
-    walker = _Walker(g, cfg)
+    allowed = _allowed(g, cfg)
+    adj = adjacency_lists(g)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
+        forced = (0, len(allowed) - 2)  # 0 and D, the largest label
         total, level_sizes = 0, [0] * g.num_vertices
-        for size, order, smaller, factor in _count_walks(g.edge_indices().tolist(),
-                                                         walker.adj):
-            count, _, levels = walker.walk(order, (0, walker.n_labels - 1), 0, 0, smaller)
+        for size, walk, smaller, factor in _count_walks(g.edge_indices().tolist(), adj):
+            count, _, levels = _kernels.dfs_search(walk.back, walk.order, allowed,
+                                                   cfg.alpha_only, forced, 0, 0, smaller)
             total += size * factor[-1] * count
-            level_sizes = [a + size * f * x
-                           for a, f, x in zip(level_sizes, factor, levels.tolist())]
+            level_sizes = [a + size * f * x for a, f, x in zip(level_sizes, factor, levels)]
         return SearchResult(labelings=(), count=total, exhaustive=True,
                             level_sizes=tuple(level_sizes))
     store_cap = (0 if cfg.store_limit == 0 else
                  cfg.max_results if cfg.max_results > 0 else cfg.store_limit)
-    total, rows, level_sizes = walker.walk(_bfs_order(walker.adj), (), cfg.max_results,
-                                           store_cap)
+    walk = _walk_tables(adj, _bfs_order(adj))
+    total, rows, level_sizes = _kernels.dfs_search(walk.back, walk.order, allowed,
+                                                   cfg.alpha_only, (), cfg.max_results,
+                                                   store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
     labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
-                        level_sizes=tuple(level_sizes.tolist()))
+                        level_sizes=tuple(level_sizes))
 
 
 def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
@@ -433,10 +420,10 @@ def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     labeling label by label with the scalar form of its masks' tests; it
     passes when every position passes them.
     """
-    walker = _Walker(f.graph, cfg)
-    if max(f.values) >= walker.n_labels:  # may not even fit an int64
-        return False
-    total, _, _ = walker.walk(list(range(f.graph.num_vertices)), f.values, 0, 0)
+    allowed = _allowed(f.graph, cfg)
+    walk = _walk_tables(adjacency_lists(f.graph), list(range(f.graph.num_vertices)))
+    total, _, _ = _kernels.dfs_search(walk.back, walk.order, allowed, cfg.alpha_only,
+                                      f.values, 0, 0)
     return total == 1
 
 

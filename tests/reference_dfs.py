@@ -5,8 +5,12 @@ frontier search, with the alpha condition kept as two scalar bounds
 updated one edge at a time where the kernel gathers each row's earlier
 neighbors at once.  Tests run both on the same inputs and require the same
 total and the same rows in the same order, so "the paths agree" compares
-two different implementations.  It takes the kernel's arguments, plus
-the label count, and returns (total, rows) without the level sizes.
+two different implementations.  It takes the kernel's inputs in the
+form the kernel once took: the earlier-neighbor lists as one flat int64
+array with offsets, order, allowed and prefix as numpy arrays, plus the
+label count.  It returns (total, rows) without the level sizes and
+without the symmetry constraints; test_kernels.py's shim converts the
+kernel's Python lists to this form.
 """
 
 from __future__ import annotations

@@ -173,7 +173,8 @@ def test_verify_missing_file(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     (b"\xff\xfe{}", "not valid JSON: 'utf-8' codec can't decode"),
     (b"[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
-], ids=["not-utf8", "deeply-nested"])
+    (b"1" * 5000, "not valid JSON: Exceeds the limit"),
+], ids=["not-utf8", "deeply-nested", "long-number"])
 def test_readers_refuse_undecodable_files(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

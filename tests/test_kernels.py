@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from divgrace import (Labeling, SearchConfig, SimpleGraph, _kernels, build_grid,
                       check_alpha, check_d_graceful, cross_validate, search)
 from divgrace.grids import adjacency_lists
-from divgrace.oracle import (_arc_orbits, _automorphism, _bfs_order, _count_walks,
-                             _refine, _stabilizer_chain, _Walker)
+from divgrace.oracle import (_allowed, _arc_orbits, _automorphism, _bfs_order,
+                             _count_walks, _refine, _stabilizer_chain, _walk_tables)
 from example_graphs import SWAPPED_PAIRS
 from reference_dfs import dfs_search_py
 
@@ -45,23 +45,28 @@ C4P3_D5_FIRST_20 = [
 ]
 
 
-def _reference(nbr_flat, nbr_off, order, allowed, use_alpha, prefix, max_results,
-               store_cap):
-    """dfs_search_py behind the kernel's signature and return value."""
-    return dfs_search_py(nbr_flat, nbr_off, order, allowed.shape[0] - 1, allowed,
-                         use_alpha, prefix, max_results, store_cap) + (None,)
+def _reference(back, order, allowed, use_alpha, prefix, max_results, store_cap):
+    """dfs_search_py behind the kernel's signature and return value: the
+    earlier-neighbor lists go in as the flat and offset int64 arrays the
+    reference reads, the other lists as numpy arrays."""
+    nbr_off = np.cumsum([0] + [len(earlier) for earlier in back])
+    nbr_flat = np.array([t for earlier in back for t in earlier], dtype=np.int64)
+    return dfs_search_py(nbr_flat, nbr_off, np.array(order, dtype=np.int64),
+                         len(allowed) - 1, np.array(allowed, dtype=np.bool_), use_alpha,
+                         np.array(prefix, dtype=np.int64), max_results, store_cap) + (None,)
 
 
 def _run(kernel, args, cfg, prefix, cap=2000):
-    total, rows, _ = kernel(*args, np.array(prefix, dtype=np.int64),
-                            cfg.max_results, cap)
+    total, rows, _ = kernel(*args, prefix, cfg.max_results, cap)
     return int(total), rows
 
 
-def _walk_args(g, cfg):
-    """dfs_search's arguments before prefix, for the search's vertex walk."""
-    walker = _Walker(g, cfg)
-    return walker.kernel_args(_bfs_order(walker.adj))
+def _walk_args(g, cfg, first=()):
+    """dfs_search's arguments before prefix, for the breadth-first walk
+    from the vertices in first: the search's vertex walk by default."""
+    adj = adjacency_lists(g)
+    walk = _walk_tables(adj, _bfs_order(adj, first))
+    return walk.back, walk.order, _allowed(g, cfg), cfg.alpha_only
 
 
 def _agree(g, cfg, prefix=()):
@@ -92,7 +97,7 @@ def test_dfs_paths_agree_beyond_64_labels():
     # 80 labels: a label or difference set no longer fits one int64
     for alpha in (False, True):
         cfg = SearchConfig(d=40, alpha_only=alpha, max_results=3)
-        assert _Walker(STAR_40, cfg).n_labels == 80
+        assert len(_allowed(STAR_40, cfg)) - 1 == 80
         assert _agree(STAR_40, cfg) == 3
 
 
@@ -175,8 +180,9 @@ def test_arc_orbit_walks_agree_on_random_graphs(case):
     assert set(orbit_of) == set(arcs)
     assert [(arc, size) for arc, size, _, _ in orbits] == list(Counter(orbit_of.values()).items())
     for alpha in (False, True):
-        walker = _Walker(g, SearchConfig(d=cfg.d, alpha_only=alpha))
-        counts = {arc: walker.walk(_bfs_order(adj, arc), (0, walker.n_labels - 1), 0, 0)[0]
+        alpha_cfg = SearchConfig(d=cfg.d, alpha_only=alpha)
+        forced = (0, len(_allowed(g, alpha_cfg)) - 2)
+        counts = {arc: _kernels.dfs_search(*_walk_args(g, alpha_cfg, arc), forced, 0, 0)[0]
                   for arc in arcs}
         assert all(counts[arc] == counts[orbit_of[arc]] for arc in arcs)
 
@@ -219,9 +225,9 @@ def test_stabilizer_chain_matches_the_full_group(case):
              if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
     adj = adjacency_lists(g)
     color = _refine(adj)
-    for _, order, smaller, factor in _count_walks(edges, adj):
-        pos = {v: t for t, v in enumerate(order)}
-        chain = _stabilizer_chain(adj, color, order, _automorphism(adj, color, order))
+    for _, walk, smaller, factor in _count_walks(edges, adj):
+        order, pos, _ = walk
+        chain = _stabilizer_chain(adj, color, walk, _automorphism(adj, color, walk))
 
         def orbit(t):
             return {p[order[t]] for p in group if all(p[v] == v for v in order[:t])}
@@ -239,7 +245,7 @@ def test_stabilizer_chain_matches_the_full_group(case):
             assert cell - orbit(t)
         want = [max((t for t, found in enumerate(chain, start=2) if v in found[1:]),
                     default=-1) for v in order]
-        assert smaller.tolist() == want
+        assert smaller == want
         assert factor[-1] == math.prod(map(len, chain))
 
 
@@ -248,10 +254,9 @@ def test_stabilizer_chain_matches_the_full_group(case):
 def test_symmetry_constraints_drop_exactly_the_labelings_that_break_them(case, data):
     g, cfg, prefix = case
     args = _walk_args(g, cfg)
-    order = args[2].tolist()
+    order = args[1]
     n = len(order)
-    smaller = np.array([data.draw(st.integers(-1, p - 1)) for p in range(n)], dtype=np.int64)
-    prefix = np.array(prefix, dtype=np.int64)
+    smaller = [data.draw(st.integers(-1, p - 1)) for p in range(n)]
     _, every = _reference(*args, prefix, 0, 10 ** 6)[:2]
     want = [row for row in every.tolist()
             if all(smaller[p] < 0 or row[order[p]] > row[order[smaller[p]]]
@@ -289,18 +294,16 @@ def test_forced_prefix_level_sizes(case, data):
     # 0 from the first one that fails; a failed prefix yields nothing
     g, cfg, prefix = case
     args = _walk_args(g, cfg)
-    order = args[2].tolist()
+    order = args[1]
     n = len(order)
     smaller = [data.draw(st.integers(-1, p - 1)) for p in range(n)]
-    total, _, level_sizes = _kernels.dfs_search(
-        *args, np.array(prefix, dtype=np.int64), cfg.max_results, 0,
-        np.array(smaller, dtype=np.int64))
+    total, _, level_sizes = _kernels.dfs_search(*args, prefix, cfg.max_results, 0, smaller)
     holds = [_prefix_holds(g, order, cfg, prefix[:p + 1], smaller)
              for p in range(len(prefix))]
-    assert level_sizes[:len(prefix)].tolist() == [int(x) for x in holds]
+    assert level_sizes[:len(prefix)] == [int(x) for x in holds]
     assert holds == sorted(holds, reverse=True)
     if not all(holds):
-        assert total == 0 and not level_sizes[len(prefix):].any()
+        assert total == 0 and not any(level_sizes[len(prefix):])
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,8 +335,7 @@ def test_cross_validate_agrees_on_random_graphs(case, data):
 
 def test_run_kernel_uses_selected_path(t8):
     cfg = SearchConfig(d=3, alpha_only=True)
-    total, rows, level_sizes = _kernels.dfs_search(
-        *_walk_args(t8, cfg), np.empty(0, dtype=np.int64), 0, 600)
+    total, rows, level_sizes = _kernels.dfs_search(*_walk_args(t8, cfg), (), 0, 600)
     assert total == 576
     assert rows.shape == (576, 8) and rows.dtype == np.int64
     assert level_sizes[-1] == 576

@@ -384,11 +384,48 @@ def test_simple_graph_arc_orbits(g):
     assert all(_maps_edges_onto_edges(g, p) for p in perms)
 
 
+def _path(n):
+    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def _cycle(n):
+    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+P4_PLUS_P3 = SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
+
+
+@pytest.mark.parametrize("g,rows", [
+    (_path(9), 20), (_cycle(8), 96), (_cycle(12), 1248),
+    (SimpleGraph(7, tuple((i, j) for i in range(3) for j in range(3, 7))), 864),
+    (SimpleGraph(8, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7),
+                     (0, 4), (1, 5), (2, 6), (3, 7))), 288),
+    (build_grid(1, 2), 960), (P4_PLUS_P3, 0),
+], ids=["P_9", "C_8", "C_12", "K_3,4", "P_2xP_4", "prism", "P_4+P_3"])
+def test_doubling_map_carries_d1_alpha_rows_onto_de(g, rows):
+    # an alpha-labeling f with boundary lambda maps, by x <= lambda -> 2x
+    # and x > lambda -> 2x - 1, to an e-divisible graceful alpha-labeling;
+    # on a connected graph every d = e alpha row is such an image.  The two
+    # searches have different label ranges and forbidden differences.
+    e = g.num_edges
+    low = search(g, SearchConfig(d=1, alpha_only=True)).labelings
+    high = {f.values for f in search(g, SearchConfig(d=e, alpha_only=True)).labelings}
+    image = set()
+    for f in low:
+        boundary = check_alpha(f).boundary
+        image.add(tuple(2 * x if x <= boundary else 2 * x - 1 for x in f.values))
+    assert len(image) == len(low) == rows
+    if g is P4_PLUS_P3:  # disconnected: only an injection, 0 rows into 128
+        assert image < high and len(high) == 128
+    else:
+        assert image == high
+
+
 def test_p4_plus_p3_counts_are_pinned():
     # P_4 + P_3 at d = 5: brute force over all labelings finds 432, and
     # 128 alpha-labelings in Rosa's sense; in 64 of them the two
     # components put opposite color classes low
-    g = SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
+    g = P4_PLUS_P3
     assert [size for _, size in _orbits(g)[0]] == [4, 2, 4]
     for alpha, want in ((False, 432), (True, 128)):
         cfg = SearchConfig(d=5, alpha_only=alpha)
@@ -491,9 +528,12 @@ def test_search_size_cap_raises_before_building(monkeypatch):
 
 def test_search_sets_up_once(monkeypatch):
     # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks,
-    # and builds each orbit's breadth-first order and the automorphism
-    # tables along it once, for the orbit and its stabilizer chain alike
-    calls = {"adjacency_lists": 0, "dfs_search": 0, "_bfs_order": 0, "_automorphism": 0}
+    # and builds each orbit's breadth-first order, its walk tables and
+    # the automorphism test along it once, for the orbit, its stabilizer
+    # chain and its walk alike; a search that keeps rows and a replay
+    # each build the tables of their one order once
+    calls = {"adjacency_lists": 0, "dfs_search": 0, "_bfs_order": 0, "_automorphism": 0,
+             "_walk_tables": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -505,13 +545,22 @@ def test_search_sets_up_once(monkeypatch):
 
     g = build_grid(1, 3)
     assert len(_orbits(g)[0]) == 3
-    for name in ("adjacency_lists", "_bfs_order", "_automorphism"):
+    for name in ("adjacency_lists", "_bfs_order", "_automorphism", "_walk_tables"):
         counting(oracle, name)
     counting(oracle._kernels, "dfs_search")
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
     assert calls == {"adjacency_lists": 1, "dfs_search": 3, "_bfs_order": 3,
-                     "_automorphism": 3}
+                     "_automorphism": 3, "_walk_tables": 3}
+    cfg = SearchConfig(d=3, max_results=1)
+    calls.update(dict.fromkeys(calls, 0))
+    (first,) = search(build_grid(1, 2), cfg).labelings
+    assert calls == {"adjacency_lists": 1, "dfs_search": 1, "_bfs_order": 1,
+                     "_automorphism": 0, "_walk_tables": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert engine_accepts(first, cfg)
+    assert calls == {"adjacency_lists": 1, "dfs_search": 1, "_bfs_order": 0,
+                     "_automorphism": 0, "_walk_tables": 1}
 
 
 def test_search_size_cap_admits_the_limit():
