@@ -7,7 +7,10 @@ certificate names its graph, the divisor d and the labels in canonical
 vertex order, plus an optional alpha block: the low class as sorted
 vertex indices and the boundary lambda (the high class is the rest).  A
 decomposition certificate records q, d, n, v and the base blocks, one
-label list per row of the blocks array.  Every number a reader accepts
+label list per row of the blocks array.  The writers write the int64
+arrays a labeling, its alpha certificate and a decomposition hold, each
+through one .tolist(); the reader converts each list once into such an
+array, after checking its JSON types.  Every number a reader accepts
 must be a JSON integer, and every sequence a JSON list; anything else
 raises CertificateError, as do a file larger than MAX_FILE_BYTES (refused
 before it is read), a file that is not UTF-8 or nests too deeply to
@@ -23,7 +26,7 @@ import json
 import os
 from pathlib import Path
 
-from .checking import AlphaCert, Labeling
+from .checking import AlphaCert, Labeling, _int_array
 from .decomp import Decomposition
 from .grids import Graph, GridGraph, SimpleGraph, build_grid
 
@@ -40,14 +43,18 @@ def _int(value, name: str) -> int:
 
 
 def _list(value, name: str) -> list:
-    """value itself if it is a JSON list."""
-    if type(value) is not list:
+    """value itself if it is a JSON list (or a list a writer made)."""
+    if not isinstance(value, list):
         raise CertificateError(f"{name} must be a list, got {type(value).__name__}")
     return value
 
 
 def _ints(value, name: str) -> list[int]:
-    """value itself if it is a list of JSON integers, checked in one pass."""
+    """value itself if it is a list of JSON integers, checked in one pass.
+
+    This comes before any conversion to an array, which would take a
+    bool as 0 or 1 and cut a float down to an integer.
+    """
     if not set(map(type, _list(value, name))) <= {int}:
         bad = next(x for x in value if type(x) is not int)
         raise CertificateError(f"{name} must hold integers, got {bad!r}")
@@ -77,15 +84,20 @@ def graph_from_obj(obj) -> Graph:
     raise CertificateError(f"unknown graph kind {kind!r}")
 
 
+class _Flat(list):
+    """A list known to hold no container, as the .tolist() of a 1-d array
+    is; _encode writes it without looking at its items' types."""
+
+
 def labeling_to_obj(f: Labeling, d: int, alpha: AlphaCert | None = None) -> dict:
     obj = {
         "graph": graph_to_obj(f.graph),
         "d": int(d),
-        "labels": list(f.values),
+        "labels": _Flat(f.array.tolist()),
     }
     if alpha is not None:
         obj["alpha"] = {
-            "low_class": sorted(map(int, alpha.low)),
+            "low_class": _Flat(alpha.low_class.tolist()),
             "lambda": int(alpha.boundary),
         }
     return obj
@@ -99,9 +111,9 @@ def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
             raise CertificateError(f"certificate missing {key!r}")
     graph = graph_from_obj(obj["graph"])
     d = _int(obj["d"], "d")
-    labels = _ints(obj["labels"], "labels")
+    labels = _int_array(_ints(obj["labels"], "labels"))
     try:
-        labeling = Labeling(graph, tuple(labels))
+        labeling = Labeling(graph, labels)
     except ValueError as exc:
         raise CertificateError(f"bad labeling payload: {exc}") from exc
     alpha = None
@@ -111,13 +123,16 @@ def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
             raise CertificateError("bad alpha block: need an object with low_class and lambda")
         low = _ints(block["low_class"], "low_class")
         boundary = _int(block["lambda"], "lambda")
-        size = graph.num_vertices
-        if low and not 0 <= min(low) <= max(low) < size:
-            raise CertificateError(f"bad alpha block: low_class indices must lie in [0, {size})")
-        low_class = frozenset(low)
-        if len(low_class) != len(low):
+        outside = f"bad alpha block: low_class indices must lie in [0, {graph.num_vertices})"
+        try:
+            alpha = AlphaCert(low, boundary)
+        except OverflowError:
+            raise CertificateError(outside) from None
+        indices = alpha.low_class  # sorted
+        if indices.size and not 0 <= indices[0] <= indices[-1] < graph.num_vertices:
+            raise CertificateError(outside)
+        if (indices[1:] == indices[:-1]).any():
             raise CertificateError("bad alpha block: low_class repeats an index")
-        alpha = AlphaCert(low=low_class, boundary=boundary)
     return labeling, d, alpha
 
 
@@ -127,7 +142,7 @@ def decomposition_to_obj(dec: Decomposition) -> dict:
         "d": dec.d,
         "n": dec.n,
         "v": dec.spec.v,
-        "base_blocks": dec.blocks.tolist(),
+        "base_blocks": [_Flat(row) for row in dec.blocks.tolist()],
     }
 
 
@@ -151,15 +166,18 @@ def _encode(obj, newline: str) -> str:
 
     A container that holds no container goes to the C encoder in one
     call, with the line break and indent as its item separator; only
-    the nesting above such leaves is walked in Python.  Dict keys must
-    be strings, as they are in anything read from JSON.
+    the nesting above such leaves is walked in Python.  A _Flat list is
+    known to be such a leaf; any other container's item types are
+    looked at.  Dict keys must be strings, as they are in anything read
+    from JSON.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     inner = newline + "  "
     is_dict = isinstance(obj, dict)
     items = obj.values() if is_dict else obj
-    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+    if type(obj) is _Flat or not any(issubclass(t, _CONTAINERS)
+                                     for t in set(map(type, items))):
         flat = json.dumps(obj, separators=("," + inner, ": "))
         return flat[0] + inner + flat[1:-1] + newline + flat[-1]
     if is_dict:

@@ -10,16 +10,21 @@ differences are exactly the odd numbers below 2e.
 The alpha condition is Rosa's: some boundary lambda has
 min f(u) <= lambda < max f(u) on every edge uw.  The smallest such
 lambda is the largest lower end of an edge.  An AlphaCert holds the
-low class {u : f(u) <= lambda} and lambda; the high class is the rest
-of the vertices.  The condition makes the low and high classes a proper
-2-coloring, so a graph that is not bipartite has no alpha-labeling.  A
-Labeling holds its graph, so the checkers take the labeling alone.
+low class {u : f(u) <= lambda}, as sorted vertex indices, and lambda;
+the high class is the rest of the vertices.  The condition makes the
+low and high classes a proper 2-coloring, so a graph that is not
+bipartite has no alpha-labeling.
+
+A Labeling holds its graph and its labels as one read-only int64
+array, the only stored form, so the checkers take the labeling alone
+and work on that array: neither builds a Python object per label.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,38 +65,61 @@ def d_params(e: int, d: int) -> DParams:
     return DParams(e=e, d=d, q=e // d)
 
 
-@dataclass(frozen=True)
+def _int_array(ints: Sequence[int]) -> np.ndarray:
+    """Python ints, already checked to be ints, as one int64 array; dtype
+    object when one does not fit in int64."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Labeling:
-    """A total vertex labeling, stored in canonical vertex order."""
+    """A total vertex labeling, stored in canonical vertex order.
+
+    The labels are held once, as the read-only int64 array `array` (dtype
+    object when a label does not fit in int64), which the checkers,
+    base_blocks and the certificate writer read.  Labeling(graph, labels)
+    takes any sequence of integers or an integer array, and copies it, so
+    the labeling never shares memory with a caller's array.  `values` is
+    the same labels as a tuple of Python ints, built on first use.
+    """
 
     graph: Graph
-    values: tuple[int, ...]
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = self.graph.num_vertices
-        if len(self.values) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.values)}")
-        try:
-            vals = tuple(map(operator.index, self.values))
-        except TypeError as exc:
-            raise ValueError(f"labels must be integers: {exc}") from None
-        if min(vals, default=0) < 0:
+    def __init__(self, graph: Graph, values) -> None:
+        n = graph.num_vertices
+        if len(values) != n:
+            raise ValueError(f"expected {n} labels, got {len(values)}")
+        if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+            array = values.copy()
+        else:
+            # each label is taken as an int before any conversion to int64,
+            # which would cut 5.5 down to 5
+            try:
+                array = _int_array(list(map(operator.index, values)))
+            except TypeError as exc:
+                raise ValueError(f"labels must be integers: {exc}") from None
+        if n and array.min() < 0:
             raise ValueError("labels must be nonnegative")
-        object.__setattr__(self, "values", vals)
+        array.setflags(write=False)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "array", array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Labeling):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.values))
 
     @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The labels as a read-only int64 array, built on first use and kept.
-
-        Python ints (dtype object) when one does not fit in int64.  The
-        checkers and base_blocks read it instead of converting values.
-        """
-        try:
-            array = np.array(self.values, dtype=np.int64)
-        except OverflowError:
-            array = np.array(self.values, dtype=object)
-        array.setflags(write=False)
-        return array
+    def values(self) -> tuple[int, ...]:
+        """The labels as a tuple of Python ints, built on first use and kept."""
+        return tuple(self.array.tolist())
 
     @functools.cached_property
     def passed_d(self) -> set[int]:
@@ -133,15 +161,40 @@ class CheckReport:
         return f"{self.reason}: {self.witness}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AlphaCert:
     """Witness of the alpha condition: the low class and its boundary.
 
-    The high class is every other vertex; it is not stored.
+    The low class is held as `low_class`, its vertex indices in a sorted
+    read-only int64 array, whatever order they were given in, so two
+    certificates of one split compare equal.  `low` is the same class as
+    a frozenset, built on first use.  The high class is every other
+    vertex; it is not stored.
     """
 
-    low: frozenset[int]
+    low_class: np.ndarray
     boundary: int
+
+    def __init__(self, low, boundary: int) -> None:
+        if isinstance(low, (set, frozenset)):
+            low = list(low)
+        low_class = np.sort(np.asarray(low, dtype=np.int64))
+        low_class.setflags(write=False)
+        object.__setattr__(self, "low_class", low_class)
+        object.__setattr__(self, "boundary", boundary)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlphaCert):
+            return NotImplemented
+        return (self.boundary == other.boundary
+                and np.array_equal(self.low_class, other.low_class))
+
+    def __hash__(self) -> int:
+        return hash((self.boundary, self.low_class.tobytes()))
+
+    @functools.cached_property
+    def low(self) -> frozenset[int]:
+        return frozenset(self.low_class.tolist())
 
 
 def _first_repeat(values: np.ndarray) -> int:
@@ -171,31 +224,36 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
     Clause order: label range and injectivity by vertex index, then the
     difference multiset by canonical edge order.  Witnesses carry
     canonical vertex indices and the offending values.  Repeats are
-    found by one pass over the checked range, labels in [0, max_label]
-    and differences in [1, d(q+1)] (see _has_repeat); only a failing
-    input pays for the stable argsort that locates its first witness.
+    found by one pass over the checked range: labels in [0, max_label]
+    (see _has_repeat), then differences in [1, max_label], whose one
+    bincount also shows a forbidden difference as a count at a multiple
+    of q + 1.  Only a failing input pays for the modulo and the stable
+    argsort that locate its first witness.
     A pass is recorded in f.passed_d.
     """
     params = d_params(f.graph.num_edges, d)
-    vals = f.values
-    n = len(vals)
     labels = f.array
-    over = np.flatnonzero(labels > params.max_label)
-    first_over = int(over[0]) if over.size else n
-    if over.size or _has_repeat(labels, params.max_label + 1):
+    if labels.max() > params.max_label or _has_repeat(labels, params.max_label + 1):
+        over = np.flatnonzero(labels > params.max_label)
+        first_over = int(over[0]) if over.size else labels.size
         first_dup = _first_repeat(labels)
         if first_over < first_dup:
             return CheckReport(False, "label-out-of-range",
-                               (first_over, vals[first_over], params.max_label))
-        lab = vals[first_dup]
-        return CheckReport(False, "duplicate-label", (vals.index(lab), first_dup, lab))
+                               (first_over, int(labels[first_over]), params.max_label))
+        lab = int(labels[first_dup])
+        first = int(np.argmax(labels == lab))
+        return CheckReport(False, "duplicate-label", (first, first_dup, lab))
     edges = f.graph.edge_indices()
     deltas = np.abs(labels[edges[:, 0]] - labels[edges[:, 1]])
     # The labels are distinct and in range here, so every difference lies in
-    # [1, max_label] and only a multiple of q + 1 is forbidden.  A repeated
-    # forbidden difference is forbidden first, at its earlier edge.
-    bad = np.flatnonzero(deltas % (params.q + 1) == 0)
-    if bad.size or _has_repeat(deltas, params.d * (params.q + 1) + 1):
+    # [1, max_label], below 2e, and one bincount over that range counts them
+    # all; only a multiple of q + 1 is forbidden.  A repeated forbidden
+    # difference is forbidden first, at its earlier edge.
+    step = params.q + 1
+    # an edgeless graph has no differences, and its labels may not fit int64
+    counts = np.bincount(deltas) if deltas.size else np.zeros(1, dtype=np.int64)
+    if counts[step::step].any() or counts.max() > 1:
+        bad = np.flatnonzero(deltas % step == 0)
         first_bad = int(bad[0]) if bad.size else len(deltas)
         first_rep = _first_repeat(deltas)
         if first_bad < first_rep:
@@ -223,5 +281,4 @@ def check_alpha(f: Labeling) -> AlphaCert | None:
     boundary = lower.max() if lower.size else labels.max()
     if upper.size and boundary >= upper.min():
         return None
-    return AlphaCert(low=frozenset(np.flatnonzero(labels <= boundary).tolist()),
-                     boundary=int(boundary))
+    return AlphaCert(np.flatnonzero(labels <= boundary), int(boundary))

@@ -181,7 +181,7 @@ def construct(k: int, m: int, family: Family) -> Labeling:
     layers = np.arange(1, m + 1)[:, None]
     at = (np.arange(grid.ring_len) - np.abs(layers - 2)) % grid.ring_len
     labels = base[at] + 2 * (layers - 1) * s * (at % 2) + (m - layers) * s
-    lab = Labeling(grid, tuple(labels.ravel().tolist()))
+    lab = Labeling(grid, labels.ravel())
     _verify(lab, family.divisor(m), f"construct k={k} m={m} family={family.name}")
     return lab
 

@@ -23,13 +23,15 @@ with the multipartite edge set a few rows at a time, so it holds little
 more than the matrix's 8 bytes per v^2; that still makes it a check for
 moderate v only.
 check_difference_classes is the O(n*e) shortcut certificate, one numpy
-pass over the edges of all blocks.  Once no class is zero or forbidden,
-every class lies in [0, v/2], so one bincount over v/2 + 1 slots finds
-repeats; only a failing input pays for the stable argsort (the labeling
-checker's _first_repeat) that reports the first zero, forbidden or
-repeated class in block-then-edge order.  Distinct allowed classes leave
-one missing exactly when there are fewer of them than allowed classes,
-and then the smallest missing one is reported.
+pass over the edges of all blocks.  Base block labels lie in [0, v), so
+an edge's class is min(c, v - c) for c = |a - b|, with no modulo, and
+lies in [0, v/2]; one bincount over v/2 + 1 slots then shows a zero or
+forbidden class (a count at a multiple of the part count) and a repeat.
+Only a failing input pays for the modulo and the stable argsort (the
+labeling checker's _first_repeat) that report the first zero, forbidden
+or repeated class in block-then-edge order.  Distinct allowed classes
+leave one missing exactly when there are fewer of them than allowed
+classes, and then the smallest missing one is reported.
 """
 
 from __future__ import annotations
@@ -206,20 +208,26 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
     v = dec.spec.v
     parts = dec.spec.parts
     edge_idx = dec.graph.edge_indices()
-    ends = np.take(dec.blocks, edge_idx.T, axis=1)
-    ends_a = ends[:, 0].ravel()
-    diff = (ends_a - ends[:, 1].ravel()) % v
-    cls = np.minimum(diff, v - diff)
-    forbidden = cls % parts == 0
+    # base_blocks puts every label in [0, v), where |a - b| is the
+    # difference mod v and no modulo is needed; blocks given with other
+    # representatives are reduced first, which changes no class
+    blocks = dec.blocks
+    if blocks.size and (blocks.min() < 0 or blocks.max() >= v):
+        blocks = blocks % v
+    ends = np.take(blocks, edge_idx.T, axis=1)
+    cls = np.abs(ends[:, 0] - ends[:, 1]).ravel()
+    np.minimum(cls, v - cls, out=cls)
     half = v // 2
-    counts = None if forbidden.any() else np.bincount(cls, minlength=half + 1)
-    if counts is None or counts.max() > 1:
-        bad = np.flatnonzero(forbidden)
+    counts = np.bincount(cls, minlength=half + 1)
+    # slots 0, parts, 2 parts, ... are the zero and forbidden classes
+    if counts[::parts].any() or counts.max() > 1:
+        bad = np.flatnonzero(cls % parts == 0)
         pos = min(int(bad[0]) if bad.size else cls.size, _first_repeat(cls))
-        b_idx = pos // edge_idx.shape[0]
+        b_idx, edge = divmod(pos, edge_idx.shape[0])
         c = int(cls[pos])
         if c == 0:
-            return CheckReport(False, "zero-difference", (b_idx, int(ends_a[pos])))
+            label = int(dec.blocks[b_idx, edge_idx[edge, 0]])
+            return CheckReport(False, "zero-difference", (b_idx, label))
         if c % parts == 0:
             return CheckReport(False, "forbidden-difference-class", (b_idx, c))
         return CheckReport(False, "duplicate-difference-class", (b_idx, c))

@@ -408,7 +408,7 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
                                                    cfg.alpha_only, (), cfg.max_results,
                                                    store_cap)
     exhaustive = cfg.max_results == 0 or total < cfg.max_results
-    labelings = tuple(Labeling(g, tuple(row)) for row in rows.tolist())
+    labelings = tuple(Labeling(g, row) for row in rows)
     return SearchResult(labelings=labelings, count=total, exhaustive=exhaustive,
                         level_sizes=tuple(level_sizes))
 

@@ -5,6 +5,7 @@ import os
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,10 @@ def test_bad_graph_objects(obj):
      "alpha": {"low_class": [1, 3, 4, 8], "lambda": 6}},
     {"graph": T8, "d": 3, "labels": T8_LABELS,
      "alpha": {"low_class": [-1, 1, 3, 4, 6], "lambda": 6}},
+    # in the middle, and each what the label it replaces would become in an
+    # int64 array, so a list converted before its types are checked passes
+    {"graph": T8, "d": 3, "labels": [7, 5, 9, 6, 0, 14, True, 12]},
+    {"graph": T8, "d": 3, "labels": [7, 5, 9, 6.5, 0, 14, 1, 12]},
 ])
 def test_bad_labeling_objects(obj):
     with pytest.raises(CertificateError):
@@ -141,9 +146,40 @@ def test_bad_labeling_objects(obj):
 
 def test_bad_alpha_block(t8_labeling):
     obj = labeling_to_obj(t8_labeling, 3)
-    obj["alpha"] = {"lambda": 6}
-    with pytest.raises(CertificateError):
-        labeling_from_obj(obj)
+    # True would become index 1 in an int64 array, which gives the true low
+    # class [1, 3, 4, 6], stated first or in the middle
+    for alpha in ({"lambda": 6},
+                  {"low_class": [True, 3, 4, 6], "lambda": 6},
+                  {"low_class": [3, True, 4, 6], "lambda": 6}):
+        obj["alpha"] = alpha
+        with pytest.raises(CertificateError, match="low_class"):
+            labeling_from_obj(obj)
+
+
+def test_a_labeling_from_an_array_equals_one_from_a_list(tmp_path, t8, t8_labeling):
+    given = np.array(t8_labeling.values, dtype=np.int64)
+    from_array = Labeling(t8, given)
+    from_list = Labeling(t8, list(t8_labeling.values))
+    assert from_array == from_list
+    assert hash(from_array) == hash(from_list)
+    for lab in (from_array, from_list):
+        assert lab.values == (7, 5, 9, 6, 0, 14, 1, 12)
+        assert all(type(x) is int for x in lab.values)
+        assert lab.array.dtype == np.int64
+        assert not lab.array.flags.writeable
+        with pytest.raises(ValueError):
+            lab.array[0] = 1
+    # the labeling keeps its own copy: writing to the caller's array after
+    # the fact changes nothing
+    assert not np.shares_memory(from_array.array, given)
+    given[0] = 8
+    assert from_array.values[0] == 7
+    cert = check_alpha(from_list)
+    assert check_alpha(from_array) == cert
+    paths = tmp_path / "array.json", tmp_path / "list.json"
+    write_labeling(paths[0], from_array, 3, check_alpha(from_array))
+    write_labeling(paths[1], from_list, 3, cert)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_bad_decomposition_objects():

@@ -151,6 +151,53 @@ def test_decompose_rejects_misstated_alpha_block(tmp_path, capsys, alpha, n):
         assert not out.exists()
 
 
+# the low class is a set: any order states the same block
+def test_low_class_in_another_order_is_accepted(tmp_path, capsys):
+    cert = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    assert obj["alpha"] == {"low_class": [1, 3, 4, 6], "lambda": 6}
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(dict(obj, alpha={"low_class": [6, 4, 3, 1],
+                                                     "lambda": 6})))
+    code, stdout, _ = _run(capsys, "verify", str(reordered), "--alpha")
+    assert code == 0
+    assert stdout.endswith("alpha: valid, boundary 6\n")
+    for n in ("1", "2"):
+        for flags in ([], ["--full-check"]):
+            written = []
+            for source in (cert, reordered):
+                out = tmp_path / f"dec-{source.stem}.json"
+                code, _, stderr = _run(capsys, "decompose", "--in", str(source),
+                                       "--n", n, *flags, "--out", str(out))
+                assert (code, stderr) == (0, "")
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
+
+
+# a bool or a float among the labels, or a bool in the low class, each
+# equal to what it replaces once converted to int64: refused as input
+@pytest.mark.parametrize("key, index, value", [
+    ("labels", 6, True), ("labels", 3, 6.5), ("low_class", 0, True)])
+def test_non_integers_exit_2(tmp_path, capsys, key, index, value):
+    cert = tmp_path / "t8.json"
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    assert obj["labels"][6] == 1 and obj["labels"][3] == 6
+    assert obj["alpha"]["low_class"][0] == 1
+    (obj if key == "labels" else obj["alpha"])[key][index] = value
+    cert.write_text(json.dumps(obj))
+    for argv in (["verify", str(cert), "--alpha"],
+                 ["decompose", "--in", str(cert), "--n", "2",
+                  "--out", str(tmp_path / "dec.json")]):
+        code, stdout, stderr = _run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"cannot read certificate: {key} must hold integers")
+    assert not (tmp_path / "dec.json").exists()
+
+
 def test_verify_rejects_non_integer_label(tmp_path, capsys):
     out = tmp_path / "t8.json"
     _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
