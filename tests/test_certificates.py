@@ -174,11 +174,10 @@ def test_a_labeling_from_an_array_equals_one_from_a_list(tmp_path, t8, t8_labeli
     assert not np.shares_memory(from_array.array, given)
     given[0] = 8
     assert from_array.values[0] == 7
-    cert = check_alpha(from_list)
-    assert check_alpha(from_array) == cert
+    assert check_alpha(from_array) == check_alpha(from_list)
     paths = tmp_path / "array.json", tmp_path / "list.json"
     write_labeling(paths[0], from_array, 3, check_alpha(from_array))
-    write_labeling(paths[1], from_list, 3, cert)
+    write_labeling(paths[1], from_list, 3, check_alpha(from_list))
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
