@@ -3,20 +3,20 @@
     python3 scripts/bench_pairs.py --base ../parent --change . \
         --workload construct-deep --pairs 10 --seconds 30 --seed 2501
 
-Each tree is a checkout of this repository (a clone, or an unpacked
-`git archive`), and its own perfbench/run.py runs against its own src/.
+Each tree is a git checkout of this repository (a clone or a
+worktree), and its own perfbench/run.py runs against its own src/.
 Pair i runs seed + i on both trees, one process at a time: the base
 first on even i, the change first on odd i.  With several --workload
 options every pair runs each of them in turn.
 
-One entry is appended to --record, by default BENCH_pipeline.json at
-the root of the repository that holds this script.  It records the two
-commits (read with git, or given with --base-commit / --change-commit
-for a tree without .git), the environment (Python, numpy, nproc) and,
-per workload and end-to-end metric of BENCHMARK.json, every run's
-value, the median and Q1-Q3 of each tree, and in how many pairs the
-change was better.  The rounds each run made are kept too.  Standard
-library only.
+One entry is appended to BENCH_pipeline.json at the root of the
+repository that holds this script.  It records the two commits and
+whether each tree's tracked files differ from its commit, the
+environment (Python, numpy, nproc) and, per workload and end-to-end
+metric of BENCHMARK.json, every run's value, the median and Q1-Q3 of
+each tree, and in how many pairs the change was better.  Quartiles
+are statistics.quantiles(values, n=4), as in perfbench/README.md.  The
+rounds each run made are kept too.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ def _git(tree: Path, *argv: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def describe_tree(tree: Path, commit: str | None) -> dict:
+def describe_tree(tree: Path) -> dict:
     """The commit of a tree, and whether its tracked files differ from it."""
-    if commit is not None or not (tree / ".git").exists():
-        return {"commit": commit, "dirty": None}
     status = _git(tree, "status", "--porcelain", "--untracked-files=no")
     return {"commit": _git(tree, "rev-parse", "HEAD"), "dirty": bool(status)}
 
@@ -68,7 +66,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
@@ -76,13 +74,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the parent's tree")
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
-    parser.add_argument("--base-commit", help="commit of a base tree without .git")
-    parser.add_argument("--change-commit", help="commit of a change tree without .git")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--record", type=Path, default=RECORD)
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -124,8 +119,8 @@ def main() -> int:
         capture_output=True, text=True, check=True).stdout.strip()
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "base": describe_tree(trees["base"], args.base_commit),
-        "change": describe_tree(trees["change"], args.change_commit),
+        "base": describe_tree(trees["base"]),
+        "change": describe_tree(trees["change"]),
         "environment": {"python": platform.python_version(), "numpy": numpy_version,
                         "nproc": (len(os.sched_getaffinity(0))
                                   if hasattr(os, "sched_getaffinity") else os.cpu_count())},
@@ -133,10 +128,10 @@ def main() -> int:
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": workloads,
     }
-    history = json.loads(args.record.read_text()) if args.record.exists() else []
+    history = json.loads(RECORD.read_text()) if RECORD.exists() else []
     history.append(record)
-    args.record.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-    print(f"appended an entry to {args.record}", file=sys.stderr)
+    RECORD.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+    print(f"appended an entry to {RECORD}", file=sys.stderr)
     return 0
 
 

@@ -43,8 +43,8 @@ def _int(value, name: str) -> int:
 
 
 def _list(value, name: str) -> list:
-    """value itself if it is a JSON list (or a list a writer made)."""
-    if not isinstance(value, list):
+    """value itself if it is a JSON list."""
+    if type(value) is not list:
         raise CertificateError(f"{name} must be a list, got {type(value).__name__}")
     return value
 
@@ -84,20 +84,15 @@ def graph_from_obj(obj) -> Graph:
     raise CertificateError(f"unknown graph kind {kind!r}")
 
 
-class _Flat(list):
-    """A list known to hold no container, as the .tolist() of a 1-d array
-    is; _encode writes it without looking at its items' types."""
-
-
 def labeling_to_obj(f: Labeling, d: int, alpha: AlphaCert | None = None) -> dict:
     obj = {
         "graph": graph_to_obj(f.graph),
         "d": int(d),
-        "labels": _Flat(f.array.tolist()),
+        "labels": f.array.tolist(),
     }
     if alpha is not None:
         obj["alpha"] = {
-            "low_class": _Flat(alpha.low_class.tolist()),
+            "low_class": alpha.low_class.tolist(),
             "lambda": int(alpha.boundary),
         }
     return obj
@@ -142,7 +137,7 @@ def decomposition_to_obj(dec: Decomposition) -> dict:
         "d": dec.d,
         "n": dec.n,
         "v": dec.spec.v,
-        "base_blocks": [_Flat(row) for row in dec.blocks.tolist()],
+        "base_blocks": dec.blocks.tolist(),
     }
 
 
@@ -166,18 +161,15 @@ def _encode(obj, newline: str) -> str:
 
     A container that holds no container goes to the C encoder in one
     call, with the line break and indent as its item separator; only
-    the nesting above such leaves is walked in Python.  A _Flat list is
-    known to be such a leaf; any other container's item types are
-    looked at.  Dict keys must be strings, as they are in anything read
-    from JSON.
+    the nesting above such leaves is walked in Python.  Dict keys must
+    be strings, as they are in anything read from JSON.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     inner = newline + "  "
     is_dict = isinstance(obj, dict)
     items = obj.values() if is_dict else obj
-    if type(obj) is _Flat or not any(issubclass(t, _CONTAINERS)
-                                     for t in set(map(type, items))):
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
         flat = json.dumps(obj, separators=("," + inner, ": "))
         return flat[0] + inner + flat[1:-1] + newline + flat[-1]
     if is_dict:
