@@ -16,7 +16,11 @@ environment (Python, numpy, nproc) and, per workload and end-to-end
 metric of BENCHMARK.json, every run's value, the median and Q1-Q3 of
 each tree, and in how many pairs the change was better.  Quartiles
 are statistics.quantiles(values, n=4), as in perfbench/README.md.  The
-rounds each run made are kept too.  Standard library only.
+rounds each run made are kept too.  A run that exits non-zero does not
+stop the others: the entry lists it under failed_runs (side, pair,
+workload, seed, exit code and last stderr line), the summaries take only
+the runs that finished, and its workload's all_correct is false.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -50,13 +54,14 @@ def describe_tree(tree: Path) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench/run.py process: its metrics, rounds and correctness."""
+    """One perfbench/run.py process: its metrics, rounds and correctness, or
+    its exit code and last stderr line if it exited non-zero."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
-        raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}:\n"
-                         f"{proc.stderr}")
+        lines = proc.stderr.strip().splitlines()
+        return {"exit_code": proc.returncode, "stderr": lines[-1] if lines else ""}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     rounds = re.search(r": (\d+) rounds,", proc.stderr)
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -66,6 +71,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(values: list[float]) -> dict:
+    if len(values) < 2:  # too few finished runs for quartiles
+        return {"runs": values, "median": values[0] if values else None,
+                "q1": None, "q3": None}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
@@ -87,31 +95,45 @@ def main() -> int:
             parser.error(f"no perfbench/run.py in {tree}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs: dict = {w: {side: [] for side in SIDES} for w in args.workload}
+    # workload -> side -> pair index -> result, for the runs that finished
+    runs: dict = {w: {side: {} for side in SIDES} for w in args.workload}
+    failed_runs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in args.workload:
             for side in order:
                 out = run_once(trees[side], workload, args.seed + i, args.seconds)
-                runs[workload][side].append(out)
-                print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
+                head = f"pair {i + 1}/{args.pairs} {workload} {side}"
+                if "exit_code" in out:
+                    failed_runs.append({"side": side, "pair": i + 1, "workload": workload,
+                                        "seed": args.seed + i, **out})
+                    print(f"{head}: exited {out['exit_code']}: {out['stderr']}",
+                          file=sys.stderr)
+                    continue
+                runs[workload][side][i] = out
+                print(f"{head}: "
                       f"{out['metrics'].get('instance_ms_mean', float('nan')):.3f} ms, "
                       f"{out['rounds']} rounds", file=sys.stderr)
 
     workloads = {}
     for workload, by_side in runs.items():
+        both = by_side["base"].keys() & by_side["change"].keys()
         entry = {}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
-            values = {side: [r["metrics"][name] for r in by_side[side]] for side in SIDES}
-            better = sum((c < b) if lower else (c > b)
-                         for b, c in zip(values["base"], values["change"]))
+            values = {side: {i: r["metrics"][name] for i, r in by_side[side].items()}
+                      for side in SIDES}
+            better = sum((values["change"][i] < values["base"][i]) if lower
+                         else (values["change"][i] > values["base"][i]) for i in both)
             entry[name] = {"unit": metric["unit"], "better": metric["better"],
-                           **{side: summary(values[side]) for side in SIDES},
+                           **{side: summary(list(values[side].values())) for side in SIDES},
                            "change_better_pairs": better}
-        entry["rounds"] = {side: [r["rounds"] for r in by_side[side]] for side in SIDES}
-        entry["all_correct"] = all(r["correct"] and not r["failed"]
-                                   for side in SIDES for r in by_side[side])
+        entry["rounds"] = {side: [r["rounds"] for r in by_side[side].values()]
+                           for side in SIDES}
+        entry["all_correct"] = (
+            not any(f["workload"] == workload for f in failed_runs)
+            and all(r["correct"] and not r["failed"]
+                    for side in SIDES for r in by_side[side].values()))
         workloads[workload] = entry
 
     numpy_version = subprocess.run(
@@ -127,6 +149,7 @@ def main() -> int:
         "pairs": args.pairs, "seconds": args.seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "workloads": workloads,
+        "failed_runs": failed_runs,
     }
     history = json.loads(RECORD.read_text()) if RECORD.exists() else []
     history.append(record)

@@ -27,7 +27,7 @@ import os
 from pathlib import Path
 
 from .checking import AlphaCert, Labeling, _int_array
-from .decomp import Decomposition
+from .decomp import MAX_V, Decomposition
 from .grids import Graph, GridGraph, SimpleGraph, build_grid
 
 
@@ -190,7 +190,7 @@ def write_json(path: str | Path, obj: dict) -> None:
 
 
 # Largest file read_json takes in, in bytes: the biggest labeling
-# certificate that cli.MAX_V = 4 000 000 allows, in write_json's layout.
+# certificate that decomp.MAX_V allows, in write_json's layout.
 # Its host has v = 2n(e + d) <= MAX_V vertices, and the labels are
 # distinct in [0, e + d), so the graph has at most MAX_V / 2 vertices and
 # edges, and every number has at most 7 digits.  A label line then takes
@@ -198,19 +198,17 @@ def write_json(path: str | Path, obj: dict) -> None:
 # at indents 6 and 8), 78 bytes per vertex-and-edge pair; the keys, d,
 # lambda and brackets take under 200 more.  A grid's certificate, with
 # fewer vertices than edges and no edge list, is smaller still.
-MAX_FILE_BYTES = 78 * (4_000_000 // 2) + 4096
+MAX_FILE_BYTES = 78 * (MAX_V // 2) + 4096
 
 
 def read_json(path: str | Path):
     with open(path, "rb") as fh:
-        # a file is refused by its size before it is read; a pipe reports
-        # size 0, so the read itself stops once it passes the limit
-        data = bytearray()
-        too_large = os.fstat(fh.fileno()).st_size > MAX_FILE_BYTES
-        while not too_large and (chunk := fh.read(1 << 16)):
-            data += chunk
-            too_large = len(data) > MAX_FILE_BYTES
-    if too_large:
+        # a file is refused by its size before it is read.  The one read
+        # asks for a byte past the file's size, or past the limit for a
+        # pipe, which reports size 0: a read allocates all it asks for.
+        size = os.fstat(fh.fileno()).st_size
+        data = b"" if size > MAX_FILE_BYTES else fh.read((size or MAX_FILE_BYTES) + 1)
+    if size > MAX_FILE_BYTES or len(data) > MAX_FILE_BYTES:
         raise CertificateError(f"file too large: more than {MAX_FILE_BYTES} bytes")
     # a bad encoding, bad JSON and a number past Python's int-string
     # digit limit all raise ValueError

@@ -197,12 +197,14 @@ class AlphaCert:
         return frozenset(self.low_class.tolist())
 
 
-def _first_repeat(values: np.ndarray) -> int:
-    """Index of the first entry equal to an earlier one; len(values) if none."""
+def _first_fault(values: np.ndarray, bad: np.ndarray) -> int:
+    """Index of the first entry that the mask bad flags or that equals an
+    earlier entry; len(values) if none."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]
-    return int(repeats.min()) if repeats.size else len(values)
+    faults = bad.copy()
+    faults[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return int(np.argmax(faults)) if faults.any() else len(values)
 
 
 def _has_repeat(values: np.ndarray, bound: int) -> bool:
@@ -234,15 +236,14 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
     params = d_params(f.graph.num_edges, d)
     labels = f.array
     if labels.max() > params.max_label or _has_repeat(labels, params.max_label + 1):
-        over = np.flatnonzero(labels > params.max_label)
-        first_over = int(over[0]) if over.size else labels.size
-        first_dup = _first_repeat(labels)
-        if first_over < first_dup:
+        over = labels > params.max_label
+        i = _first_fault(labels, over)
+        if over[i]:
             return CheckReport(False, "label-out-of-range",
-                               (first_over, int(labels[first_over]), params.max_label))
-        lab = int(labels[first_dup])
+                               (i, int(labels[i]), params.max_label))
+        lab = int(labels[i])
         first = int(np.argmax(labels == lab))
-        return CheckReport(False, "duplicate-label", (first, first_dup, lab))
+        return CheckReport(False, "duplicate-label", (first, i, lab))
     edges = f.graph.edge_indices()
     deltas = np.abs(labels[edges[:, 0]] - labels[edges[:, 1]])
     # The labels are distinct and in range here, so every difference lies in
@@ -253,15 +254,11 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
     # an edgeless graph has no differences, and its labels may not fit int64
     counts = np.bincount(deltas) if deltas.size else np.zeros(1, dtype=np.int64)
     if counts[step::step].any() or counts.max() > 1:
-        bad = np.flatnonzero(deltas % step == 0)
-        first_bad = int(bad[0]) if bad.size else len(deltas)
-        first_rep = _first_repeat(deltas)
-        if first_bad < first_rep:
-            u, w = (int(x) for x in edges[first_bad])
-            return CheckReport(False, "forbidden-difference",
-                               ((u, w), int(deltas[first_bad])))
-        u, w = (int(x) for x in edges[first_rep])
-        return CheckReport(False, "duplicate-difference", ((u, w), int(deltas[first_rep])))
+        forbidden = deltas % step == 0
+        i = _first_fault(deltas, forbidden)
+        u, w = (int(x) for x in edges[i])
+        reason = "forbidden-difference" if forbidden[i] else "duplicate-difference"
+        return CheckReport(False, reason, ((u, w), int(deltas[i])))
     # The e differences are now distinct and allowed, and there are d*q = e
     # allowed values, so none of them is missing.
     f.passed_d.add(d)

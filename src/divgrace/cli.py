@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: construct, verify, decompose, search, table.  Exit codes:
-0 success, 1 verification failure, 2 usage or format error.  Each
+0 success, 1 verification failure, 2 usage or format error.  A failing
+command raises _Exit; main prints its message, if any, as one stderr line
+and returns its code, and what the command already printed stays.  Each
 command verifies what it writes once: construct through construct's own
 check, decompose and table through check_d_graceful, whose pass
 base_blocks then reuses; all read the alpha certificate a labeling
@@ -13,6 +15,7 @@ other than the labeling's own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -23,18 +26,10 @@ from .certificates import (CertificateError, decomposition_to_obj, dot_export,
                            read_labeling, write_json, write_labeling)
 from .checking import InvalidParametersError, check_d_graceful
 from .constructions import FAMILIES, ConstructionError, construct
-from .decomp import (MultipartiteSpec, base_blocks, check_difference_classes,
+from .decomp import (MAX_V, MultipartiteSpec, base_blocks, check_difference_classes,
                      proposition_table, verify_decomposition)
-from .grids import GridGraph, build_grid
+from .grids import build_grid
 from .oracle import SearchConfig, search
-
-# Largest host graph that construct, decompose and table take on, in
-# vertices v = 2dn(q+1) of K_{(q+1) x 2dn} (n = 1 for construct).  It
-# bounds every array they build: a labeling's labels and edges, and n
-# base blocks' labels, edges and difference classes, each stay below v.
-# At the limit construct peaks near 220 MiB and decompose near 400 MiB;
-# the inputs the benchmark and the tests use stay below v = 70000.
-MAX_V = 4_000_000
 
 # Largest v that `decompose --full-check` accepts and that table checks
 # exhaustively.  verify_decomposition builds its translates from the base
@@ -48,153 +43,146 @@ MAX_V = 4_000_000
 DECOMPOSE_FULL_CHECK_MAX_V = 7800
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """A failed command: main prints message, unless it is empty, and returns code."""
+
+    def __init__(self, code: int, message: str = "") -> None:
+        self.code = code
+        self.message = message
 
 
-def _too_large(v: int) -> int:
-    return _fail(2, f"too large: the host graph would have v = {v} vertices, above the "
-                    f"limit of {MAX_V}")
+def _check_host_size(v: int) -> None:
+    """Refuse a host graph of more than MAX_V vertices, before anything is built."""
+    if v > MAX_V:
+        raise _Exit(2, f"too large: the host graph would have v = {v} vertices, above "
+                       f"the limit of {MAX_V}")
 
 
-def _parse_grid_arg(text: str) -> GridGraph:
+@contextlib.contextmanager
+def _writing(what: str):
+    """Turn an OSError of the writes in the block into exit 2.  The block calls
+    the writers by name, so a rebinding of one (the benchmark's tracer) sees it."""
     try:
-        k_str, m_str = text.split(",")
-        return build_grid(int(k_str), int(m_str))
-    except ValueError as exc:
-        raise InvalidParametersError(f"bad --grid value {text!r}: {exc}") from exc
+        yield
+    except OSError as exc:
+        raise _Exit(2, f"cannot write {what}: {exc}")
 
 
-def cmd_construct(args) -> int:
+def _read_checked(path: str):
+    """The labeling, d and stated alpha block of the certificate at path, and
+    check_d_graceful's report; exit 2 if it cannot be read or d does not divide e."""
+    try:
+        labeling, d, alpha = read_labeling(path)
+    except (OSError, CertificateError) as exc:
+        raise _Exit(2, f"cannot read certificate: {exc}")
+    try:
+        report = check_d_graceful(labeling, d)
+    except InvalidParametersError as exc:
+        raise _Exit(2, f"invalid parameters: {exc}")
+    return labeling, d, alpha, report
+
+
+def cmd_construct(args) -> None:
     family = FAMILIES[args.family]
     d = family.divisor(args.m)
     try:
         e = build_grid(args.k, args.m).num_edges
     except ValueError as exc:
-        return _fail(2, f"invalid parameters: {exc}")
-    v = MultipartiteSpec.host(e, d, 1).v
-    if v > MAX_V:
-        return _too_large(v)
+        raise _Exit(2, f"invalid parameters: {exc}")
+    _check_host_size(MultipartiteSpec.host(e, d, 1).v)
     try:
         labeling = construct(args.k, args.m, family)
     except ConstructionError as exc:
-        return _fail(1, f"construction failed verification: {exc}")
+        raise _Exit(1, f"construction failed verification: {exc}")
     # construct has verified the labeling and kept its alpha certificate
-    alpha = labeling.alpha_cert
-    try:
-        write_labeling(args.out, labeling, d, alpha)
-    except OSError as exc:
-        return _fail(2, f"cannot write certificate: {exc}")
+    with _writing("certificate"):
+        write_labeling(args.out, labeling, d, labeling.alpha_cert)
     print(f"wrote {args.out}: C_{{{4 * args.k}}}xP_{args.m}, d={d}, "
           f"labels in [0,{d * (e // d + 1) - 1}]")
     if args.dot:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot_export(labeling))
-        except OSError as exc:
-            return _fail(2, f"cannot write DOT file: {exc}")
+        with _writing("DOT file"), open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(dot_export(labeling))
         print(f"wrote {args.dot}")
-    return 0
 
 
-def cmd_verify(args) -> int:
-    try:
-        labeling, d, alpha = read_labeling(args.certificate)
-    except (OSError, CertificateError) as exc:
-        return _fail(2, f"cannot read certificate: {exc}")
+def cmd_verify(args) -> None:
+    labeling, d, alpha, report = _read_checked(args.certificate)
     g = labeling.graph
-    try:
-        report = check_d_graceful(labeling, d)
-    except InvalidParametersError as exc:
-        return _fail(2, f"invalid parameters: {exc}")
     e = g.num_edges
     print(f"graph: {g.num_vertices} vertices, {e} edges; d={d}, q={e // d}")
     if not report:
         print(f"INVALID ({report.describe()})")
-        return 1
+        raise _Exit(1)
     print("labeling: valid")
     if args.alpha or alpha is not None:
         own = labeling.alpha_cert
         if own is None:
             print("INVALID (alpha-boundary-violation)")
-            return 1
+            raise _Exit(1)
         if alpha is not None and alpha != own:
             print(f"INVALID (alpha-block-mismatch: stated boundary {alpha.boundary})")
-            return 1
+            raise _Exit(1)
         print(f"alpha: valid, boundary {own.boundary}")
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     if args.n < 1:
-        return _fail(2, f"--n must be >= 1, got {args.n}")
-    try:
-        labeling, d, alpha = read_labeling(args.infile)
-    except (OSError, CertificateError) as exc:
-        return _fail(2, f"cannot read certificate: {exc}")
-    g = labeling.graph
-    try:
-        report = check_d_graceful(labeling, d)
-    except InvalidParametersError as exc:
-        return _fail(2, f"invalid parameters: {exc}")
+        raise _Exit(2, f"--n must be >= 1, got {args.n}")
+    labeling, d, alpha, report = _read_checked(args.infile)
     if not report:
-        return _fail(1, f"labeling does not verify: {report.describe()}")
-    v = MultipartiteSpec.host(g.num_edges, d, args.n).v
-    if v > MAX_V:
-        return _too_large(v)
+        raise _Exit(1, f"labeling does not verify: {report.describe()}")
+    g = labeling.graph
+    _check_host_size(MultipartiteSpec.host(g.num_edges, d, args.n).v)
     if alpha is not None and alpha != labeling.alpha_cert:
-        return _fail(1, f"stated alpha block does not verify (alpha-block-mismatch: "
-                        f"stated boundary {alpha.boundary})")
+        raise _Exit(1, f"stated alpha block does not verify (alpha-block-mismatch: "
+                       f"stated boundary {alpha.boundary})")
     if args.n > 1 and labeling.alpha_cert is None:
-        return _fail(1, "alpha condition fails, cannot decompose with n > 1")
+        raise _Exit(1, "alpha condition fails, cannot decompose with n > 1")
     dec = base_blocks(labeling, d, args.n)
     if args.full_check:
         if dec.spec.v > DECOMPOSE_FULL_CHECK_MAX_V:
-            return _fail(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
-                            f" (here v = {dec.spec.v}); drop --full-check to verify by"
-                            " difference classes")
+            raise _Exit(2, f"--full-check is limited to v <= {DECOMPOSE_FULL_CHECK_MAX_V}"
+                           f" (here v = {dec.spec.v}); drop --full-check to verify by"
+                           " difference classes")
         result = verify_decomposition(dec)
     else:
         result = check_difference_classes(dec)
     if not result:
-        return _fail(1, f"decomposition does not verify: {result.describe()}")
+        raise _Exit(1, f"decomposition does not verify: {result.describe()}")
     if args.full_check:
         edges = dec.spec.edge_count
         print(f"{dec.spec.describe()}: {edges}/{edges} edges covered exactly once")
     else:
         print(f"{dec.spec.describe()}: {dec.n * g.num_edges} difference classes verified")
-    try:
+    with _writing("decomposition"):
         write_json(args.out, decomposition_to_obj(dec))
-    except OSError as exc:
-        return _fail(2, f"cannot write decomposition: {exc}")
     print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> None:
     if args.limit < 0:
-        return _fail(2, f"--limit must be >= 0, got {args.limit}")
+        raise _Exit(2, f"--limit must be >= 0, got {args.limit}")
     if args.grid is not None:
         try:
-            g = _parse_grid_arg(args.grid)
-        except InvalidParametersError as exc:
-            return _fail(2, str(exc))
+            k_str, m_str = args.grid.split(",")
+            g = build_grid(int(k_str), int(m_str))
+        except ValueError as exc:
+            raise _Exit(2, f"bad --grid value {args.grid!r}: {exc}")
     else:
         try:
             g = graph_from_obj(read_json(args.graph))
         except (OSError, CertificateError) as exc:
-            return _fail(2, f"cannot read graph: {exc}")
+            raise _Exit(2, f"cannot read graph: {exc}")
     cfg = SearchConfig(d=args.d, alpha_only=args.alpha, max_results=args.limit)
     if args.count:
         cfg = dataclasses.replace(cfg, store_limit=0)
     try:
         result = search(g, cfg)
     except InvalidParametersError as exc:
-        return _fail(2, str(exc))
+        raise _Exit(2, str(exc))
     if args.count:
         print(result.count)
-        return 0
+        return
     for labeling in result.labelings:
         alpha = labeling.alpha_cert if args.alpha else None
         print(json.dumps(labeling_to_obj(labeling, args.d, alpha),
@@ -203,15 +191,13 @@ def cmd_search(args) -> int:
         print(f"listed {len(result.labelings)} of {result.count} labelings; use "
               "--limit N to list the first N or --count to count them all",
               file=sys.stderr)
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> None:
     if args.kmax < 1 or args.mmax < 2 or args.n < 1:
-        return _fail(2, "need --kmax >= 1, --mmax >= 2, --n >= 1")
-    v = max(target.spec.v for target in proposition_table(args.kmax, args.mmax, args.n))
-    if v > MAX_V:
-        return _too_large(v)
+        raise _Exit(2, "need --kmax >= 1, --mmax >= 2, --n >= 1")
+    _check_host_size(max(target.spec.v
+                    for target in proposition_table(args.kmax, args.mmax, args.n)))
     any_failed = False
     for k in range(1, args.kmax + 1):
         for m in range(2, args.mmax + 1):
@@ -231,7 +217,8 @@ def cmd_table(args) -> int:
                     any_failed = True
                 cells.append(f"{target.spec.describe()}: {status}")
             print(f"k={k} m={m}  " + "  ".join(cells))
-    return 1 if any_failed else 0
+    if any_failed:
+        raise _Exit(1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,7 +276,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        globals()[f"cmd_{args.command}"](args)
+    except _Exit as exc:
+        if exc.message:
+            print(exc.message, file=sys.stderr)
+        return exc.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ an edge's class is min(c, v - c) for c = |a - b|, with no modulo, and
 lies in [0, v/2]; one bincount over v/2 + 1 slots then shows a zero or
 forbidden class (a count at a multiple of the part count) and a repeat.
 Only a failing input pays for the modulo and the stable argsort (the
-labeling checker's _first_repeat) that report the first zero, forbidden
+labeling checker's _first_fault) that report the first zero, forbidden
 or repeated class in block-then-edge order.  Distinct allowed classes
 leave one missing exactly when there are fewer of them than allowed
 classes, and then the smallest missing one is reported.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .checking import (CheckReport, InvalidParametersError, Labeling, _first_repeat,
+from .checking import (CheckReport, InvalidParametersError, Labeling, _first_fault,
                        check_d_graceful)
 from .constructions import F1, F2, F4, Family
 from .grids import Graph, build_grid
@@ -51,6 +51,15 @@ from .grids import Graph, build_grid
 # cells compared at once: this bounds verify_decomposition's working set
 # beside its v x v count matrix.
 PAIR_BUDGET = 1 << 16
+
+
+# Largest host graph that construct, decompose and table take on, in
+# vertices v = 2dn(q+1) of K_{(q+1) x 2dn} (n = 1 for construct).  It
+# bounds every array they build: a labeling's labels and edges, and n
+# base blocks' labels, edges and difference classes, each stay below v.
+# At the limit construct peaks near 220 MiB and decompose near 400 MiB;
+# the inputs the benchmark and the tests use stay below v = 70000.
+MAX_V = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -221,8 +230,7 @@ def check_difference_classes(dec: Decomposition) -> CheckReport:
     counts = np.bincount(cls, minlength=half + 1)
     # slots 0, parts, 2 parts, ... are the zero and forbidden classes
     if counts[::parts].any() or counts.max() > 1:
-        bad = np.flatnonzero(cls % parts == 0)
-        pos = min(int(bad[0]) if bad.size else cls.size, _first_repeat(cls))
+        pos = _first_fault(cls, cls % parts == 0)
         b_idx, edge = divmod(pos, edge_idx.shape[0])
         c = int(cls[pos])
         if c == 0:

@@ -482,6 +482,150 @@ def test_edgeless_graph_with_a_huge_divisor(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def _planted(*args):
+    return checking.CheckReport(False, "planted", (1, 2))
+
+
+def _raise_construction_error(*args):
+    raise cli.ConstructionError("planted")
+
+
+_PRISM_STDOUT = "graph: 8 vertices, 12 edges; d=3, q=4\n"
+_NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
+_TOO_LARGE = "too large: the host graph would have v = {} vertices, above the limit of 4000000"
+
+# Every failure exit of the command line: (argv, exit code, stdout, the one
+# stderr line or "" for none), with "{tmp}" the test's directory and an
+# optional (name, replacement) to set on cli first.  In that directory
+# c.json is the F1 prism certificate, dup.json the same labels with
+# labels[0] = labels[1], lambda7.json its alpha block with lambda 7, d5.json
+# its labels with d = 5, triangle.json the graceful but not alpha triangle
+# 0, 1, 3, and edgeless.json a graph descriptor of two vertices and no edge.
+FAILURE_EXITS = {
+    "construct-invalid-parameters": (
+        ["construct", "--k", "0", "--m", "2", "--family", "f1", "--out", "{tmp}/x.json"],
+        2, "", "invalid parameters: k must be >= 1, got 0"),
+    "construct-too-large": (
+        ["construct", "--k", str(10 ** 9), "--m", "2", "--family", "f1",
+         "--out", "{tmp}/x.json"],
+        2, "", _TOO_LARGE.format(24000000006)),
+    "construct-fails-verification": (
+        ["construct", "--k", "1", "--m", "2", "--family", "f1", "--out", "{tmp}/x.json"],
+        1, "", "construction failed verification: planted",
+        ("construct", _raise_construction_error)),
+    "construct-cannot-write-certificate": (
+        ["construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", "{tmp}/missing/x.json"],
+        2, "", "cannot write certificate: " + _NO_FILE + "missing/x.json'"),
+    "construct-cannot-write-dot": (
+        ["construct", "--k", "1", "--m", "2", "--family", "f1", "--out", "{tmp}/x.json",
+         "--dot", "{tmp}/missing/x.dot"],
+        2, "wrote {tmp}/x.json: C_{{4}}xP_2, d=3, labels in [0,14]\n",
+        "cannot write DOT file: " + _NO_FILE + "missing/x.dot'"),
+    "verify-cannot-read": (
+        ["verify", "{tmp}/absent.json"],
+        2, "", "cannot read certificate: " + _NO_FILE + "absent.json'"),
+    "verify-invalid-parameters": (
+        ["verify", "{tmp}/d5.json"], 2, "", "invalid parameters: d=5 does not divide e=12"),
+    "verify-invalid-labeling": (
+        ["verify", "{tmp}/dup.json"],
+        1, _PRISM_STDOUT + "INVALID (duplicate-label: (0, 1, 5))\n", ""),
+    "verify-no-alpha": (
+        ["verify", "{tmp}/triangle.json", "--alpha"],
+        1, "graph: 3 vertices, 3 edges; d=1, q=3\nlabeling: valid\n"
+           "INVALID (alpha-boundary-violation)\n", ""),
+    "verify-alpha-mismatch": (
+        ["verify", "{tmp}/lambda7.json"],
+        1, _PRISM_STDOUT + "labeling: valid\n"
+           "INVALID (alpha-block-mismatch: stated boundary 7)\n", ""),
+    "decompose-bad-n": (
+        ["decompose", "--in", "{tmp}/c.json", "--n", "0", "--out", "{tmp}/d.json"],
+        2, "", "--n must be >= 1, got 0"),
+    "decompose-cannot-read": (
+        ["decompose", "--in", "{tmp}/absent.json", "--n", "1", "--out", "{tmp}/d.json"],
+        2, "", "cannot read certificate: " + _NO_FILE + "absent.json'"),
+    "decompose-invalid-parameters": (
+        ["decompose", "--in", "{tmp}/d5.json", "--n", "1", "--out", "{tmp}/d.json"],
+        2, "", "invalid parameters: d=5 does not divide e=12"),
+    "decompose-invalid-labeling": (
+        ["decompose", "--in", "{tmp}/dup.json", "--n", "1", "--out", "{tmp}/d.json"],
+        1, "", "labeling does not verify: duplicate-label: (0, 1, 5)"),
+    "decompose-too-large": (
+        ["decompose", "--in", "{tmp}/c.json", "--n", str(10 ** 9), "--out", "{tmp}/d.json"],
+        2, "", _TOO_LARGE.format(30000000000)),
+    "decompose-alpha-mismatch": (
+        ["decompose", "--in", "{tmp}/lambda7.json", "--n", "1", "--out", "{tmp}/d.json"],
+        1, "", "stated alpha block does not verify (alpha-block-mismatch: "
+               "stated boundary 7)"),
+    "decompose-no-alpha": (
+        ["decompose", "--in", "{tmp}/triangle.json", "--n", "2", "--out", "{tmp}/d.json"],
+        1, "", "alpha condition fails, cannot decompose with n > 1"),
+    "decompose-full-check-limit": (
+        ["decompose", "--in", "{tmp}/c.json", "--n", "1", "--full-check",
+         "--out", "{tmp}/d.json"],
+        2, "", "--full-check is limited to v <= 29 (here v = 30); drop --full-check "
+               "to verify by difference classes",
+        ("DECOMPOSE_FULL_CHECK_MAX_V", 29)),
+    "decompose-fails-verification": (
+        ["decompose", "--in", "{tmp}/c.json", "--n", "1", "--out", "{tmp}/d.json"],
+        1, "", "decomposition does not verify: planted: (1, 2)",
+        ("check_difference_classes", _planted)),
+    "decompose-cannot-write": (
+        ["decompose", "--in", "{tmp}/c.json", "--n", "1", "--out", "{tmp}/missing/d.json"],
+        2, "K_{{5x6}}: 12 difference classes verified\n",
+        "cannot write decomposition: " + _NO_FILE + "missing/d.json'"),
+    "search-negative-limit": (
+        ["search", "--grid", "1,2", "--d", "3", "--limit", "-1"],
+        2, "", "--limit must be >= 0, got -1"),
+    "search-bad-grid": (
+        ["search", "--grid", "1x2", "--d", "3"],
+        2, "", "bad --grid value '1x2': not enough values to unpack (expected 2, got 1)"),
+    "search-cannot-read": (
+        ["search", "--graph", "{tmp}/absent.json", "--d", "3"],
+        2, "", "cannot read graph: " + _NO_FILE + "absent.json'"),
+    "search-invalid-divisor": (
+        ["search", "--grid", "1,2", "--d", "5", "--count"],
+        2, "", "d=5 does not divide e=12"),
+    "search-size-cap": (
+        ["search", "--graph", "{tmp}/edgeless.json", "--d", "4096", "--count"],
+        2, "", "search is limited to e + d <= 2048, got e = 0 and d = 4096"),
+    "table-bad-range": (
+        ["table", "--kmax", "0", "--mmax", "2", "--n", "1"],
+        2, "", "need --kmax >= 1, --mmax >= 2, --n >= 1"),
+    "table-too-large": (
+        ["table", "--kmax", "1", "--mmax", "2", "--n", str(10 ** 9)],
+        2, "", _TOO_LARGE.format(48000000000)),
+    "table-fails-verification": (
+        ["table", "--kmax", "1", "--mmax", "2", "--n", "1"],
+        1, "k=1 m=2  K_{{5x6}}: FAILED  K_{{3x12}}: FAILED  K_{{2x24}}: FAILED\n", "",
+        ("verify_decomposition", _planted)),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_EXITS)
+def test_every_failure_exit(tmp_path, capsys, monkeypatch, name):
+    argv, code, stdout, line, *patch = FAILURE_EXITS[name]
+    _run(capsys, "construct", "--k", "1", "--m", "2", "--family", "f1",
+         "--out", str(tmp_path / "c.json"))
+    obj = json.loads((tmp_path / "c.json").read_text())
+    triangle = {"kind": "simple", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+    plain = {key: obj[key] for key in ("graph", "d", "labels")}
+    inputs = {
+        "dup.json": dict(plain, labels=[obj["labels"][1]] + obj["labels"][1:]),
+        "lambda7.json": dict(obj, alpha=dict(obj["alpha"], **{"lambda": 7})),
+        "d5.json": dict(plain, d=5),
+        "triangle.json": {"graph": triangle, "d": 1, "labels": [0, 1, 3]},
+        "edgeless.json": {"kind": "simple", "n": 2, "edges": []},
+    }
+    for file, content in inputs.items():
+        (tmp_path / file).write_text(json.dumps(content))
+    for attr, value in patch:
+        monkeypatch.setattr(cli, attr, value)
+    tmp = str(tmp_path)
+    assert _run(capsys, *(arg.format(tmp=tmp) for arg in argv)) == \
+        (code, stdout.format(tmp=tmp), line.format(tmp=tmp) + "\n" if line else "")
+
+
 def _rebind(monkeypatch, original, replacement):
     """Replace original under every name that any divgrace module binds it to."""
     for name, mod in list(sys.modules.items()):
