@@ -11,8 +11,8 @@ any verified labeling, and carries an exhaustive search oracle that
 double-checks everything by brute force on small instances.
 """
 
-from .checking import (AlphaCert, CheckReport, DParams, InvalidParametersError,
-                       Labeling, check_alpha, check_d_graceful, d_params)
+from .checking import (CheckReport, DParams, InvalidParametersError, Labeling,
+                       check_alpha, check_d_graceful, d_params)
 from .constructions import (F1, F2, F4, FAMILIES, ConstructionError, Family,
                             SeedMismatchError, construct, extend, layer_pattern,
                             prism_labeling, seed_matches)
@@ -26,7 +26,7 @@ from .oracle import (SearchConfig, SearchResult, cross_validate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaCert", "CheckReport", "ConstructionError", "DParams",
+    "CheckReport", "ConstructionError", "DParams",
     "Decomposition", "DecompositionTarget", "F1", "F2", "F4", "FAMILIES",
     "Family", "GridGraph", "InvalidParametersError", "Labeling",
     "MultipartiteSpec", "SearchConfig",

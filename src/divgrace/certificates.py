@@ -4,20 +4,20 @@ Certificates are plain JSON with a fixed key order so that write/read
 round-trips are byte-identical: `dumps` produces exactly the bytes of
 `json.dumps(obj, indent=2)` plus a final newline.  A labeling
 certificate names its graph, the divisor d and the labels in canonical
-vertex order, plus an optional alpha block: the low class as sorted
-vertex indices and the boundary lambda (the high class is the rest).  A
+vertex order, plus an optional alpha block: the boundary lambda and the
+low class, the vertices labelled at or below it, as sorted indices.  The
+writer derives the block from the labeling's own boundary; the reader
+returns a stated block as (lambda, sorted low class array).  A
 decomposition certificate records q, d, n, v and the base blocks, one
-label list per row of the blocks array.  The writers write the int64
-arrays a labeling, its alpha certificate and a decomposition hold, each
-through one .tolist(); the reader converts each list once into such an
-array, after checking its JSON types.  Every number a reader accepts
-must be a JSON integer, and every sequence a JSON list; anything else
-raises CertificateError, as do a file larger than MAX_FILE_BYTES (refused
-before it is read), a file that is not UTF-8 or nests too deeply to
-decode, and a low class that repeats an index or names one
-outside the graph.  DOT output has one node statement per
-vertex (labeled with the f-value) and one edge statement per edge,
-both in canonical order.
+label list per row of the blocks array.  The writers write int64
+arrays, each through one .tolist(); the reader converts each list once
+into such an array, after checking its JSON types.  Every number a
+reader accepts must be a JSON integer, and every sequence a JSON list;
+anything else raises CertificateError, as do a file larger than
+MAX_FILE_BYTES, a file that is not UTF-8 or nests too deeply to decode,
+and a low class that repeats an index or names one outside the graph.
+DOT output has one node statement per vertex (labeled with the f-value)
+and one edge statement per edge, both in canonical order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import json
 import os
 from pathlib import Path
 
-from .checking import AlphaCert, Labeling, _int_array
+import numpy as np
+
+from .checking import Labeling, _int_array
 from .decomp import MAX_V, Decomposition
 from .grids import Graph, GridGraph, SimpleGraph, build_grid
 
@@ -84,21 +86,27 @@ def graph_from_obj(obj) -> Graph:
     raise CertificateError(f"unknown graph kind {kind!r}")
 
 
-def labeling_to_obj(f: Labeling, d: int, alpha: AlphaCert | None = None) -> dict:
+def labeling_to_obj(f: Labeling, d: int, alpha: bool = False) -> dict:
+    """The certificate of f at d; with alpha, also f's own alpha block."""
     obj = {
         "graph": graph_to_obj(f.graph),
         "d": int(d),
         "labels": f.array.tolist(),
     }
-    if alpha is not None:
+    if alpha:
+        boundary = f.alpha_boundary
+        if boundary is None:
+            raise ValueError("the labeling has no alpha boundary")
         obj["alpha"] = {
-            "low_class": alpha.low_class.tolist(),
-            "lambda": int(alpha.boundary),
+            "low_class": np.flatnonzero(f.array <= boundary).tolist(),
+            "lambda": boundary,
         }
     return obj
 
 
-def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
+def labeling_from_obj(obj) -> tuple[Labeling, int, tuple[int, np.ndarray] | None]:
+    """The labeling, d and stated alpha block (lambda, sorted low class)
+    of a certificate; the block is None when the certificate has none."""
     if not isinstance(obj, dict):
         raise CertificateError("certificate must be a JSON object")
     for key in ("graph", "d", "labels"):
@@ -120,14 +128,14 @@ def labeling_from_obj(obj) -> tuple[Labeling, int, AlphaCert | None]:
         boundary = _int(block["lambda"], "lambda")
         outside = f"bad alpha block: low_class indices must lie in [0, {graph.num_vertices})"
         try:
-            alpha = AlphaCert(low, boundary)
+            indices = np.sort(np.array(low, dtype=np.int64))
         except OverflowError:
             raise CertificateError(outside) from None
-        indices = alpha.low_class  # sorted
         if indices.size and not 0 <= indices[0] <= indices[-1] < graph.num_vertices:
             raise CertificateError(outside)
         if (indices[1:] == indices[:-1]).any():
             raise CertificateError("bad alpha block: low_class repeats an index")
+        alpha = boundary, indices
     return labeling, d, alpha
 
 
@@ -203,11 +211,18 @@ MAX_FILE_BYTES = 78 * (MAX_V // 2) + 4096
 
 def read_json(path: str | Path):
     with open(path, "rb") as fh:
-        # a file is refused by its size before it is read.  The one read
-        # asks for a byte past the file's size, or past the limit for a
-        # pipe, which reports size 0: a read allocates all it asks for.
+        # a file is refused by its size before it is read, and otherwise read
+        # at once, asking for a byte past its size.  A pipe reports size 0,
+        # and a read allocates all it asks for, so a pipe is read in pieces
+        # of 64 KiB, up to a byte past the limit.
         size = os.fstat(fh.fileno()).st_size
-        data = b"" if size > MAX_FILE_BYTES else fh.read((size or MAX_FILE_BYTES) + 1)
+        if size:
+            data = b"" if size > MAX_FILE_BYTES else fh.read(size + 1)
+        else:
+            data = bytearray()
+            while len(data) <= MAX_FILE_BYTES and (
+                    piece := fh.read(min(1 << 16, MAX_FILE_BYTES + 1 - len(data)))):
+                data += piece
     if size > MAX_FILE_BYTES or len(data) > MAX_FILE_BYTES:
         raise CertificateError(f"file too large: more than {MAX_FILE_BYTES} bytes")
     # a bad encoding, bad JSON and a number past Python's int-string
@@ -218,12 +233,11 @@ def read_json(path: str | Path):
         raise CertificateError(f"not valid JSON: {exc}") from exc
 
 
-def read_labeling(path: str | Path) -> tuple[Labeling, int, AlphaCert | None]:
+def read_labeling(path: str | Path) -> tuple[Labeling, int, tuple[int, np.ndarray] | None]:
     return labeling_from_obj(read_json(path))
 
 
-def write_labeling(path: str | Path, f: Labeling, d: int,
-                   alpha: AlphaCert | None = None) -> None:
+def write_labeling(path: str | Path, f: Labeling, d: int, alpha: bool = False) -> None:
     write_json(path, labeling_to_obj(f, d, alpha))
 
 

@@ -9,11 +9,11 @@ differences are exactly the odd numbers below 2e.
 
 The alpha condition is Rosa's: some boundary lambda has
 min f(u) <= lambda < max f(u) on every edge uw.  The smallest such
-lambda is the largest lower end of an edge.  An AlphaCert holds the
-low class {u : f(u) <= lambda}, as sorted vertex indices, and lambda;
-the high class is the rest of the vertices.  The condition makes the
-low and high classes a proper 2-coloring, so a graph that is not
-bipartite has no alpha-labeling.
+lambda is the largest lower end of an edge, and it is the whole
+certificate: the low class is {u : f(u) <= lambda}, the high class the
+rest of the vertices.  The condition makes the low and high classes a
+proper 2-coloring, so a graph that is not bipartite has no
+alpha-labeling.
 
 A Labeling holds its graph and its labels as one read-only int64
 array, the only stored form, so the checkers take the labeling alone
@@ -128,7 +128,7 @@ class Labeling:
         return set()
 
     @functools.cached_property
-    def alpha_cert(self) -> AlphaCert | None:
+    def alpha_boundary(self) -> int | None:
         """check_alpha's answer for this labeling, found on first use and
         kept; construct's own check fills it, so the certificate that
         construct and table then build needs no second check."""
@@ -159,42 +159,6 @@ class CheckReport:
         if self.witness is None:
             return self.reason or "fail"
         return f"{self.reason}: {self.witness}"
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class AlphaCert:
-    """Witness of the alpha condition: the low class and its boundary.
-
-    The low class is held as `low_class`, its vertex indices in a sorted
-    read-only int64 array, whatever order they were given in, so two
-    certificates of one split compare equal.  `low` is the same class as
-    a frozenset, built on first use.  The high class is every other
-    vertex; it is not stored.
-    """
-
-    low_class: np.ndarray
-    boundary: int
-
-    def __init__(self, low, boundary: int) -> None:
-        if isinstance(low, (set, frozenset)):
-            low = list(low)
-        low_class = np.sort(np.asarray(low, dtype=np.int64))
-        low_class.setflags(write=False)
-        object.__setattr__(self, "low_class", low_class)
-        object.__setattr__(self, "boundary", boundary)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlphaCert):
-            return NotImplemented
-        return (self.boundary == other.boundary
-                and np.array_equal(self.low_class, other.low_class))
-
-    def __hash__(self) -> int:
-        return hash((self.boundary, self.low_class.tobytes()))
-
-    @functools.cached_property
-    def low(self) -> frozenset[int]:
-        return frozenset(self.low_class.tolist())
 
 
 def _first_fault(values: np.ndarray, bad: np.ndarray) -> int:
@@ -265,11 +229,13 @@ def check_d_graceful(f: Labeling, d: int) -> CheckReport:
     return CheckReport(True)
 
 
-def check_alpha(f: Labeling) -> AlphaCert | None:
-    """Rosa's alpha condition on f.graph; None if no boundary works.
+def check_alpha(f: Labeling) -> int | None:
+    """Rosa's alpha condition on f.graph: the boundary lambda, or None if
+    no boundary works.
 
     The boundary is the largest lower end of an edge, or the largest
-    label on a graph without edges, where every vertex is low.
+    label on a graph without edges, where every vertex is low.  It may
+    be 0, so test the answer with `is None`.
     """
     labels = f.array
     edges = f.graph.edge_indices()
@@ -278,4 +244,4 @@ def check_alpha(f: Labeling) -> AlphaCert | None:
     boundary = lower.max() if lower.size else labels.max()
     if upper.size and boundary >= upper.min():
         return None
-    return AlphaCert(np.flatnonzero(labels <= boundary), int(boundary))
+    return int(boundary)

@@ -6,10 +6,11 @@ command raises _Exit; main prints its message, if any, as one stderr line
 and returns its code, and what the command already printed stays.  Each
 command verifies what it writes once: construct through construct's own
 check, decompose and table through check_d_graceful, whose pass
-base_blocks then reuses; all read the alpha certificate a labeling
-keeps (Labeling.alpha_cert).  verify is the independent re-check of a
-labeling from its file; it and decompose refuse a stated alpha block
-other than the labeling's own.
+base_blocks then reuses; all read the alpha boundary a labeling keeps
+(Labeling.alpha_boundary), and construct and search --alpha write the
+block it gives.  verify is the independent re-check of a labeling from
+its file; it and decompose refuse a stated alpha block other than the
+labeling's own (_is_own_block).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import dataclasses
 import functools
 import json
 import sys
+
+import numpy as np
 
 from .certificates import (CertificateError, decomposition_to_obj, dot_export,
                            graph_from_obj, labeling_to_obj, read_json,
@@ -82,6 +85,15 @@ def _read_checked(path: str):
     return labeling, d, alpha, report
 
 
+def _is_own_block(labeling, alpha) -> bool:
+    """Whether a stated alpha block, (lambda, sorted low class), is the
+    labeling's own: its boundary and the vertices labelled at or below it."""
+    boundary, low_class = alpha
+    own = labeling.alpha_boundary
+    return (own is not None and boundary == own
+            and np.array_equal(low_class, np.flatnonzero(labeling.array <= own)))
+
+
 def cmd_construct(args) -> None:
     family = FAMILIES[args.family]
     d = family.divisor(args.m)
@@ -94,9 +106,9 @@ def cmd_construct(args) -> None:
         labeling = construct(args.k, args.m, family)
     except ConstructionError as exc:
         raise _Exit(1, f"construction failed verification: {exc}")
-    # construct has verified the labeling and kept its alpha certificate
+    # construct has verified the labeling and kept its alpha boundary
     with _writing("certificate"):
-        write_labeling(args.out, labeling, d, labeling.alpha_cert)
+        write_labeling(args.out, labeling, d, alpha=True)
     print(f"wrote {args.out}: C_{{{4 * args.k}}}xP_{args.m}, d={d}, "
           f"labels in [0,{d * (e // d + 1) - 1}]")
     if args.dot:
@@ -115,14 +127,14 @@ def cmd_verify(args) -> None:
         raise _Exit(1)
     print("labeling: valid")
     if args.alpha or alpha is not None:
-        own = labeling.alpha_cert
+        own = labeling.alpha_boundary
         if own is None:
             print("INVALID (alpha-boundary-violation)")
             raise _Exit(1)
-        if alpha is not None and alpha != own:
-            print(f"INVALID (alpha-block-mismatch: stated boundary {alpha.boundary})")
+        if alpha is not None and not _is_own_block(labeling, alpha):
+            print(f"INVALID (alpha-block-mismatch: stated boundary {alpha[0]})")
             raise _Exit(1)
-        print(f"alpha: valid, boundary {own.boundary}")
+        print(f"alpha: valid, boundary {own}")
 
 
 def cmd_decompose(args) -> None:
@@ -133,10 +145,10 @@ def cmd_decompose(args) -> None:
         raise _Exit(1, f"labeling does not verify: {report.describe()}")
     g = labeling.graph
     _check_host_size(MultipartiteSpec.host(g.num_edges, d, args.n).v)
-    if alpha is not None and alpha != labeling.alpha_cert:
+    if alpha is not None and not _is_own_block(labeling, alpha):
         raise _Exit(1, f"stated alpha block does not verify (alpha-block-mismatch: "
-                       f"stated boundary {alpha.boundary})")
-    if args.n > 1 and labeling.alpha_cert is None:
+                       f"stated boundary {alpha[0]})")
+    if args.n > 1 and labeling.alpha_boundary is None:
         raise _Exit(1, "alpha condition fails, cannot decompose with n > 1")
     dec = base_blocks(labeling, d, args.n)
     if args.full_check:
@@ -184,8 +196,7 @@ def cmd_search(args) -> None:
         print(result.count)
         return
     for labeling in result.labelings:
-        alpha = labeling.alpha_cert if args.alpha else None
-        print(json.dumps(labeling_to_obj(labeling, args.d, alpha),
+        print(json.dumps(labeling_to_obj(labeling, args.d, args.alpha),
                          separators=(",", ":")))
     if result.count > len(result.labelings):
         print(f"listed {len(result.labelings)} of {result.count} labelings; use "

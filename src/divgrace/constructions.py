@@ -110,7 +110,8 @@ def prism_labeling(k: int, variant: int) -> Labeling:
     """
     family = next((f for f in FAMILIES.values() if f.divisor(2) == variant), None)
     if family is None:
-        raise ValueError(f"variant must be 3, 6 or 12, got {variant}")
+        *rest, last = (str(f.divisor(2)) for f in FAMILIES.values())
+        raise ValueError(f"variant must be {', '.join(rest)} or {last}, got {variant}")
     return construct(k, 2, family)
 
 
@@ -191,5 +192,5 @@ def _verify(lab: Labeling, d: int, where: str) -> None:
     report = check_d_graceful(lab, d)
     if not report:
         raise ConstructionError(f"{where}: {report.describe()}")
-    if lab.alpha_cert is None:
+    if lab.alpha_boundary is None:
         raise ConstructionError(f"{where}: alpha boundary violated")

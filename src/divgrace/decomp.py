@@ -44,7 +44,7 @@ import numpy as np
 from . import _kernels
 from .checking import (CheckReport, InvalidParametersError, Labeling, _first_fault,
                        check_d_graceful)
-from .constructions import F1, F2, F4, Family
+from .constructions import FAMILIES, Family
 from .grids import Graph, build_grid
 
 # Translated edges gathered, checked and counted at once, and count-matrix
@@ -103,7 +103,7 @@ def base_blocks(f: Labeling, d: int, n: int) -> Decomposition:
 
     The labeling is checked here unless check_d_graceful has already
     passed it for this d (f.passed_d); n > 1 additionally requires its
-    alpha certificate (f.alpha_cert) because blocks j > 0 shift the
+    alpha boundary (f.alpha_boundary) because blocks j > 0 shift the
     whole high class, the labels above the boundary, up by j * d(q+1).
     """
     if n < 1:
@@ -115,9 +115,9 @@ def base_blocks(f: Labeling, d: int, n: int) -> Decomposition:
     spec = MultipartiteSpec.host(f.graph.num_edges, d, n)
     shift = np.arange(n, dtype=np.int64)[:, None] * (d * spec.parts)  # j * d(q+1)
     if n > 1:
-        if f.alpha_cert is None:
+        if f.alpha_boundary is None:
             raise ValueError("an alpha certificate is required for n > 1")
-        shift = shift * (f.array > f.alpha_cert.boundary)
+        shift = shift * (f.array > f.alpha_boundary)
     labels = f.array + shift
     labels.setflags(write=False)
     return Decomposition(spec=spec, graph=f.graph, d=d, n=n, q=spec.parts - 1,
@@ -258,7 +258,7 @@ class DecompositionTarget:
 
 
 def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
-    """The three decomposition targets reachable at (k, m, n), one per family.
+    """The decomposition targets reachable at (k, m, n), one per family of FAMILIES.
 
     Valid for every m >= 2; the m = 2 rows are the prism case.
     """
@@ -268,7 +268,7 @@ def proposition_table(k: int, m: int, n: int) -> list[DecompositionTarget]:
         raise InvalidParametersError(f"m must be >= 2, got {m}")
     e = build_grid(k, m).num_edges
     rows = []
-    for family in (F1, F2, F4):
+    for family in FAMILIES.values():
         d = family.divisor(m)
         spec = MultipartiteSpec.host(e, d, n)
         rows.append(DecompositionTarget(family=family, d=d, q=spec.parts - 1, spec=spec))

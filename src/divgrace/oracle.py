@@ -435,7 +435,7 @@ def cross_validate(f: Labeling, cfg: SearchConfig) -> CheckReport:
     """
     checker_ok = bool(check_d_graceful(f, cfg.d))
     if checker_ok and cfg.alpha_only:
-        checker_ok = f.alpha_cert is not None
+        checker_ok = f.alpha_boundary is not None
     engine_ok = engine_accepts(f, cfg)
     if checker_ok == engine_ok:
         return CheckReport(True, "agree-accept" if checker_ok else "agree-reject")

@@ -10,7 +10,7 @@ allowed differences, and a prism's differences split by edge role.
 
 from dataclasses import dataclass
 
-from divgrace import AlphaCert, CheckReport, GridGraph, d_params
+from divgrace import CheckReport, GridGraph, d_params
 
 
 def check_d_graceful(f, d):
@@ -49,8 +49,7 @@ def check_alpha(f):
     candidates = sorted(set(vals), reverse=not edges)
     for boundary in candidates:
         if all(min(a, b) <= boundary < max(a, b) for a, b in edges):
-            low = frozenset(v for v, x in enumerate(vals) if x <= boundary)
-            return AlphaCert(low=low, boundary=boundary)
+            return boundary
     return None
 
 

@@ -2,10 +2,10 @@
 certificate, and the dense exhaustive verifier.
 
 base_blocks builds the blocks the way divgrace.base_blocks once did,
-from a certificate passed beside the labeling: block j keeps every
-vertex of cert.low and shifts every other one up by j * d(q+1).  The
-package instead shifts the labels above the boundary of the labeling's
-own certificate; the two must give the same blocks.
+from a boundary passed beside the labeling: block j keeps every vertex
+of the low class {u : f(u) <= boundary} and shifts every other one up
+by j * d(q+1).  The package instead shifts the labels above the
+labeling's own boundary; the two must give the same blocks.
 
 check_difference_classes walks the blocks and their edges one at a time
 through a set, in the order the clauses are stated, so it serves as the
@@ -25,9 +25,10 @@ import numpy as np
 from divgrace import CheckReport, _kernels
 
 
-def base_blocks(f, cert, d, n):
+def base_blocks(f, boundary, d, n):
     span = d * (f.graph.num_edges // d + 1)
-    return [[x if u in cert.low else x + j * span for u, x in enumerate(f.values)]
+    low = {u for u, x in enumerate(f.values) if x <= boundary}
+    return [[x if u in low else x + j * span for u, x in enumerate(f.values)]
             for j in range(n)]
 
 

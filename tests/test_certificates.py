@@ -34,30 +34,30 @@ def test_simple_graph_round_trip():
 
 
 def test_labeling_obj_key_order(t8_labeling):
-    cert = check_alpha(t8_labeling)
-    obj = labeling_to_obj(t8_labeling, 3, cert)
+    obj = labeling_to_obj(t8_labeling, 3, alpha=True)
     assert list(obj) == ["graph", "d", "labels", "alpha"]
     assert obj["labels"] == [7, 5, 9, 6, 0, 14, 1, 12]
     assert obj["alpha"] == {"low_class": [1, 3, 4, 6], "lambda": 6}
 
 
 def test_labeling_round_trip(t8_labeling):
-    cert = check_alpha(t8_labeling)
-    obj = labeling_to_obj(t8_labeling, 3, cert)
+    boundary = check_alpha(t8_labeling)
+    obj = labeling_to_obj(t8_labeling, 3, alpha=True)
     lab, d, alpha = labeling_from_obj(json.loads(dumps(obj)))
     assert lab.values == t8_labeling.values
     assert lab.graph == t8_labeling.graph
     assert d == 3
-    assert alpha == cert
+    assert alpha[0] == boundary == 6
+    assert alpha[1].tolist() == np.flatnonzero(t8_labeling.array <= boundary).tolist()
 
 
 def test_file_round_trip_is_byte_identical(tmp_path, t8_labeling):
-    cert = check_alpha(t8_labeling)
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    write_labeling(first, t8_labeling, 3, cert)
+    write_labeling(first, t8_labeling, 3, alpha=True)
     lab, d, alpha = read_labeling(first)
-    write_labeling(second, lab, d, alpha)
+    assert alpha[0] == lab.alpha_boundary
+    write_labeling(second, lab, d, alpha=alpha is not None)
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().endswith("}\n")
 
@@ -67,6 +67,25 @@ def test_alpha_block_optional(t8_labeling):
     assert "alpha" not in obj
     _, _, alpha = labeling_from_obj(obj)
     assert alpha is None
+
+
+def test_a_stated_block_is_read_as_stated(t8_labeling):
+    # sorted, but neither checked against the labeling nor completed from it
+    obj = labeling_to_obj(t8_labeling, 3)
+    obj["alpha"] = {"low_class": [7, 2, 0], "lambda": 9}
+    _, _, (boundary, low_class) = labeling_from_obj(obj)
+    assert boundary == 9
+    assert low_class.dtype == np.int64 and low_class.tolist() == [0, 2, 7]
+
+
+def test_the_writer_writes_only_the_labelings_own_block(t8):
+    # graceful at d = 3, but edge (0, 1) holds labels 0, 1 and edge (1, 2)
+    # labels 1, 9, so no boundary exists
+    plain = Labeling(t8, (0, 1, 9, 13, 14, 8, 11, 2))
+    assert check_alpha(plain) is None
+    assert "alpha" not in labeling_to_obj(plain, 3)
+    with pytest.raises(ValueError, match="no alpha boundary"):
+        labeling_to_obj(plain, 3, alpha=True)
 
 
 def test_decomposition_round_trip(t8, t8_labeling):
@@ -176,8 +195,8 @@ def test_a_labeling_from_an_array_equals_one_from_a_list(tmp_path, t8, t8_labeli
     assert from_array.values[0] == 7
     assert check_alpha(from_array) == check_alpha(from_list)
     paths = tmp_path / "array.json", tmp_path / "list.json"
-    write_labeling(paths[0], from_array, 3, check_alpha(from_array))
-    write_labeling(paths[1], from_list, 3, check_alpha(from_list))
+    write_labeling(paths[0], from_array, 3, alpha=True)
+    write_labeling(paths[1], from_list, 3, alpha=True)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -261,6 +280,35 @@ def test_read_limit_holds_for_a_pipe(tmp_path, monkeypatch):
             writer.join(timeout=10)
             path.unlink()
         assert not writer.is_alive()
+
+
+def _read_through_a_fifo(path, payload):
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    try:
+        return read_json(path)
+    finally:
+        writer.join(timeout=10)
+        path.unlink()
+        assert not writer.is_alive()
+
+
+def test_a_pipe_is_read_in_pieces(tmp_path, t8_labeling):
+    # at the real limit, over 100 MB: one read of it all would allocate it
+    # before a byte arrived
+    assert certificates.MAX_FILE_BYTES > 10 ** 8
+    obj = labeling_to_obj(t8_labeling, 3, alpha=True)
+    tracemalloc.start()
+    try:
+        assert _read_through_a_fifo(tmp_path / "pipe", dumps(obj).encode()) == obj
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a payload of several pieces is read whole
+    long = [10 ** 9] * 30000
+    assert _read_through_a_fifo(tmp_path / "pipe", json.dumps(long).encode()) == long
 
 
 def test_dot_export_layout(t8_labeling):

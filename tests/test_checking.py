@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_checking as ref
-from divgrace import (F1, F2, F4, AlphaCert, InvalidParametersError, Labeling,
+from divgrace import (F1, F2, F4, InvalidParametersError, Labeling,
                       SimpleGraph, build_grid, check_alpha, check_d_graceful,
                       construct, d_params)
 from divgrace import checking
@@ -117,12 +117,17 @@ def test_labeling_validation(t8):
         Labeling(t8, (-1, 1, 2, 3, 4, 5, 6, 7))
 
 
+def _low_class(lab, boundary):
+    return np.flatnonzero(lab.array <= boundary).tolist()
+
+
 def test_alpha_t8(t8, t8_labeling):
-    cert = check_alpha(t8_labeling)
-    assert cert is not None
-    assert cert.boundary == 6
-    assert {t8_labeling.values[x] for x in cert.low} == {0, 1, 5, 6}
-    assert cert.low == {1, 3, 4, 6}
+    boundary = check_alpha(t8_labeling)
+    assert boundary == 6
+    assert type(boundary) is int
+    low = _low_class(t8_labeling, boundary)
+    assert {t8_labeling.values[x] for x in low} == {0, 1, 5, 6}
+    assert low == [1, 3, 4, 6]
 
 
 def test_alpha_cert_is_kept(t8, t8_labeling, monkeypatch):
@@ -136,17 +141,18 @@ def test_alpha_cert_is_kept(t8, t8_labeling, monkeypatch):
     monkeypatch.setattr(checking, "check_alpha", counted)
     for values, boundary in ((t8_labeling.values, 6), ((6, 5, 9, 6, 0, 14, 1, 7), None)):
         lab = Labeling(t8, values)
-        assert lab.alpha_cert == original(lab)
-        assert getattr(lab.alpha_cert, "boundary", None) == boundary
-        assert lab.alpha_cert is lab.alpha_cert
+        assert lab.alpha_boundary == original(lab)
+        assert lab.alpha_boundary == boundary
+        assert lab.alpha_boundary is lab.alpha_boundary
     # one check per labeling, the failed one included
     assert len(calls) == 2
 
 
 def test_alpha_single_edge():
     g = SimpleGraph(2, ((0, 1),))
-    cert = check_alpha(Labeling(g, (0, 1)))
-    assert cert is not None and cert.boundary == 0
+    # the boundary 0 is an answer, not a failure: test it with `is None`
+    boundary = check_alpha(Labeling(g, (0, 1)))
+    assert boundary is not None and boundary == 0
 
 
 def test_alpha_boundary_violation(t8):
@@ -165,16 +171,18 @@ def test_alpha_on_a_disconnected_graph():
     # P_2 + P_2 + K_1: the boundary is the largest lower end, 2; the
     # second edge's low end is vertex 3, and the lone vertex is high
     g = SimpleGraph(5, ((0, 1), (2, 3)))
-    cert = check_alpha(Labeling(g, (0, 4, 3, 2, 6)))
-    assert cert == AlphaCert(low=frozenset({0, 3}), boundary=2)
+    lab = Labeling(g, (0, 4, 3, 2, 6))
+    assert check_alpha(lab) == 2
+    assert _low_class(lab, 2) == [0, 3]
     # an edge wholly below the other leaves no boundary
     assert check_alpha(Labeling(g, (0, 1, 3, 4, 6))) is None
 
 
 def test_alpha_without_edges():
     # every vertex is low and the boundary is the largest label
-    cert = check_alpha(Labeling(SimpleGraph(3, ()), (4, 0, 2)))
-    assert cert == AlphaCert(low=frozenset({0, 1, 2}), boundary=4)
+    lab = Labeling(SimpleGraph(3, ()), (4, 0, 2))
+    assert check_alpha(lab) == 4
+    assert _low_class(lab, 4) == [0, 1, 2]
 
 
 def test_profile_t8_d3(t8, t8_labeling):

@@ -276,6 +276,37 @@ def test_non_bipartite_graph_has_no_alpha_labeling(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_boundary_of_zero_is_a_boundary(tmp_path, capsys):
+    # the star K_{1,3} with its center labeled 0 and leaves 1, 3, 5 at
+    # d = 3: lambda is 0, which a truthiness test would take for no boundary
+    graph = {"kind": "simple", "n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(graph))
+    block = {"low_class": [0], "lambda": 0}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"graph": graph, "d": 3, "labels": [0, 1, 3, 5]}))
+    stated = tmp_path / "stated.json"
+    stated.write_text(json.dumps({"graph": graph, "d": 3, "labels": [0, 1, 3, 5],
+                                  "alpha": block}))
+    for cert, flags in ((plain, ["--alpha"]), (stated, [])):
+        assert _run(capsys, "verify", str(cert), *flags) == (
+            0, "graph: 4 vertices, 3 edges; d=3, q=1\nlabeling: valid\n"
+               "alpha: valid, boundary 0\n", "")
+    out = tmp_path / "dec.json"
+    for cert in (plain, stated):
+        assert _run(capsys, "decompose", "--in", str(cert), "--n", "2", "--full-check",
+                    "--out", str(out)) == (
+            0, f"K_{{2x12}}: 144/144 edges covered exactly once\nwrote {out}\n", "")
+        assert json.loads(out.read_text())["base_blocks"] == [[0, 1, 3, 5], [0, 7, 9, 11]]
+    code, stdout, _ = _run(capsys, "search", "--graph", str(path), "--d", "3",
+                           "--alpha", "--limit", "2")
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert code == 0
+    assert [row["labels"] for row in rows] == [[0, 1, 3, 5], [0, 1, 5, 3]]
+    assert [row["alpha"] for row in rows] == [block, block]
+    assert stdout.count('"lambda":0}') == 2
+
+
 @pytest.mark.parametrize("n,flags,line", [
     ("2", [], "K_{1x8}: 0 difference classes verified"),
     ("2", ["--full-check"], "K_{1x8}: 0/0 edges covered exactly once"),
@@ -387,7 +418,7 @@ def test_oversized_inputs_exit_before_building(tmp_path, capsys, monkeypatch):
          "--out", str(cert))
     for name in ("construct", "base_blocks", "verify_decomposition"):
         monkeypatch.setattr(cli, name, refuse)
-    # the alpha certificate is found on first use of Labeling.alpha_cert
+    # the alpha boundary is found on first use of Labeling.alpha_boundary
     _rebind(monkeypatch, checking.check_alpha, refuse)
     big = str(10 ** 9)
     for argv in (["decompose", "--in", str(cert), "--n", big,

@@ -4,9 +4,10 @@ import hashlib
 
 import pytest
 
-from divgrace import (F1, F2, F4, Family, Labeling, SeedMismatchError, base_blocks,
-                      build_grid, check_alpha, check_d_graceful, construct, extend,
-                      layer_pattern, prism_labeling, seed_matches, verify_decomposition)
+from divgrace import (F1, F2, F4, FAMILIES, Family, Labeling, SeedMismatchError,
+                      base_blocks, build_grid, check_alpha, check_d_graceful, construct,
+                      extend, layer_pattern, prism_labeling, proposition_table,
+                      seed_matches, verify_decomposition)
 from reference_checking import difference_profile, edge_differences
 from reference_constructions import prism_rows
 from reference_grids import edges
@@ -220,12 +221,29 @@ def test_a_family_is_data():
     for m in range(2, 13):
         assert construct(4, m, t8) == lab
         assert check_d_graceful(lab, t8.divisor(m)).ok
-        assert lab.alpha_cert is not None
+        assert lab.alpha_boundary is not None
         assert seed_matches(lab, t8) is not None
         lab = extend(lab, t8)
     dec = base_blocks(construct(4, 3, t8), 40, 2)
     assert (dec.spec.parts, dec.spec.part_size, dec.spec.v) == (3, 160, 480)
     assert verify_decomposition(dec).ok
+
+
+def test_a_registered_family_is_a_table_row(monkeypatch):
+    def row(target):
+        return target.family.name, target.d, target.spec.describe()
+
+    paper = [row(target) for target in proposition_table(4, 3, 2)]
+    assert paper == [("f1", 5, "K_{17x20}"), ("f2", 10, "K_{9x40}"),
+                     ("f4", 20, "K_{5x80}")]
+    with pytest.raises(ValueError, match="^variant must be 3, 6 or 12, got 5$"):
+        prism_labeling(1, 5)
+    monkeypatch.setitem(FAMILIES, "t8", Family("t8", 8, _mu8_rule))
+    rows = [row(target) for target in proposition_table(4, 3, 2)]
+    assert rows == paper + [("t8", 40, "K_{3x160}")]
+    with pytest.raises(ValueError, match="^variant must be 3, 6, 12 or 24, got 5$"):
+        prism_labeling(1, 5)
+    assert prism_labeling(4, 24) == construct(4, 2, FAMILIES["t8"])
 
 
 def test_construct_m2_is_the_prism():

@@ -412,7 +412,7 @@ def test_doubling_map_carries_d1_alpha_rows_onto_de(g, rows):
     high = {f.values for f in search(g, SearchConfig(d=e, alpha_only=True)).labelings}
     image = set()
     for f in low:
-        boundary = check_alpha(f).boundary
+        boundary = check_alpha(f)
         image.add(tuple(2 * x if x <= boundary else 2 * x - 1 for x in f.values))
     assert len(image) == len(low) == rows
     if g is P4_PLUS_P3:  # disconnected: only an injection, 0 rows into 128
