@@ -18,6 +18,17 @@ import numpy as np
 Coord = tuple[int, int]
 
 
+def _kept_edges(g, build) -> np.ndarray:
+    """g's edge array: build() on the first call, made read-only and
+    kept on g, the same array on every later call."""
+    arr = g.__dict__.get("_edges")
+    if arr is None:
+        arr = build()
+        arr.setflags(write=False)
+        object.__setattr__(g, "_edges", arr)  # not a field: eq and hash ignore it
+    return arr
+
+
 @dataclass(frozen=True)
 class GridGraph:
     """The cylinder grid C_{4k} x P_m: m rings of length 4k joined by rungs."""
@@ -52,19 +63,17 @@ class GridGraph:
     def edge_indices(self) -> np.ndarray:
         """Canonical edge order as a read-only (e, 2) array of vertex indices,
         built on the first call and kept on the graph."""
-        arr = self.__dict__.get("_edges")
-        if arr is None:
-            w = self.ring_len
-            j = np.arange(w, dtype=np.int64)
-            base = np.arange(self.m, dtype=np.int64)[:, None] * w
-            ring_u = (base + j).ravel()
-            ring_w = (base + (j + 1) % w).ravel()
-            rung_u = np.arange((self.m - 1) * w, dtype=np.int64)
-            arr = np.stack([np.concatenate([ring_u, rung_u]),
-                            np.concatenate([ring_w, rung_u + w])], axis=1)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_edges", arr)  # not a field: eq and hash ignore it
-        return arr
+        return _kept_edges(self, self._build_edges)
+
+    def _build_edges(self) -> np.ndarray:
+        w = self.ring_len
+        j = np.arange(w, dtype=np.int64)
+        base = np.arange(self.m, dtype=np.int64)[:, None] * w
+        ring_u = (base + j).ravel()
+        ring_w = (base + (j + 1) % w).ravel()
+        rung_u = np.arange((self.m - 1) * w, dtype=np.int64)
+        return np.stack([np.concatenate([ring_u, rung_u]),
+                         np.concatenate([ring_w, rung_u + w])], axis=1)
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,9 @@ class SimpleGraph:
         return len(self.edges)
 
     def edge_indices(self) -> np.ndarray:
-        return np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        """The edges in their fixed order as a read-only (e, 2) array of
+        vertex indices, built on the first call and kept on the graph."""
+        return _kept_edges(self, lambda: np.array(self.edges, dtype=np.int64).reshape(-1, 2))
 
 
 Graph = Union[GridGraph, SimpleGraph]

@@ -41,10 +41,18 @@ the smallest label in O_t, and the count is multiplied by the product
 of the |O_t|.  This holds for any prefix of that chain, so
 _stabilizer_chain may stop early.  Rows, max_results and
 cross_validate's replay use the unconstrained vertex walk.
+
+Each graph is set up once (_plan): the adjacency lists, the edge list,
+the count's walks with their constraints, the vertex walk and the
+replay's index-order walk depend on the graph alone, not on d or the
+alpha mode.  Each part is built on first use and kept, as tuples, in a
+small cache keyed by the graph; graphs compare by value, so equal
+graphs share it.  Only the allowed differences are built per call.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,8 +114,11 @@ class SearchResult:
 SEARCH_MAX_VERTICES = 1024
 SEARCH_MAX_EDGES = 1024
 
+# Adjacency lists, one ascending list of neighbors per vertex.
+_Adj = Sequence[Sequence[int]]
 
-def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
+
+def _bfs_order(adj: _Adj, first: tuple[int, ...] = ()) -> list[int]:
     """Breadth-first order from the vertices in first, then from each
     lowest-index vertex not yet reached."""
     seen = [False] * len(adj)
@@ -133,27 +144,28 @@ def _bfs_order(adj: list[list[int]], first: tuple[int, ...] = ()) -> list[int]:
 
 
 class _Walk(NamedTuple):
-    """A vertex order and its tables: pos[v] is v's position in order,
-    and back[p] lists the positions of order[p]'s neighbors before p,
-    ascending."""
+    """A vertex order and its tables, as tuples that no reader can
+    change: pos[v] is v's position in order, and back[p] lists the
+    positions of order[p]'s neighbors before p, ascending."""
 
-    order: list[int]
-    pos: list[int]
-    back: list[list[int]]
+    order: tuple[int, ...]
+    pos: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
 
 
-def _walk_tables(adj: list[list[int]], order: list[int]) -> _Walk:
+def _walk_tables(adj: _Adj, order: Sequence[int]) -> _Walk:
     """The tables of the walk along order, a permutation of the
     vertices; the automorphism test, the stabilizer chain, the count's
     constraints and the kernel all read them."""
     pos = [0] * len(order)
     for p, v in enumerate(order):
         pos[v] = p
-    return _Walk(order, pos,
-                 [sorted(pos[z] for z in adj[v] if pos[z] < p) for p, v in enumerate(order)])
+    return _Walk(tuple(order), tuple(pos),
+                 tuple(tuple(sorted(pos[z] for z in adj[v] if pos[z] < p))
+                       for p, v in enumerate(order)))
 
 
-def _refine(adj: list[list[int]]) -> list[int]:
+def _refine(adj: _Adj) -> list[int]:
     """Color refinement from the degrees: split each color class by the
     multiset of neighbor colors until no class splits.  Every
     automorphism keeps the colors."""
@@ -173,7 +185,7 @@ def _refine(adj: list[list[int]]) -> list[int]:
 _Test = Callable[[Sequence[int]], list[int] | None]
 
 
-def _automorphism(adj: list[list[int]], color: list[int], walk: _Walk) -> _Test:
+def _automorphism(adj: _Adj, color: list[int], walk: _Walk) -> _Test:
     """A test for the automorphisms along walk.order: test(target)
     returns a vertex permutation that maps order[i] to target[i] for
     every i < len(target), keeps color and maps every edge onto an edge,
@@ -228,7 +240,7 @@ def _automorphism(adj: list[list[int]], color: list[int], walk: _Walk) -> _Test:
     return test
 
 
-def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
+def _arc_orbits(edges: Sequence[Sequence[int]], adj: _Adj, color: list[int]
                 ) -> tuple[list[tuple[tuple[int, int], int, _Walk, _Test]],
                            list[list[int]]]:
     """Orbits of the 2e arcs under reversal u -> w to w -> u and the
@@ -299,7 +311,7 @@ def _arc_orbits(edges: list[list[int]], adj: list[list[int]], color: list[int]
     return orbits, perms
 
 
-def _stabilizer_chain(adj: list[list[int]], color: list[int], walk: _Walk,
+def _stabilizer_chain(adj: _Adj, color: list[int], walk: _Walk,
                       test: _Test) -> list[list[int]]:
     """[O_2, O_3, ...]: O_t is the orbit of order[t] under the
     automorphisms that fix order[0..t-1], order[t] first; order is
@@ -321,15 +333,15 @@ def _stabilizer_chain(adj: list[list[int]], color: list[int], walk: _Walk,
         orbit = [x]
         for y in adj[order[back[t][0]]] if back[t] else order[t + 1:]:
             if (pos[y] > t and color[y] == color[x]
-                    and sorted(pos[z] for z in adj[y] if pos[z] < t) == back[t]):
-                if test(order[:t] + [y]) is None:
+                    and tuple(sorted(pos[z] for z in adj[y] if pos[z] < t)) == back[t]):
+                if test((*order[:t], y)) is None:
                     return chain
                 orbit.append(y)
         chain.append(orbit)
     return chain
 
 
-def _count_walks(edges: list[list[int]], adj: list[list[int]]
+def _count_walks(edges: Sequence[Sequence[int]], adj: _Adj
                  ) -> list[tuple[int, _Walk, list[int], list[int]]]:
     """The forced walks of a count, one per orbit of arcs: (orbit size,
     walk, smaller, factor).
@@ -362,6 +374,59 @@ def _count_walks(edges: list[list[int]], adj: list[list[int]]
     return walks
 
 
+class _Plan:
+    """Everything a search, a replay or a cross-validation derives from
+    its graph alone, whatever d and the alpha mode: each part is built on
+    its first use and then shared, as tuples that no reader can change.
+    A replay reads only adj and identity_walk, so it never pays for the
+    arc orbits."""
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+
+    @functools.cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, adjacency_lists(self.graph)))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.graph.edge_indices().tolist()))
+
+    @functools.cached_property
+    def count_walks(self) -> tuple[tuple[int, _Walk, tuple[int, ...], tuple[int, ...]], ...]:
+        """_count_walks' walks, for a count."""
+        return tuple((size, walk, tuple(smaller), tuple(factor))
+                     for size, walk, smaller, factor in _count_walks(self.edges, self.adj))
+
+    @functools.cached_property
+    def vertex_walk(self) -> _Walk:
+        """The breadth-first walk, for a search that keeps rows or stops
+        at max_results."""
+        return _walk_tables(self.adj, _bfs_order(self.adj))
+
+    @functools.cached_property
+    def identity_walk(self) -> _Walk:
+        """The walk in index order, for engine_accepts' replay."""
+        return _walk_tables(self.adj, range(self.graph.num_vertices))
+
+
+# Plans kept at once, least recently used dropped first.  Graphs are
+# frozen and compare by value, so equal graphs share one plan.  A plan
+# grows with its count walks, one table per walk and vertex; fully built
+# (tracemalloc, bytes held) it is 8.9 KB on the prism, 7.6 MB on
+# C_4 x P_128 (128 walks of 512 vertices) and 58 MB on P_1024 (512
+# walks of 1024 vertices).  The search caps allow at most 1024 walks of
+# 1024 vertices, about twice P_1024's plan, on graphs whose count could
+# never finish.  A spectrum or a row gate works on one graph at a time,
+# so four plans are plenty and hold at most about half a gigabyte.
+PLAN_CACHE_SIZE = 4
+_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_Plan)
+
+
+def _too_large(g: Graph) -> bool:
+    return g.num_vertices > SEARCH_MAX_VERTICES or g.num_edges > SEARCH_MAX_EDGES
+
+
 def _allowed(g: Graph, cfg: SearchConfig) -> list[bool]:
     """dfs_search's allowed for a search of g under cfg: allowed[delta]
     says the edge difference delta may appear, for delta up to the label
@@ -385,16 +450,16 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     A search that exhausts the space and keeps no labeling is counted by
     arc orbits (see the module docstring) unless g has no edge.
     """
-    if g.num_vertices > SEARCH_MAX_VERTICES or g.num_edges > SEARCH_MAX_EDGES:
+    if _too_large(g):
         raise InvalidParametersError(
             f"search is limited to {SEARCH_MAX_VERTICES} vertices and "
             f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
     allowed = _allowed(g, cfg)
-    adj = adjacency_lists(g)
+    plan = _plan(g)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         forced = (0, len(allowed) - 2)  # 0 and D, the largest label
         total, level_sizes = 0, [0] * g.num_vertices
-        for size, walk, smaller, factor in _count_walks(g.edge_indices().tolist(), adj):
+        for size, walk, smaller, factor in plan.count_walks:
             count, _, levels = _kernels.dfs_search(walk.back, walk.order, allowed,
                                                    cfg.alpha_only, forced, 0, 0, smaller)
             total += size * factor[-1] * count
@@ -403,7 +468,7 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
                             level_sizes=tuple(level_sizes))
     store_cap = (0 if cfg.store_limit == 0 else
                  cfg.max_results if cfg.max_results > 0 else cfg.store_limit)
-    walk = _walk_tables(adj, _bfs_order(adj))
+    walk = plan.vertex_walk
     total, rows, level_sizes = _kernels.dfs_search(walk.back, walk.order, allowed,
                                                    cfg.alpha_only, (), cfg.max_results,
                                                    store_cap)
@@ -421,7 +486,9 @@ def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     passes when every position passes them.
     """
     allowed = _allowed(f.graph, cfg)
-    walk = _walk_tables(adjacency_lists(f.graph), list(range(f.graph.num_vertices)))
+    # a replay takes a graph of any size; caching only plans within the
+    # search's caps bounds the cache
+    walk = (_Plan if _too_large(f.graph) else _plan)(f.graph).identity_walk
     total, _, _ = _kernels.dfs_search(walk.back, walk.order, allowed, cfg.alpha_only,
                                       f.values, 0, 0)
     return total == 1

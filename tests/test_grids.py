@@ -82,6 +82,21 @@ def test_edge_array_is_built_once_per_graph():
     # the kept array is no field: equality and hashing ignore it
     assert g == build_grid(2, 3) and hash(g) == hash(build_grid(2, 3))
     assert np.array_equal(build_grid(2, 3).edge_indices(), first)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1
+
+
+def test_simple_graph_edge_array_is_built_once_per_graph():
+    # the same rule as a grid's: one read-only array, kept off the fields
+    g = SimpleGraph(4, ((1, 0), (2, 3)))
+    first = g.edge_indices()
+    assert g.edge_indices() is first
+    assert first.tolist() == [[0, 1], [2, 3]] and first.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1
+    same = SimpleGraph(4, ((0, 1), (2, 3)))
+    assert g == same and hash(g) == hash(same)
+    assert SimpleGraph(2, ()).edge_indices().shape == (0, 2)
 
 
 def test_edge_array_counts():

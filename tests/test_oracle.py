@@ -530,13 +530,15 @@ def test_search_sets_up_once(monkeypatch):
     # C_4 x P_3 has 3 arc orbits, so a count-only search makes 3 walks,
     # and builds each orbit's breadth-first order, its walk tables and
     # the automorphism test along it once, for the orbit, its stabilizer
-    # chain and its walk alike; a search that keeps rows and a replay
-    # each build the tables of their one order once
+    # chain and its walk alike.  That set-up is the graph's: a count of
+    # an equal graph at another d and alpha mode builds none of it again.
+    # A search that keeps rows builds the tables of its one order once,
+    # and every replay of a graph shares one set of index-order tables.
     calls = {"adjacency_lists": 0, "dfs_search": 0, "_bfs_order": 0, "_automorphism": 0,
              "_walk_tables": 0}
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def counting(module, name, real=None):
+        real = real or getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
@@ -548,19 +550,117 @@ def test_search_sets_up_once(monkeypatch):
     for name in ("adjacency_lists", "_bfs_order", "_automorphism", "_walk_tables"):
         counting(oracle, name)
     counting(oracle._kernels, "dfs_search")
+    oracle._plan.cache_clear()
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
     assert calls == {"adjacency_lists": 1, "dfs_search": 3, "_bfs_order": 3,
                      "_automorphism": 3, "_walk_tables": 3}
+
+    # a plain count of C_4 x P_3 takes seconds: the kernel is a stub here,
+    # which finds nothing, and only the set-up is under test
+    def no_labeling(back, order, *args):
+        return 0, np.empty((0, len(order)), dtype=np.int64), [0] * len(order)
+    kernel = oracle._kernels.dfs_search
+    counting(oracle._kernels, "dfs_search", no_labeling)
+    calls.update(dict.fromkeys(calls, 0))
+    search(build_grid(1, 3), SearchConfig(d=5, store_limit=0))
+    assert calls == {"adjacency_lists": 0, "dfs_search": 3, "_bfs_order": 0,
+                     "_automorphism": 0, "_walk_tables": 0}
+    monkeypatch.setattr(oracle._kernels, "dfs_search", kernel)
+
     cfg = SearchConfig(d=3, max_results=1)
     calls.update(dict.fromkeys(calls, 0))
     (first,) = search(build_grid(1, 2), cfg).labelings
     assert calls == {"adjacency_lists": 1, "dfs_search": 1, "_bfs_order": 1,
                      "_automorphism": 0, "_walk_tables": 1}
+    rows = search(build_grid(1, 2), SearchConfig(d=3, store_limit=2000)).labelings
+    assert len(rows) == 1440
+    oracle._plan.cache_clear()
     calls.update(dict.fromkeys(calls, 0))
-    assert engine_accepts(first, cfg)
-    assert calls == {"adjacency_lists": 1, "dfs_search": 1, "_bfs_order": 0,
+    for alpha, accepted in ((False, 1440), (True, 576)):
+        cfg = SearchConfig(d=3, alpha_only=alpha)
+        reasons = [cross_validate(f, cfg).reason for f in rows]
+        assert reasons.count("agree-accept") == accepted
+        assert reasons.count("agree-reject") == 1440 - accepted
+    assert calls == {"adjacency_lists": 1, "dfs_search": 2 * 1440, "_bfs_order": 0,
                      "_automorphism": 0, "_walk_tables": 1}
+
+
+def _star(n):
+    return SimpleGraph(n, tuple((0, leaf) for leaf in range(1, n)))
+
+
+# Graphs (built afresh on each call) and the searches to run on them,
+# at two divisors each: counts, rows, max_results with and without rows,
+# plain and alpha.  C_4 x P_3 keeps no full listing, which takes most of
+# a minute, and no plain count, which takes seconds.
+CACHE_CASES = {
+    "prism": (lambda: build_grid(1, 2), [
+        SearchConfig(d=3, store_limit=0), SearchConfig(d=3, alpha_only=True, store_limit=0),
+        SearchConfig(d=3, store_limit=2000), SearchConfig(d=3, alpha_only=True),
+        SearchConfig(d=3, max_results=7), SearchConfig(d=3, max_results=7, store_limit=0),
+        SearchConfig(d=12, store_limit=0), SearchConfig(d=4, alpha_only=True)]),
+    "C4xP3": (lambda: build_grid(1, 3), [
+        SearchConfig(d=5, alpha_only=True, store_limit=0),
+        SearchConfig(d=5, alpha_only=True, max_results=20), SearchConfig(d=5, max_results=20),
+        SearchConfig(d=10, alpha_only=True, store_limit=0)]),
+    "P9": (lambda: _path(9), [
+        SearchConfig(d=2, store_limit=0), SearchConfig(d=2, alpha_only=True, store_limit=0),
+        SearchConfig(d=2, alpha_only=True), SearchConfig(d=2, max_results=5),
+        SearchConfig(d=4, store_limit=0)]),
+    "K34": (lambda: _complete_bipartite(3, 4), [
+        SearchConfig(d=3, store_limit=0), SearchConfig(d=3, alpha_only=True, store_limit=0),
+        SearchConfig(d=3, alpha_only=True), SearchConfig(d=3, max_results=5),
+        SearchConfig(d=4, alpha_only=True, store_limit=0)]),
+    "P4+P3": (lambda: SimpleGraph(7, P4_PLUS_P3.edges), [
+        SearchConfig(d=5, store_limit=0), SearchConfig(d=5, alpha_only=True, store_limit=0),
+        SearchConfig(d=5), SearchConfig(d=5, alpha_only=True, max_results=9),
+        SearchConfig(d=1, alpha_only=True, store_limit=0)]),
+    "edgeless": (lambda: SimpleGraph(3, ()), [
+        SearchConfig(d=3, store_limit=0), SearchConfig(d=3, alpha_only=True),
+        SearchConfig(d=3, max_results=2), SearchConfig(d=4, store_limit=0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CASES))
+def test_results_do_not_depend_on_the_cache(name):
+    # the same searches, in one order and in the other, each from an empty
+    # cache and after replays of a cycle on as many vertices, give equal
+    # results, and every row they return passes cross_validate
+    make, configs = CACHE_CASES[name]
+    n = make().num_vertices
+    cycle = _cycle(n)
+    replays = search(cycle, SearchConfig(d=1, max_results=2)).labelings + (
+        Labeling(cycle, range(n)),)
+
+    def run(order):
+        oracle._plan.cache_clear()
+        results = {}
+        for cfg in order:
+            for f in replays:
+                assert cross_validate(f, replace(cfg, d=1)).ok
+            results[cfg] = search(make(), cfg)
+            for f in results[cfg].labelings[:3]:
+                assert cross_validate(f, cfg).reason == "agree-accept"
+        return results
+
+    forward, backward = run(configs), run(configs[::-1])
+    assert len(forward) == len(configs)
+    for cfg in configs:
+        assert forward[cfg] == backward[cfg]
+        res = forward[cfg]
+        assert res.level_sizes[-1] == res.count
+        assert len(res.labelings) == min(res.count, cfg.max_results or cfg.store_limit,
+                                          cfg.store_limit)
+
+
+def test_plan_cache_is_bounded():
+    oracle._plan.cache_clear()
+    for n in range(2, oracle.PLAN_CACHE_SIZE + 7):
+        assert search(_star(n), SearchConfig(d=1, store_limit=0)).count > 0
+    info = oracle._plan.cache_info()
+    assert info.maxsize == oracle.PLAN_CACHE_SIZE
+    assert info.currsize == oracle.PLAN_CACHE_SIZE < info.misses
 
 
 def test_search_size_cap_admits_the_limit():
