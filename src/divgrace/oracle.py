@@ -45,9 +45,10 @@ cross_validate's replay use the unconstrained vertex walk.
 Each graph is set up once (_plan): the adjacency lists, the edge list,
 the count's walks with their constraints, the vertex walk and the
 replay's index-order walk depend on the graph alone, not on d or the
-alpha mode.  Each part is built on first use and kept, as tuples, in a
-small cache keyed by the graph; graphs compare by value, so equal
-graphs share it.  Only the allowed differences are built per call.
+alpha mode.  Each part is built on first use and kept, as tuples, for
+the graph used last (PLAN_CACHE_SIZE); graphs compare by value, so a
+later equal graph finds it.  Only the allowed differences are built per
+call.
 """
 
 from __future__ import annotations
@@ -411,15 +412,15 @@ class _Plan:
 
 
 # Plans kept at once, least recently used dropped first.  Graphs are
-# frozen and compare by value, so equal graphs share one plan.  A plan
+# frozen and compare by value, so equal graphs share one plan.  The one
+# caller that repeats a graph in a process is perfbench's search-count,
+# which counts the prism again and again, so one plan is kept.  A plan
 # grows with its count walks, one table per walk and vertex; fully built
 # (tracemalloc, bytes held) it is 8.9 KB on the prism, 7.6 MB on
-# C_4 x P_128 (128 walks of 512 vertices) and 58 MB on P_1024 (512
-# walks of 1024 vertices).  The search caps allow at most 1024 walks of
-# 1024 vertices, about twice P_1024's plan, on graphs whose count could
-# never finish.  A spectrum or a row gate works on one graph at a time,
-# so four plans are plenty and hold at most about half a gigabyte.
-PLAN_CACHE_SIZE = 4
+# C_4 x P_128 (128 walks of 512 vertices) and 115 MB on P_1024 with the
+# chord (0, 2), 1024 vertices and 1024 edges with 1023 walks, the most
+# the search caps allow.  That is what a search may leave behind.
+PLAN_CACHE_SIZE = 1
 _plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_Plan)
 
 
