@@ -179,9 +179,11 @@ def dfs_search(back, order, allowed, use_alpha, prefix, max_results, store_cap,
                 high = np.minimum(high, np.maximum(assign[:, t], lab))
             yield assign, taken, low, high
 
-    # Labels are held as int16: oracle._allowed caps e + d, which is the
-    # label count d(q + 1), at 2048.  stack[i] yields the states whose
-    # positions up to len(prefix) + i are set.
+    # Labels are held as int16: the label count d(q + 1) is e + d, which
+    # oracle.search's edge cap (d <= e <= 1024) and oracle._allowed's cap
+    # on d without edges keep at 2048; a full replay returned above.
+    # stack[i] yields the states whose positions up to len(prefix) + i
+    # are set.
     state = (np.array([assign], dtype=np.int16), np.array([taken]))
     if use_alpha:
         state += (np.array([low]), np.array([high]))

@@ -42,13 +42,12 @@ of the |O_t|.  This holds for any prefix of that chain, so
 _stabilizer_chain may stop early.  Rows, max_results and
 cross_validate's replay use the unconstrained vertex walk.
 
-Each graph is set up once (_plan): the adjacency lists, the edge list,
-the count's walks with their constraints, the vertex walk and the
-replay's index-order walk depend on the graph alone, not on d or the
-alpha mode.  Each part is built on first use and kept, as tuples, for
-the graph used last (PLAN_CACHE_SIZE); graphs compare by value, so a
-later equal graph finds it.  Only the allowed differences are built per
-call.
+A count's walks, with their constraints, depend on the graph alone, not
+on d or the alpha mode: they are set up once per graph (_count_walks)
+and kept, as tuples, for the graph counted last (PLAN_CACHE_SIZE);
+graphs compare by value, so a later equal graph finds them.  A search
+that keeps rows or stops at max_results builds its one breadth-first
+walk per call, and a replay its one index-order walk.
 """
 
 from __future__ import annotations
@@ -342,10 +341,22 @@ def _stabilizer_chain(adj: _Adj, color: list[int], walk: _Walk,
     return chain
 
 
-def _count_walks(edges: Sequence[Sequence[int]], adj: _Adj
-                 ) -> list[tuple[int, _Walk, list[int], list[int]]]:
-    """The forced walks of a count, one per orbit of arcs: (orbit size,
-    walk, smaller, factor).
+# Graphs whose count walks are kept at once, least recently used dropped
+# first.  Graphs are frozen and compare by value, so equal graphs share
+# one entry.  The one caller that repeats a graph in a process is
+# perfbench's search-count, which counts the prism again and again, so
+# one graph's walks are kept.  They grow as one table per walk and
+# vertex; (tracemalloc, bytes held) they are 7.6 KB on the prism,
+# 7.4 MB on C_4 x P_128 (128 walks of 512 vertices) and 115 MB on P_1024
+# with the chord (0, 2), 1024 vertices and 1024 edges with 1023 walks,
+# the most the search caps allow.  That is what a search may leave behind.
+PLAN_CACHE_SIZE = 1
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _count_walks(g: Graph) -> tuple[tuple[int, _Walk, tuple[int, ...], tuple[int, ...]], ...]:
+    """The forced walks of a count of g, one per orbit of arcs: (orbit
+    size, walk, smaller, factor), as tuples that no reader can change.
 
     walk holds the breadth-first order from the orbit's first arc,
     smaller is dfs_search's symmetry constraint for the walk along it,
@@ -355,9 +366,10 @@ def _count_walks(edges: Sequence[Sequence[int]], adj: _Adj
     other y in O_t, at y's position and from the last t whose orbit
     holds y (the earlier ones follow), for a factor |O_t|.
     """
+    adj = adjacency_lists(g)
     color = _refine(adj)
     walks = []
-    for arc, size, walk, test in _arc_orbits(edges, adj, color)[0]:
+    for arc, size, walk, test in _arc_orbits(g.edge_indices().tolist(), adj, color)[0]:
         n = len(walk.order)
         smaller = [-1] * n
         binds: list[tuple[int, int]] = []  # (position, factor)
@@ -371,61 +383,8 @@ def _count_walks(edges: Sequence[Sequence[int]], adj: _Adj
         factor = [1] * n
         for at, k in binds:
             factor[at:] = [f * k for f in factor[at:]]
-        walks.append((size, walk, smaller, factor))
-    return walks
-
-
-class _Plan:
-    """Everything a search, a replay or a cross-validation derives from
-    its graph alone, whatever d and the alpha mode: each part is built on
-    its first use and then shared, as tuples that no reader can change.
-    A replay reads only adj and identity_walk, so it never pays for the
-    arc orbits."""
-
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-
-    @functools.cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, adjacency_lists(self.graph)))
-
-    @functools.cached_property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.graph.edge_indices().tolist()))
-
-    @functools.cached_property
-    def count_walks(self) -> tuple[tuple[int, _Walk, tuple[int, ...], tuple[int, ...]], ...]:
-        """_count_walks' walks, for a count."""
-        return tuple((size, walk, tuple(smaller), tuple(factor))
-                     for size, walk, smaller, factor in _count_walks(self.edges, self.adj))
-
-    @functools.cached_property
-    def vertex_walk(self) -> _Walk:
-        """The breadth-first walk, for a search that keeps rows or stops
-        at max_results."""
-        return _walk_tables(self.adj, _bfs_order(self.adj))
-
-    @functools.cached_property
-    def identity_walk(self) -> _Walk:
-        """The walk in index order, for engine_accepts' replay."""
-        return _walk_tables(self.adj, range(self.graph.num_vertices))
-
-
-# Plans kept at once, least recently used dropped first.  Graphs are
-# frozen and compare by value, so equal graphs share one plan.  The one
-# caller that repeats a graph in a process is perfbench's search-count,
-# which counts the prism again and again, so one plan is kept.  A plan
-# grows with its count walks, one table per walk and vertex; fully built
-# (tracemalloc, bytes held) it is 8.9 KB on the prism, 7.6 MB on
-# C_4 x P_128 (128 walks of 512 vertices) and 115 MB on P_1024 with the
-# chord (0, 2), 1024 vertices and 1024 edges with 1023 walks, the most
-# the search caps allow.  That is what a search may leave behind.
-PLAN_CACHE_SIZE = 1
-_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_Plan)
-
-
-def _too_large(g: Graph) -> bool:
-    return g.num_vertices > SEARCH_MAX_VERTICES or g.num_edges > SEARCH_MAX_EDGES
+        walks.append((size, walk, tuple(smaller), tuple(factor)))
+    return tuple(walks)
 
 
 def _allowed(g: Graph, cfg: SearchConfig) -> list[bool]:
@@ -434,9 +393,10 @@ def _allowed(g: Graph, cfg: SearchConfig) -> list[bool]:
     count d(q + 1)."""
     params = d_params(g.num_edges, cfg.d)
     # the label and difference masks are e + d wide, and the kernel
-    # holds labels as int16; within the edge cap d <= e, so this
-    # bounds only d on a graph without edges
-    if params.e + params.d > 2 * SEARCH_MAX_EDGES:
+    # holds labels as int16; a search with edges has d <= e within the
+    # edge cap, and a replay builds no mask, so this bounds only d on a
+    # graph without edges
+    if params.e == 0 and params.d > 2 * SEARCH_MAX_EDGES:
         raise InvalidParametersError(
             f"search is limited to e + d <= {2 * SEARCH_MAX_EDGES}, "
             f"got e = {params.e} and d = {params.d}")
@@ -451,16 +411,15 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
     A search that exhausts the space and keeps no labeling is counted by
     arc orbits (see the module docstring) unless g has no edge.
     """
-    if _too_large(g):
+    if g.num_vertices > SEARCH_MAX_VERTICES or g.num_edges > SEARCH_MAX_EDGES:
         raise InvalidParametersError(
             f"search is limited to {SEARCH_MAX_VERTICES} vertices and "
             f"{SEARCH_MAX_EDGES} edges, got {g.num_vertices} and {g.num_edges}")
     allowed = _allowed(g, cfg)
-    plan = _plan(g)
     if cfg.max_results == 0 and cfg.store_limit == 0 and g.num_edges > 0:
         forced = (0, len(allowed) - 2)  # 0 and D, the largest label
         total, level_sizes = 0, [0] * g.num_vertices
-        for size, walk, smaller, factor in plan.count_walks:
+        for size, walk, smaller, factor in _count_walks(g):
             count, _, levels = _kernels.dfs_search(walk.back, walk.order, allowed,
                                                    cfg.alpha_only, forced, 0, 0, smaller)
             total += size * factor[-1] * count
@@ -469,7 +428,8 @@ def search(g: Graph, cfg: SearchConfig) -> SearchResult:
                             level_sizes=tuple(level_sizes))
     store_cap = (0 if cfg.store_limit == 0 else
                  cfg.max_results if cfg.max_results > 0 else cfg.store_limit)
-    walk = plan.vertex_walk
+    adj = adjacency_lists(g)
+    walk = _walk_tables(adj, _bfs_order(adj))
     total, rows, level_sizes = _kernels.dfs_search(walk.back, walk.order, allowed,
                                                    cfg.alpha_only, (), cfg.max_results,
                                                    store_cap)
@@ -487,9 +447,7 @@ def engine_accepts(f: Labeling, cfg: SearchConfig) -> bool:
     passes when every position passes them.
     """
     allowed = _allowed(f.graph, cfg)
-    # a replay takes a graph of any size; caching only plans within the
-    # search's caps bounds the cache
-    walk = (_Plan if _too_large(f.graph) else _plan)(f.graph).identity_walk
+    walk = _walk_tables(adjacency_lists(f.graph), range(f.graph.num_vertices))
     total, _, _ = _kernels.dfs_search(walk.back, walk.order, allowed, cfg.alpha_only,
                                       f.values, 0, 0)
     return total == 1

@@ -1,7 +1,9 @@
 """The numpy frontier search must match the plain-Python reference DFS."""
 
+import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -225,7 +227,7 @@ def test_stabilizer_chain_matches_the_full_group(case):
              if {frozenset((p[u], p[w])) for u, w in edges} == edge_set]
     adj = adjacency_lists(g)
     color = _refine(adj)
-    for _, walk, smaller, factor in _count_walks(edges, adj):
+    for _, walk, smaller, factor in _count_walks(g):
         order, pos, _ = walk
         chain = _stabilizer_chain(adj, color, walk, _automorphism(adj, color, walk))
 
@@ -245,9 +247,38 @@ def test_stabilizer_chain_matches_the_full_group(case):
             assert cell - orbit(t)
         want = [max((t for t, found in enumerate(chain, start=2) if v in found[1:]),
                     default=-1) for v in order]
-        assert smaller == want
+        assert list(smaller) == want
         assert factor[-1] == math.prod(map(len, chain))
 
+
+
+def _random_recursive_tree(n, seed):
+    """A tree on n vertices whose vertex i hangs below a uniform earlier one."""
+    rng = random.Random(seed)
+    return SimpleGraph(n, tuple((rng.randrange(i), i) for i in range(1, n)))
+
+
+def test_count_walks_frozen_digest():
+    # the count's exact inputs to the kernel on graphs of every kind of
+    # symmetry, frozen when they were first computed: a change to how the
+    # walks are set up must leave the count's work as it was.  The prism,
+    # C_4 x P_3, C_8 x P_5, C_12 x P_4, the Petersen graph, K_{3,4}, P_9,
+    # P_4 + P_3, K_{1,8} and a random tree:
+    graphs = [build_grid(1, 2), build_grid(1, 3), build_grid(2, 5), build_grid(3, 4),
+              SimpleGraph(10, tuple([(i, (i + 1) % 5) for i in range(5)]
+                                    + [(i, i + 5) for i in range(5)]
+                                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])),
+              SimpleGraph(7, tuple((i, 3 + j) for i in range(3) for j in range(4))),
+              SimpleGraph(9, tuple((i, i + 1) for i in range(8))),
+              SimpleGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6))),
+              SimpleGraph(9, tuple((0, leaf) for leaf in range(1, 9))),
+              _random_recursive_tree(40, 1)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr([(size, tuple(walk.order), tuple(smaller), tuple(factor))
+                            for size, walk, smaller, factor in _count_walks(g)]).encode())
+    assert digest.hexdigest() == (
+        "8034fb680af17451d1324beb23636670feace3c078d1707baf09a7efc5310d82")
 
 @settings(max_examples=200, deadline=None)
 @given(search_cases(), st.data())

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divgrace import (GridGraph, InvalidParametersError, Labeling, SearchConfig,
-                      SimpleGraph, build_grid, check_alpha, check_d_graceful,
+from divgrace import (F1, GridGraph, InvalidParametersError, Labeling, SearchConfig,
+                      SimpleGraph, build_grid, check_alpha, check_d_graceful, construct,
                       cross_validate, engine_accepts, oracle, search)
 from divgrace.grids import adjacency_lists
 from divgrace.oracle import _arc_orbits, _bfs_order, _refine
@@ -243,6 +243,24 @@ def test_cross_validate_random_perturbations(t8, t8_labeling):
         report = cross_validate(Labeling(t8, tuple(vals)), cfg)
         assert report.ok, report.describe()
         assert report.reason.startswith("agree")
+
+
+def test_replay_beyond_the_search_caps():
+    # a replay builds no e + d wide mask, so it takes labelings of more
+    # than 1024 edges; only d on a graph without edges stays capped
+    f = construct(40, 40, F1)
+    assert f.graph.num_edges == 12640
+    for alpha in (False, True):
+        cfg = SearchConfig(d=79, alpha_only=alpha)
+        assert cross_validate(f, cfg).reason == "agree-accept"
+        values = list(f.values)
+        values[0], values[1] = values[1], values[0]
+        assert cross_validate(Labeling(f.graph, values), cfg).reason == "agree-reject"
+    edgeless = Labeling(SimpleGraph(3, ()), (0, 1, 2))
+    assert cross_validate(edgeless, SearchConfig(d=2048)).reason == "agree-accept"
+    with pytest.raises(InvalidParametersError,
+                       match=r"^search is limited to e \+ d <= 2048, got e = 0 and d = 4096$"):
+        cross_validate(edgeless, SearchConfig(d=4096))
 
 
 def test_search_rejects_bad_divisor(t8):
@@ -533,7 +551,7 @@ def test_search_sets_up_once(monkeypatch):
     # chain and its walk alike.  That set-up is the graph's: a count of
     # an equal graph at another d and alpha mode builds none of it again.
     # A search that keeps rows builds the tables of its one order once,
-    # and every replay of a graph shares one set of index-order tables.
+    # and each replay builds its adjacency lists and index-order tables.
     calls = {"adjacency_lists": 0, "dfs_search": 0, "_bfs_order": 0, "_automorphism": 0,
              "_walk_tables": 0}
 
@@ -550,7 +568,7 @@ def test_search_sets_up_once(monkeypatch):
     for name in ("adjacency_lists", "_bfs_order", "_automorphism", "_walk_tables"):
         counting(oracle, name)
     counting(oracle._kernels, "dfs_search")
-    oracle._plan.cache_clear()
+    oracle._count_walks.cache_clear()
     res = search(g, SearchConfig(d=10, alpha_only=True, store_limit=0))
     assert res.count == 2688  # what the vertex-order walk counts in about a minute
     assert calls == {"adjacency_lists": 1, "dfs_search": 3, "_bfs_order": 3,
@@ -575,15 +593,15 @@ def test_search_sets_up_once(monkeypatch):
                      "_automorphism": 0, "_walk_tables": 1}
     rows = search(build_grid(1, 2), SearchConfig(d=3, store_limit=2000)).labelings
     assert len(rows) == 1440
-    oracle._plan.cache_clear()
+    oracle._count_walks.cache_clear()
     calls.update(dict.fromkeys(calls, 0))
     for alpha, accepted in ((False, 1440), (True, 576)):
         cfg = SearchConfig(d=3, alpha_only=alpha)
         reasons = [cross_validate(f, cfg).reason for f in rows]
         assert reasons.count("agree-accept") == accepted
         assert reasons.count("agree-reject") == 1440 - accepted
-    assert calls == {"adjacency_lists": 1, "dfs_search": 2 * 1440, "_bfs_order": 0,
-                     "_automorphism": 0, "_walk_tables": 1}
+    assert calls == {"adjacency_lists": 2 * 1440, "dfs_search": 2 * 1440, "_bfs_order": 0,
+                     "_automorphism": 0, "_walk_tables": 2 * 1440}
 
 
 def _star(n):
@@ -626,8 +644,8 @@ CACHE_CASES = {
 def test_results_do_not_depend_on_the_cache(name):
     # the same searches, in one order and in the other, give equal results,
     # and every row they return passes cross_validate.  Each search finds
-    # the plan its predecessors left, or, in a third run, an empty cache
-    # and replays of a cycle on as many vertices.
+    # the count walks its predecessors left, or, in a third run, an empty
+    # cache and replays of a cycle on as many vertices.
     make, configs = CACHE_CASES[name]
     n = make().num_vertices
     cycle = _cycle(n)
@@ -635,11 +653,11 @@ def test_results_do_not_depend_on_the_cache(name):
         Labeling(cycle, range(n)),)
 
     def run(order, cold=False):
-        oracle._plan.cache_clear()
+        oracle._count_walks.cache_clear()
         results = {}
         for cfg in order:
             if cold:
-                oracle._plan.cache_clear()
+                oracle._count_walks.cache_clear()
                 for f in replays:
                     assert cross_validate(f, replace(cfg, d=1)).ok
             results[cfg] = search(make(), cfg)
@@ -659,10 +677,10 @@ def test_results_do_not_depend_on_the_cache(name):
 
 
 def test_plan_cache_is_bounded():
-    oracle._plan.cache_clear()
+    oracle._count_walks.cache_clear()
     for n in range(2, oracle.PLAN_CACHE_SIZE + 7):
         assert search(_star(n), SearchConfig(d=1, store_limit=0)).count > 0
-    info = oracle._plan.cache_info()
+    info = oracle._count_walks.cache_info()
     assert info.maxsize == oracle.PLAN_CACHE_SIZE
     assert info.currsize == oracle.PLAN_CACHE_SIZE < info.misses
 
